@@ -247,6 +247,14 @@ def cmd_tails(args) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    """argparse type of a count option: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_grid_args(sp, j_default=10, l_default=16.0):
     sp.add_argument("--J", type=int, default=j_default, help="grid refinement: 2^J samples")
     sp.add_argument("--L", type=float, default=l_default, help="box length (power of two)")
@@ -264,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
                         epilog="CSV columns: set_index, k, recon_rel_error, frame_deviation")
     _add_grid_args(sp, 12, 64.0)
     sp.add_argument("--k-list", default="-2,-1,0,1,2")
-    sp.add_argument("--num-sets", type=int, default=20)
+    sp.add_argument("--num-sets", type=_count, default=20)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_frame_check)
@@ -284,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--l-list", default="0,1,2")
     sp.add_argument("--r", type=float, default=3.0)
     sp.add_argument("--t", type=float, default=2.0)
-    sp.add_argument("--trials", type=int, default=5)
+    sp.add_argument("--trials", type=_count, default=5)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_tree_bound)
@@ -296,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--r", type=float, default=3.0)
     sp.add_argument("--eps", type=float, default=0.01)
     sp.add_argument("--N", default="2,4,8,16,32")
-    sp.add_argument("--trials", type=int, default=50)
+    sp.add_argument("--trials", type=_count, default=50)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_mm_scan)
@@ -310,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q", type=float, default=1.5)
     sp.add_argument("--eps", type=float, default=0.01)
     sp.add_argument("--lam", type=float, default=0.5)
-    sp.add_argument("--runs", type=int, default=5)
+    sp.add_argument("--runs", type=_count, default=5)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_exceptional)
@@ -352,17 +360,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.config:
-        defaults = json.loads(Path(args.config).read_text())
-        given = {a.split("=")[0].lstrip("-").replace("-", "_")
-                 for a in (argv if argv is not None else sys.argv[1:]) if a.startswith("--")}
-        for key, value in defaults.items():
-            attr = key.replace("-", "_")
-            if hasattr(args, attr) and attr not in given and attr != "config":
-                setattr(args, attr, value)
     try:
+        if args.config:
+            defaults = json.loads(Path(args.config).read_text())
+            given = {a.split("=")[0].lstrip("-").replace("-", "_")
+                     for a in (argv if argv is not None else sys.argv[1:]) if a.startswith("--")}
+            for key, value in defaults.items():
+                attr = key.replace("-", "_")
+                if hasattr(args, attr) and attr not in given and attr != "config":
+                    setattr(args, attr, value)
         return args.func(args)
-    except (ParameterError, ValueError) as exc:
+    except (ParameterError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

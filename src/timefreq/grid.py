@@ -172,21 +172,99 @@ def lp_norm_values(values: np.ndarray, dx: float, p: float) -> float:
     return float((np.sum(a**p) * dx) ** (1.0 / p))
 
 
+_MAXIMAL_BLOCK = 128
+
+
 def hl_maximal(f: SampledFunction) -> SampledFunction:
     """Uncentered Hardy-Littlewood maximal function.
 
     Exact maximum of the average of |f| over every grid-aligned interval
     [a*dx, b*dx) inside the box containing the sample point.  Intervals never
     wrap around the period.  Output is real and dominates |f| pointwise.
+
+    Divide and conquer in O(n log^2 n): an interval either lies in one half
+    of a span or crosses its midpoint, and the best crossing interval for
+    every left end (right end) is a max-slope tangent query on the upper
+    (lower) convex hull of the prefix-sum points across the midpoint.  Spans
+    of at most 128 samples take all their intervals directly.  Every candidate
+    average is evaluated as (prefix[b] - prefix[a]) / (b - a), so the result
+    is bit-identical to the exhaustive O(n^2) search whenever the hull tests
+    are exact, as they are for indicators (integer prefix sums).
     """
     a = np.abs(f.values)
-    n = a.size
     prefix = np.concatenate([[0.0], np.cumsum(a)])
-    out = np.zeros(n)
-    for left in range(n):
-        # averages over [left, b) for b = left+1 .. n, then the best interval
-        # covering sample i >= left is a suffix maximum
-        avgs = (prefix[left + 1 :] - prefix[left]) / np.arange(1, n - left + 1)
-        best = np.maximum.accumulate(avgs[::-1])[::-1]
-        np.maximum(out[left:], best, out=out[left:])
+    out = np.zeros(a.size)
+    _maximal_span(prefix, 0, a.size, out)
     return SampledFunction(f.grid, out)
+
+
+def _maximal_span(prefix: np.ndarray, lo: int, hi: int, out: np.ndarray) -> None:
+    """Raise out[lo:hi] to the best average over intervals inside [lo, hi)."""
+    if hi - lo <= _MAXIMAL_BLOCK:
+        for left in range(lo, hi):
+            # averages over [left, b) for b = left+1 .. hi, then the best
+            # interval covering sample i >= left is a suffix maximum
+            avgs = (prefix[left + 1 : hi + 1] - prefix[left]) / np.arange(1, hi - left + 1)
+            best = np.maximum.accumulate(avgs[::-1])[::-1]
+            np.maximum(out[left:hi], best, out=out[left:hi])
+        return
+    mid = (lo + hi) // 2
+    _maximal_span(prefix, lo, mid, out)
+    _maximal_span(prefix, mid, hi, out)
+    # intervals [a, b) with lo <= a < mid < b <= hi
+    lefts, rights = np.arange(lo, mid), np.arange(mid + 1, hi + 1)
+    b = _tangents(_hull(rights, prefix, upper=True), lefts, prefix)
+    best = (prefix[b] - prefix[lefts]) / (b - lefts)
+    np.maximum(out[lo:mid], np.maximum.accumulate(best), out=out[lo:mid])
+    a = _tangents(_hull(lefts, prefix, upper=False), rights, prefix)
+    best = (prefix[rights] - prefix[a]) / (rights - a)
+    np.maximum(out[mid:hi], np.maximum.accumulate(best[::-1])[::-1], out=out[mid:hi])
+
+
+def _hull(xs: np.ndarray, prefix: np.ndarray, upper: bool) -> np.ndarray:
+    """Vertices (ascending) of the upper or lower convex hull of (x, prefix[x])."""
+    x = xs
+    y = prefix[xs] if upper else -prefix[xs]  # the lower hull is the upper hull of -y
+    # vectorized passes drop every vertex not strictly above the chord of its
+    # neighbours while that shrinks the chain geometrically; a monotone chain
+    # finishes the rest
+    while x.size > 2:
+        turn = (y[1:-1] - y[:-2]) * (x[2:] - x[:-2]) - (y[2:] - y[:-2]) * (x[1:-1] - x[:-2])
+        keep = np.concatenate([[True], turn > 0.0, [True]])
+        if 4 * np.count_nonzero(keep) > 3 * x.size:
+            break
+        x, y = x[keep], y[keep]
+    hx: list[int] = []
+    hy: list[float] = []
+    for xv, yv in zip(x.tolist(), y.tolist()):
+        while len(hx) >= 2 and ((hy[-1] - hy[-2]) * (xv - hx[-2])
+                                - (yv - hy[-2]) * (hx[-1] - hx[-2])) <= 0.0:
+            hx.pop()
+            hy.pop()
+        hx.append(xv)
+        hy.append(yv)
+    return np.array(hx)
+
+
+def _tangents(hull: np.ndarray, qs: np.ndarray, prefix: np.ndarray) -> np.ndarray:
+    """Hull vertex of the steepest chord to each query point (qx, prefix[qx]).
+
+    Queries lie left of an upper hull or right of a lower hull.  Walking the
+    hull in ascending x, the chord slope rises while the next vertex lies on
+    the steep side of the current chord, then never rises again, so a
+    vectorized binary search finds the first vertex where it stops rising.
+    """
+    hy = prefix[hull]
+    qy = prefix[qs]
+    last = hull.size - 1
+    lo = np.zeros(qs.size, dtype=np.intp)
+    hi = np.full(qs.size, last, dtype=np.intp)
+    for _ in range(last.bit_length()):
+        t = (lo + hi) // 2
+        u = np.minimum(t + 1, last)
+        edge = (hy[u] - hy[t]) * (hull[t] - qs)
+        chord = (hy[t] - qy) * (hull[u] - hull[t])
+        rising = edge > chord
+        lo = np.where(rising, t + 1, lo)
+        hi = np.where(rising, hi, t)
+    return hull[lo]

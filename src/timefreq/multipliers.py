@@ -166,7 +166,8 @@ def growth_scan(
 
         || sup_k |scale_k f| ||_q / (N^(1/q - 1/r + eps) (C + variation) ||f||_q)
 
-    and fits the log-log slope of the unnormalized numerator against N.
+    and fits the log-log slope of the unnormalized numerator against N; the
+    slope is NaN when ``n_list`` holds fewer than two distinct N.
     Deterministic given the seed; trials are seeded independently.
     """
     if not 1 < q < 2:
@@ -197,9 +198,11 @@ def growth_scan(
             max_num = max(max_num, num)
         per_n_max_num.append(max_num)
         rows.append((n, trials, max_ratio, max_num))
-    slope = float(
-        np.polyfit(np.log2(np.asarray(n_list, dtype=float)), np.log2(per_n_max_num), 1)[0]
-    )
+    slope = float("nan")
+    if len(set(n_list)) >= 2:
+        slope = float(
+            np.polyfit(np.log2(np.asarray(n_list, dtype=float)), np.log2(per_n_max_num), 1)[0]
+        )
     return [
         ScanRow(q, r, eps, n, tc, mr, mn, slope) for (n, tc, mr, mn) in rows
     ]

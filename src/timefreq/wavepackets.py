@@ -86,7 +86,6 @@ class Window:
     phat: np.ndarray = field(repr=False)
     phi: SampledFunction = field(repr=False)
     frame_constant: float = 1.0
-    bump_integral: float = 0.0
 
     def bump(self, xi) -> np.ndarray:
         return partition_bump(xi, self.smoothness)
@@ -143,9 +142,7 @@ def build_window(grid: Grid, smoothness: float = DEFAULT_ORDER, min_freq_samples
     b = partition_bump(xi, smoothness)
     phat = np.sqrt(b)
     phi = idft(SampledFunction(grid, phat.astype(np.complex128)))
-    nodes = (np.arange(_QUAD_NODES) + 0.5) / _QUAD_NODES
-    b_int = float(np.mean(partition_bump(nodes, smoothness)))
-    return Window(grid, smoothness, phat, phi, 1.0, b_int)
+    return Window(grid, smoothness, phat, phi)
 
 
 def wave_packet(w: Window, k: int, m: int, l: float) -> SampledFunction:
@@ -302,6 +299,8 @@ class Kernel:
     K: SampledFunction = field(repr=False)
     _khat_cache: dict = field(default_factory=dict, repr=False)
     _ktime_cache: dict = field(default_factory=dict, repr=False)
+    _node_eta: np.ndarray | None = field(default=None, repr=False)
+    _autocorrelation: np.ndarray | None = field(default=None, repr=False)
 
     def khat(self, xi) -> np.ndarray:
         """Autocorrelation (eta * eta~)(xi) by quadrature on the profile."""
@@ -316,12 +315,62 @@ class Kernel:
             out[i : i + chunk] = (shifted * ev[None, :]).sum(axis=1) / _QUAD_NODES
         return out
 
+    def khat_progression(self, xi: np.ndarray, step: float) -> np.ndarray:
+        """:meth:`khat` at an arithmetic progression ``xi`` with spacing ``step``.
+
+        The midpoint rule on N = 4096 nodes at xi = (s + f) / N, s an integer
+        and 0 <= f < 1, is one lag s of the correlation of eta on the nodes
+        moved by -f / N with eta on the nodes.  When step * N is an integer,
+        every point of the progression shares f, so one correlation of N + 1
+        by N samples serves all of them; for f = 0 (the lattices) it is the
+        autocorrelation of the node samples, kept for every later call.  Lags
+        where the moved samples miss the nodes give exact zeros.  The result
+        is the quadrature up to summation order (about 1e-16 absolute), with
+        the same exact zeros, provided eta vanishes outside [-1/2, 1/2].  When
+        step * N is not an integer, this falls back to :meth:`khat`.
+        """
+        xi = np.asarray(xi, dtype=float)
+        q = step * _QUAD_NODES
+        if q != round(q):
+            return self.khat(xi)
+        # anchor at the smallest |xi|, where xi itself carries the least rounding
+        anchor = int(np.argmin(np.abs(xi)))
+        c = xi[anchor] * _QUAD_NODES
+        c0 = math.floor(c)
+        corr = self._shifted_correlation(c - c0)
+        # correlate(a, v, "full")[N - 1 - s] = sum_m a[m - s] v[m]
+        idx = (_QUAD_NODES - 1) - (c0 + int(round(q)) * (np.arange(xi.size) - anchor))
+        inside = (idx >= 0) & (idx < corr.size)
+        out = np.zeros(xi.size)
+        out[inside] = corr[idx[inside]]
+        return out
+
+    def _shifted_correlation(self, frac: float) -> np.ndarray:
+        """sum_m eta(node_(m-s) - frac / N) eta(node_m) / N at index N - 1 - s."""
+        if frac == 0.0 and self._autocorrelation is not None:
+            return self._autocorrelation
+        if self._node_eta is None:
+            nodes = -0.5 + (np.arange(_QUAD_NODES) + 0.5) / _QUAD_NODES
+            self._node_eta = np.asarray(self.eta_profile(nodes), dtype=float)
+        # node N moved down by frac / N can still lie inside [-1/2, 1/2]
+        moved = -0.5 + (np.arange(_QUAD_NODES + 1) + 0.5) / _QUAD_NODES - frac / _QUAD_NODES
+        a = np.asarray(self.eta_profile(moved), dtype=float)
+        corr = np.correlate(a, self._node_eta, "full") / _QUAD_NODES
+        if frac == 0.0:
+            self._autocorrelation = corr
+        return corr
+
     def khat_lattice(self, k: int) -> np.ndarray:
-        """khat on the extended scale-k lattice i * 2^k / L, |i| <= n - 1."""
+        """khat on the extended scale-k lattice i * 2^k / L, |i| <= n - 1.
+
+        Read from the autocorrelation of the quadrature nodes (see
+        :meth:`khat_progression`) when 2^k * 4096 / L is an integer, so the
+        lattice costs no quadrature; otherwise evaluated by :meth:`khat`.
+        """
         if k not in self._khat_cache:
             n = self.grid.n
-            pts = math.ldexp(1.0, k) * np.arange(-(n - 1), n) * self.grid.dxi
-            self._khat_cache[k] = self.khat(pts)
+            step = math.ldexp(1.0, k) * self.grid.dxi
+            self._khat_cache[k] = self.khat_progression(step * np.arange(-(n - 1), n), step)
         return self._khat_cache[k]
 
     def khat_grid(self, k: int) -> np.ndarray:
@@ -398,7 +447,15 @@ class ModelFunction:
         return Interval(lo, hi)
 
     def x_slice(self, theta: float) -> np.ndarray:
-        """phi_s(x, theta) for all grid x at one theta (any real frequency)."""
+        """phi_s(x, theta) for all grid x at one theta (any real frequency).
+
+        The kernel transform is sampled at 2^k (theta - xi_j), a progression
+        with step -2^k / L.  A theta on the frequency grid reads the scale-k
+        lattice; any other theta takes one correlation of the quadrature
+        nodes (see :meth:`Kernel.khat_progression`).  Both are exact up to
+        summation order when 2^k * 4096 / L is an integer and fall back to
+        the quadrature otherwise.
+        """
         g = self.window.grid
         k = self.tile.scale
         ratio = theta / g.dxi
@@ -408,7 +465,8 @@ class ModelFunction:
             idx = (g.n - 1) + (j0 + g.n // 2) - np.arange(g.n)
             kv = lat[idx]
         else:
-            kv = self.kernel.khat(math.ldexp(1.0, k) * (theta - g.freqs()))
+            kv = self.kernel.khat_progression(math.ldexp(1.0, k) * (theta - g.freqs()),
+                                              -math.ldexp(1.0, k) * g.dxi)
         return idft(SampledFunction(g, self.packet_hat * kv)).values
 
     def theta_slice(self, x_index: int) -> np.ndarray:

@@ -1,4 +1,6 @@
+import csv
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -85,3 +87,38 @@ def test_outdir_environment_variable(tmp_path, monkeypatch):
     monkeypatch.setenv("TIMEFREQ_OUTDIR", str(tmp_path))
     assert run(["blowup", "--J-list", "8"]) == 0
     assert (tmp_path / "blowup.csv").exists()
+
+
+def error_lines(capsys):
+    return [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+
+
+def test_missing_input_files_diagnosed(tmp_path, capsys):
+    missing = str(tmp_path / "missing.txt")
+    assert run(["tree-select", "--J", "8", "--L", "8", "--tiles", missing,
+                "--out", str(tmp_path / "sel.csv")]) == 2
+    assert len(error_lines(capsys)) == 1
+    assert run(["--config", missing, "blowup", "--J-list", "8"]) == 2
+    assert len(error_lines(capsys)) == 1
+
+
+@pytest.mark.parametrize("n_list", ["2", "2,2"])
+def test_mm_scan_single_n_reports_nan_slope(tmp_path, n_list):
+    out = tmp_path / "mm.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RankWarning from a one-point fit
+        assert run(["mm-scan", "--J", "8", "--N", n_list, "--trials", "1", "--out", str(out)]) == 0
+    with out.open() as fh:
+        slopes = {row["fitted_slope"] for row in csv.DictReader(fh)}
+    assert slopes == {"nan"}
+
+
+@pytest.mark.parametrize("sub,flag", [("frame-check", "--num-sets"), ("exceptional", "--runs"),
+                                      ("tree-bound", "--trials"), ("mm-scan", "--trials")])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_counts_must_be_positive(tmp_path, capsys, sub, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        run([sub, "--J", "8", flag, value, "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert len(error_lines(capsys)) == 1
+    assert not (tmp_path / "x.csv").exists()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from timefreq import Grid, SampledFunction, dft, hl_maximal, idft, lp_norm
 
@@ -81,7 +83,48 @@ def brute_force_maximal(values, dx):
     return out
 
 
+def loop_maximal(values):
+    """The O(n^2) row loop hl_maximal used before its divide and conquer."""
+    a = np.abs(values)
+    n = a.size
+    prefix = np.concatenate([[0.0], np.cumsum(a)])
+    out = np.zeros(n)
+    for left in range(n):
+        avgs = (prefix[left + 1 :] - prefix[left]) / np.arange(1, n - left + 1)
+        best = np.maximum.accumulate(avgs[::-1])[::-1]
+        np.maximum(out[left:], best, out=out[left:])
+    return out
+
+
+@st.composite
+def indicators(draw):
+    j = draw(st.integers(1, 10))
+    g = Grid(j, 8.0)
+    mask = np.zeros(g.n, dtype=bool)
+    for _ in range(draw(st.integers(0, 4))):
+        lo = draw(st.integers(0, g.n - 1))
+        mask[lo : draw(st.integers(lo + 1, g.n))] = True
+    return SampledFunction(g, mask.astype(np.complex128))
+
+
 class TestMaximal:
+    @given(indicators())
+    @settings(max_examples=80, deadline=None)
+    def test_indicator_bit_identical_to_loop(self, f):
+        assert np.array_equal(hl_maximal(f).values.real, loop_maximal(f.values))
+
+    @given(st.integers(1, 10), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1.0, 3.0]))
+    @settings(max_examples=80, deadline=None)
+    def test_random_complex_matches_loop(self, j, seed, tail):
+        g = Grid(j, 8.0)
+        rng = np.random.default_rng(seed)
+        # heavy-tailed magnitudes put the best intervals anywhere
+        vals = (rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)) * rng.exponential(size=g.n) ** tail
+        got = hl_maximal(SampledFunction(g, vals)).values.real
+        expected = loop_maximal(vals)
+        assert np.all(np.abs(got - expected) <= 1e-12 * expected)
+        assert np.all(got >= np.abs(vals) * (1 - 1e-12))  # single-sample averages round
+
     def test_constant(self):
         g = Grid(8, 8.0)
         m = hl_maximal(SampledFunction(g, np.full(g.n, -3.0 + 0j)))

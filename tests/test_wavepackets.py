@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from timefreq import Grid, SampledFunction, dft, lp_norm
+from timefreq import Grid, SampledFunction, dft, idft, lp_norm
 from timefreq.dyadic import DyadicInterval, Tile
 from timefreq.norms import interval_weight
 from timefreq.wavepackets import (
@@ -172,6 +174,59 @@ class TestKernel:
         g = Grid(10, 16.0)
         ker = build_kernel(g, "sharp")
         assert np.min(ker.K.values.real) >= -1e-12
+
+
+def assert_same_as_quadrature(fast, slow):
+    assert np.max(np.abs(fast - slow)) <= 1e-15
+    assert np.array_equal(fast == 0.0, slow == 0.0)
+
+
+@st.composite
+def kernel_cases(draw):
+    """A kernel on a random grid with a scale k whose lattice is on the nodes."""
+    j = draw(st.integers(6, 9))
+    log_len = draw(st.integers(0, j - 1))  # the frequency box contains [-1, 1]
+    # a scale-k tile at the origin fits the box in time and in frequency
+    k = draw(st.integers(max(-3, log_len + 1 - j), min(3, log_len)))
+    length = 2.0 ** log_len
+    g = Grid(j, length)
+    return g, build_kernel(g, draw(st.sampled_from(["smooth", "sharp"]))), k
+
+
+class TestKernelCorrelation:
+    @given(kernel_cases())
+    @settings(max_examples=25, deadline=None)
+    def test_lattice_matches_quadrature(self, case):
+        g, ker, k = case
+        pts = math.ldexp(1.0, k) * np.arange(-(g.n - 1), g.n) * g.dxi
+        slow = ker.khat(pts)
+        assert_same_as_quadrature(ker.khat_lattice(k), slow)
+        assert_same_as_quadrature(ker.khat_grid(k), slow[g.n // 2 - 1 : g.n // 2 - 1 + g.n])
+
+    @given(kernel_cases(), st.floats(-0.5, 0.5), st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_x_slice_matches_quadrature(self, case, where, on_lattice):
+        g, ker, k = case
+        w = build_window(g, min_freq_samples=1)
+        s = Tile(DyadicInterval(k, 0), DyadicInterval(-k, 0))
+        theta = where * g.freq_halfwidth
+        if on_lattice:
+            theta = round(theta / g.dxi) * g.dxi
+        xi = math.ldexp(1.0, k) * (theta - g.freqs())
+        slow = ker.khat(xi)
+        assert_same_as_quadrature(ker.khat_progression(xi, -math.ldexp(1.0, k) * g.dxi), slow)
+        mf = model_function(w, ker, s)
+        expected = idft(SampledFunction(g, mf.packet_hat * slow)).values
+        assert np.max(np.abs(mf.x_slice(theta) - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_off_node_spacing_falls_back_to_quadrature(self):
+        g = Grid(6, 8.0)
+        ker = build_kernel(g)
+        k = -10  # 2^k * 4096 / L = 1/2
+        pts = math.ldexp(1.0, k) * np.arange(-(g.n - 1), g.n) * g.dxi
+        assert np.array_equal(ker.khat_lattice(k), ker.khat(pts))
+        xi = 0.3 + math.ldexp(1.0, k) * np.arange(5) / 3
+        assert np.array_equal(ker.khat_progression(xi, math.ldexp(1.0, k) / 3), ker.khat(xi))
 
 
 def random_tile(g, rng, freq_max=8.0):

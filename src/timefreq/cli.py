@@ -2,9 +2,9 @@
 
 Subcommands bind the library modules to seeded, reproducible CSV outputs:
 same configuration and seed give byte-identical files.  A JSON config file
-can predefine any option; command-line flags win over the file.  The default
-output directory comes from the TIMEFREQ_OUTDIR environment variable (falling
-back to the working directory).
+can predefine any option of the subcommand, checked like its flag; flags win
+over the file.  The default output directory comes from the TIMEFREQ_OUTDIR
+environment variable (falling back to the working directory).
 """
 
 from __future__ import annotations
@@ -357,18 +357,33 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _config_defaults(sp: argparse.ArgumentParser, path: str) -> dict:
+    """Options of subcommand ``sp`` from a JSON file, converted by each option's type."""
+    config = json.loads(Path(path).read_text())
+    if not isinstance(config, dict):
+        sp.error(f"config file {path} must hold a JSON object")
+    actions = {a.dest: a for a in sp._actions if a.option_strings and a.dest != "help"}
+    defaults = {}
+    for key, value in config.items():
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
+            sp.error(f"unknown config key {key!r}")
+        try:
+            defaults[action.dest] = (action.type or str)(str(value))
+        except (argparse.ArgumentTypeError, ValueError) as exc:
+            sp.error(f"config key {key!r}: invalid value {value!r}: {exc}")
+    return defaults
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
         if args.config:
-            defaults = json.loads(Path(args.config).read_text())
-            given = {a.split("=")[0].lstrip("-").replace("-", "_")
-                     for a in (argv if argv is not None else sys.argv[1:]) if a.startswith("--")}
-            for key, value in defaults.items():
-                attr = key.replace("-", "_")
-                if hasattr(args, attr) and attr not in given and attr != "config":
-                    setattr(args, attr, value)
+            sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+            sp = sub.choices[args.command]
+            sp.set_defaults(**_config_defaults(sp, args.config))
+            args = ap.parse_args(argv)  # flags given on the command line win
         return args.func(args)
     except (ParameterError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -52,8 +52,6 @@ class CircleRotation:
     """x -> x + alpha mod 1 in 64-bit fixed point; invertible and exact."""
 
     alpha: float
-    kind: str = "circle-rotation"
-    invertible: bool = True
 
     def orbit(self, x0: float, n: int, start: int = 1) -> np.ndarray:
         """Points tau^j x0 for j = start .. start + n - 1."""
@@ -68,8 +66,6 @@ class TorusProduct:
 
     alpha: float
     beta: float
-    kind: str = "torus-product"
-    invertible: bool = True
 
     def orbit(self, point: tuple[float, float], n: int, start: int = 1) -> np.ndarray:
         idx = np.arange(start, start + n, dtype=np.uint64)
@@ -84,8 +80,6 @@ class IntervalExchange:
 
     lengths: tuple[float, ...]
     permutation: tuple[int, ...]
-    kind: str = "interval-exchange"
-    invertible: bool = True
 
     def __post_init__(self):
         if sorted(self.permutation) != list(range(len(self.lengths))):

@@ -26,13 +26,17 @@ def _is_power_of_two(x: float) -> bool:
     return m == 0.5
 
 
+# Largest grid exponent: at 2**20 samples each complex array already takes 16 MiB.
+MAX_J = 20
+
+
 @dataclass(frozen=True)
 class Grid:
     """Periodic sampling grid with 2**j samples on [0, length).
 
     Parameters
     ----------
-    j : number of dyadic refinements; the grid has n = 2**j samples
+    j : number of dyadic refinements, at most MAX_J; the grid has n = 2**j samples
     length : period of the box, a power of two
     """
 
@@ -40,8 +44,8 @@ class Grid:
     length: float
 
     def __post_init__(self):
-        if self.j < 1:
-            raise ValueError("grid exponent must be >= 1")
+        if not 1 <= self.j <= MAX_J:
+            raise ValueError(f"grid exponent J must be between 1 and {MAX_J}, got {self.j}")
         if not _is_power_of_two(self.length):
             raise ValueError("grid length must be a positive power of two")
 
@@ -102,10 +106,6 @@ class SampledFunction:
         self.values = v
 
     @classmethod
-    def from_function(cls, grid: Grid, fn) -> "SampledFunction":
-        return cls(grid, np.asarray(fn(grid.xs()), dtype=np.complex128))
-
-    @classmethod
     def zero(cls, grid: Grid) -> "SampledFunction":
         return cls(grid, np.zeros(grid.n, dtype=np.complex128))
 
@@ -139,14 +139,22 @@ def dft(f: SampledFunction) -> SampledFunction:
     Returns samples of fhat on the frequency axis ``f.grid.freqs()`` (ascending
     order), so ``dft(f).values[i]`` is fhat at frequency ``(i - n/2) / L``.
     """
-    vals = f.grid.dx * np.fft.fftshift(np.fft.fft(f.values))
-    return SampledFunction(f.grid, vals)
+    return SampledFunction(f.grid, dft_values(f.values, f.grid.dx))
 
 
 def idft(fhat: SampledFunction) -> SampledFunction:
     """Inverse of :func:`dft`; round-trips to 1e-10 relative error or better."""
-    vals = np.fft.ifft(np.fft.ifftshift(fhat.values)) / fhat.grid.dx
-    return SampledFunction(fhat.grid, vals)
+    return SampledFunction(fhat.grid, idft_values(fhat.values, fhat.grid.dx))
+
+
+def dft_values(values: np.ndarray, dx: float) -> np.ndarray:
+    """:func:`dft` of raw samples along the last axis; a stack of rows takes one FFT."""
+    return dx * np.fft.fftshift(np.fft.fft(values, axis=-1), axes=-1)
+
+
+def idft_values(values: np.ndarray, dx: float) -> np.ndarray:
+    """:func:`idft` of raw spectra, row by row along the last axis."""
+    return np.fft.ifft(np.fft.ifftshift(values, axes=-1), axis=-1) / dx
 
 
 def lp_norm(f: SampledFunction, p: float) -> float:

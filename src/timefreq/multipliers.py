@@ -12,7 +12,7 @@ import numpy as np
 
 from .dyadic import DyadicInterval
 from .grid import Grid, SampledFunction, dft, idft, lp_norm
-from .norms import AdaptedBump, make_adapted_bump, variational_norm
+from .norms import AdaptedBump, bump_values, make_adapted_bump, variational_norm_field
 
 __all__ = [
     "FrequencySet",
@@ -61,7 +61,8 @@ class MultiplierFamily:
     Intervals at scale k are the covering intervals of the frequency set;
     each carries an adapted bump scaled by a complex coefficient of modulus
     at most one, so the family's adaptedness constant stays comparable
-    across set sizes.
+    across set sizes.  Any callable of the frequencies can stand in for an
+    :class:`AdaptedBump`.
     """
 
     grid: Grid
@@ -72,9 +73,13 @@ class MultiplierFamily:
         return sorted(self.scales)
 
     def total_multiplier(self, k: int) -> np.ndarray:
+        """Scale-k multiplier on the grid: its adapted bumps come from one
+        :func:`bump_values` call and are added in list order, exactly the per-bump sum."""
+        xi = self.grid.freqs()
+        rows = iter(bump_values([b for _, b, _ in self.scales[k] if isinstance(b, AdaptedBump)], xi))
         out = np.zeros(self.grid.n, dtype=np.complex128)
         for _, bump, coeff in self.scales[k]:
-            out += coeff * bump.samples(self.grid)
+            out += coeff * (next(rows) if isinstance(bump, AdaptedBump) else bump(xi))
         return out
 
     def value_at(self, k: int, lam: float) -> complex:
@@ -127,13 +132,27 @@ def scale_variation(fam: MultiplierFamily, freqs: FrequencySet, r: float) -> flo
     For each frequency the sequence collects, scale by scale, the value at
     that frequency of the multiplier on the covering interval; the variation
     runs over the scales the family defines.
+    The (scale, frequency) table takes one :func:`bump_values` call for all adapted bumps
+    (any other bump: one call on the frequencies it covers), then one exact variation per
+    column; it matches ``value_at`` up to rounding.
     """
-    best = 0.0
     ks = fam.scale_list()
-    for lam in freqs.lambdas:
-        seq = [fam.value_at(k, lam) for k in ks]
-        best = max(best, variational_norm(seq, r).value)
-    return best
+    lams = np.asarray(freqs.lambdas, dtype=float)
+    table = np.zeros((len(ks), lams.size), dtype=np.complex128)
+    adapted = []  # (row, column, bump, coefficient) per frequency an adapted bump covers
+    for row, k in enumerate(ks):
+        free = np.ones(lams.size, dtype=bool)  # the first covering interval wins
+        for iv, bump, coeff in fam.scales[k]:
+            cols = np.flatnonzero(free & (iv.left <= lams) & (lams < iv.right))
+            free[cols] = False
+            if isinstance(bump, AdaptedBump):
+                adapted += [(row, col, bump, coeff) for col in cols]
+            elif cols.size:
+                table[row, cols] = coeff * bump(lams[cols])
+    if adapted:
+        rows, cols, bumps, coeffs = zip(*adapted)
+        table[rows, cols] = np.array(coeffs) * bump_values(bumps, lams[list(cols)][:, None])[:, 0]
+    return float(variational_norm_field(table, r).max())
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .dyadic import Interval, Tile
-from .grid import Grid, SampledFunction, dft, idft, lp_norm_values
+from .grid import Grid, SampledFunction, dft, dft_values, idft_values, lp_norm_values
 
 __all__ = [
     "VariationResult",
@@ -22,6 +22,7 @@ __all__ = [
     "AdaptedBump",
     "make_adapted_bump",
     "adapted_family",
+    "bump_values",
     "maximal_multiplier_lower",
     "tile_size",
     "per_tile_sizes",
@@ -154,16 +155,7 @@ class AdaptedBump:
 
     def __call__(self, xi) -> np.ndarray:
         xi = np.asarray(xi, dtype=float)
-        pos = _POSITIONS[self.variant % len(_POSITIONS)]
-        mod = self.variant // len(_POSITIONS)
-        a = self.omega.a + pos[0] * self.omega.length
-        w = (pos[1] - pos[0]) * self.omega.length
-        t = (xi - a) / w
-        inside = (t > 0.0) & (t < 1.0)
-        out = np.zeros(xi.shape, dtype=np.complex128)
-        tv = t[inside]
-        out[inside] = self.amplitude * _base_profile(tv) * np.exp(2j * np.pi * mod * tv)
-        return out
+        return bump_values([self], xi.reshape(-1))[0].reshape(xi.shape)
 
     def samples(self, grid: Grid) -> np.ndarray:
         return self(grid.freqs())
@@ -190,19 +182,34 @@ def adapted_family(omega: Interval, c_const: float, family_size: int = 8) -> lis
     return [make_adapted_bump(omega, c_const, v) for v in range(family_size)]
 
 
+def bump_values(bumps: Sequence[AdaptedBump], xi) -> np.ndarray:
+    """Row i holds ``bumps[i]`` at ``xi``: 1-D points, or a column of one point per bump.
+
+    One profile call covers all points; per-point arithmetic keeps each row bit-exact.
+    """
+    params = []
+    for b in bumps:
+        lo, hi = _POSITIONS[b.variant % len(_POSITIONS)]
+        params.append((b.omega.a + lo * b.omega.length, (hi - lo) * b.omega.length,
+                       b.variant // len(_POSITIONS), b.amplitude))
+    a, w, mod, amp = np.array(params, dtype=float).reshape(-1, 4).T[..., None]
+    t = (np.asarray(xi, dtype=float) - a) / w
+    inside = (t > 0.0) & (t < 1.0)
+    out = np.zeros(t.shape, dtype=np.complex128)
+    rows, tv = np.nonzero(inside)[0], t[inside]
+    out[inside] = amp[rows, 0] * _base_profile(tv) * np.exp(2j * np.pi * mod[rows, 0] * tv)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # maximal multiplier norm, lower estimation
 
 
-def _apply_multiplier(mvals: np.ndarray, ghat: np.ndarray, grid: Grid) -> np.ndarray:
-    return idft(SampledFunction(grid, mvals * ghat)).values
-
-
-def _mm_objective(multipliers, grid, q, ghat):
-    fields = np.stack([_apply_multiplier(m, ghat, grid) for m in multipliers])
+def _mm_objective(ms, grid, q, ghat):
+    fields = idft_values(ms * ghat, grid.dx)
     sup = np.abs(fields).max(axis=0)
     argmax = np.abs(fields).argmax(axis=0)
-    g = idft(SampledFunction(grid, ghat)).values
+    g = idft_values(ghat, grid.dx)
     gq = lp_norm_values(g, grid.dx, q)
     if gq == 0.0:
         return 0.0, None, None
@@ -226,8 +233,8 @@ def maximal_multiplier_lower(
     """
     if not 1 <= q:
         raise ValueError("q must be >= 1")
-    ms = [np.asarray(m, dtype=np.complex128) for m in multipliers]
-    if not ms or all(np.max(np.abs(m)) == 0.0 for m in ms):
+    ms = np.array([np.asarray(m, dtype=np.complex128) for m in multipliers]).reshape(-1, grid.n)
+    if not np.any(ms):
         return 0.0
     rng = np.random.default_rng(seed)
     qq = q / (q - 1.0) if q > 1 else math.inf
@@ -284,14 +291,14 @@ def maximal_multiplier_lower(
                 break
             sup_field = fields[argmax, np.arange(n)]
             u = dual_map(sup_field, q)
+            masked = u * (argmax == np.arange(len(ms))[:, None]).astype(np.complex128)
             what = np.zeros(n, dtype=np.complex128)
-            for ki, m in enumerate(ms):
-                mask = (argmax == ki).astype(np.complex128)
-                what += np.conj(m) * dft(SampledFunction(grid, u * mask)).values
+            for m, spectrum in zip(ms, dft_values(masked, grid.dx)):
+                what += np.conj(m) * spectrum
             if np.max(np.abs(what)) == 0.0:
                 break
-            gnew_time = dual_map(idft(SampledFunction(grid, what)).values, qq if q > 1 else 2.0)
-            ghat = dft(SampledFunction(grid, gnew_time)).values
+            gnew_time = dual_map(idft_values(what, grid.dx), qq if q > 1 else 2.0)
+            ghat = dft_values(gnew_time, grid.dx)
             val, fields, argmax = consider(ghat)
             if fields is None:
                 break
@@ -302,39 +309,35 @@ def maximal_multiplier_lower(
 # size of a tile collection
 
 
-def _tile_size_single(
-    s: Tile,
-    fhat: np.ndarray,
-    grid: Grid,
-    family_size: int,
-    weight_power: float,
-) -> float:
-    fh_half = grid.freq_halfwidth
-    omega10 = s.freq.to_interval().dilate(10.0)
-    omega10 = Interval(max(omega10.a, -fh_half), min(omega10.b, fh_half))
-    weight = interval_weight(s.time.to_interval(), grid.xs(), weight_power, period=grid.length)
-    inv_sqrt = 1.0 / math.sqrt(s.time.length)
-    best = 0.0
-    for bump in adapted_family(omega10, 1.0, family_size):
-        tvals = idft(SampledFunction(grid, bump.samples(grid) * fhat)).values
-        val = inv_sqrt * lp_norm_values(weight * tvals, grid.dx, 2)
-        if val > best:
-            best = val
-    return best
-
-
 def per_tile_sizes(
     tiles: Iterable[Tile],
     f: SampledFunction,
     family_size: int = 8,
     weight_power: float = 10.0,
 ) -> dict[Tile, float]:
-    """Size of each singleton {s}: the collection size is their maximum."""
+    """Size of each singleton {s}, in input order: the collection size is their maximum.
+
+    Per distinct omega_s, one profile call and one inverse FFT serve its bump family and one
+    matrix product its tiles' weighted L^2 norms; exact up to rounding (1e-12 relative).
+    """
+    sizes = dict.fromkeys(tiles)
+    grid = f.grid
     fhat = dft(f).values
-    return {
-        s: _tile_size_single(s, fhat, f.grid, family_size, weight_power)
-        for s in tiles
-    }
+    xs, xi, fh_half = grid.xs(), grid.freqs(), grid.freq_halfwidth
+    by_freq: dict = {}
+    for s in sizes:
+        by_freq.setdefault(s.freq, []).append(s)
+    for freq, group in by_freq.items():
+        omega10 = freq.to_interval().dilate(10.0)
+        omega10 = Interval(max(omega10.a, -fh_half), min(omega10.b, fh_half))
+        bumps = bump_values(adapted_family(omega10, 1.0, family_size), xi)
+        power = np.abs(idft_values(bumps * fhat, grid.dx)) ** 2
+        weights = np.stack([interval_weight(s.time.to_interval(), xs, weight_power, period=grid.length)
+                            for s in group])
+        norms = np.sqrt((power @ (weights**2).T * grid.dx).max(axis=0))
+        for s, norm in zip(group, norms):
+            sizes[s] = 1.0 / math.sqrt(s.time.length) * float(norm)
+    return sizes
 
 
 def tile_size(

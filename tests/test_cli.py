@@ -122,3 +122,39 @@ def test_counts_must_be_positive(tmp_path, capsys, sub, flag, value):
     assert exc.value.code == 2
     assert len(error_lines(capsys)) == 1
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_config_values_converted_like_flags(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"J": "8", "N": "2,4", "trials": "2", "q": 1.5}))
+    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run(["--config", str(cfg), "mm-scan", "--out", str(out1)]) == 0
+    assert run(["mm-scan", "--J", "8", "--N", "2,4", "--trials", "2", "--out", str(out2)]) == 0
+    assert read(out1) == read(out2)
+
+
+@pytest.mark.parametrize("config,message", [
+    ({"runs": 0}, "must be at least 1"),  # the count bound applies to config values
+    ({"Jx": 9}, "unknown config key 'Jx'"),
+    ({"J": "nine"}, "invalid value"),
+    ({"J": True}, "invalid value"),
+    ([9], "JSON object"),
+])
+def test_bad_config_rejected(tmp_path, capsys, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        run(["--config", str(cfg), "exceptional", "--J", "8", "--out", str(out)])
+    assert exc.value.code == 2
+    errors = error_lines(capsys)
+    assert len(errors) == 1 and message in errors[0]
+    assert not out.exists()
+
+
+def test_grid_exponent_cap_diagnosed(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert run(["exceptional", "--J", "60", "--runs", "1", "--out", str(out)]) == 2
+    errors = error_lines(capsys)
+    assert len(errors) == 1 and "between 1 and 20" in errors[0]
+    assert not out.exists()

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from timefreq import Grid, SampledFunction, dft, hl_maximal, idft, lp_norm
+from timefreq.grid import MAX_J, dft_values, idft_values
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +45,28 @@ class TestDft:
         f = random_function(g, rng)
         back = idft(dft(f))
         assert np.max(np.abs(back.values - f.values)) <= 1e-10 * np.max(np.abs(f.values))
+
+    @given(st.integers(1, 11), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_stacked_rows_match_single_transforms(self, j, rows, seed):
+        g = Grid(j, 8.0)
+        rng = np.random.default_rng(seed)
+        stack = rng.standard_normal((rows, g.n)) + 1j * rng.standard_normal((rows, g.n))
+        fwd, inv = dft_values(stack, g.dx), idft_values(stack, g.dx)
+        for i, row in enumerate(stack):
+            assert np.array_equal(fwd[i], dft(SampledFunction(g, row)).values)
+            assert np.array_equal(inv[i], idft(SampledFunction(g, row)).values)
+
+
+class TestGridExponent:
+    def test_cap_accepts_largest_and_rejects_beyond(self):
+        # constructing a Grid allocates nothing, so the cap is checked without arrays
+        assert Grid(MAX_J, 8.0).n == 2**MAX_J
+        for j in (MAX_J + 1, 60):
+            with pytest.raises(ValueError, match="between 1 and"):
+                Grid(j, 8.0)
+        with pytest.raises(ValueError):
+            Grid(0, 8.0)
 
 
 class TestLpNorm:

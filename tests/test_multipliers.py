@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from timefreq import Grid, SampledFunction, dft, lp_norm
 from timefreq.dyadic import DyadicInterval
@@ -15,7 +17,7 @@ from timefreq.multipliers import (
     scale_variation,
     sup_over_scales,
 )
-from timefreq.norms import make_adapted_bump
+from timefreq.norms import make_adapted_bump, variational_norm
 
 
 class _ConstBump:
@@ -150,6 +152,54 @@ class TestScaleVariation:
         }
         fam = MultiplierFamily(grid, freqs, per_scale)
         assert scale_variation(fam, freqs, 3.0) == pytest.approx(2.0)
+
+
+def loop_scale_variation(fam, freqs, r):
+    """Oracle for scale_variation: value_at point by point, one sequence per frequency."""
+    ks = fam.scale_list()
+    return max(variational_norm([fam.value_at(k, lam) for k in ks], r).value
+               for lam in freqs.lambdas)
+
+
+@st.composite
+def families(draw):
+    """Random families on a J=9 grid; some entries hold a constant bump instead, and
+    some scales repeat an interval, where the first entry covering a frequency counts."""
+    g = Grid(9, 8.0)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 16))
+    freqs = FrequencySet(tuple(rng.uniform(-g.freq_halfwidth, g.freq_halfwidth, n)))
+    k_min = draw(st.integers(-3, 2))
+    fam = random_family(g, freqs, range(k_min, k_min + draw(st.integers(1, 6))), rng)
+    if draw(st.booleans()):
+        for entries in fam.scales.values():
+            for i, (iv, bump, coeff) in enumerate(entries):
+                if rng.random() < 0.3:
+                    entries[i] = (iv, _ConstBump(iv.to_interval(), rng.uniform(-1, 1)), coeff)
+    if draw(st.booleans()):
+        for entries in fam.scales.values():
+            iv, bump, _ = entries[int(rng.integers(len(entries)))]
+            entries.append((iv, bump, complex(rng.uniform(-1, 1))))
+    return fam, freqs
+
+
+class TestFastPathOracles:
+    @given(families(), st.sampled_from([2.5, 3.0, 4.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_scale_variation_matches_value_at_loop(self, case, r):
+        fam, freqs = case
+        want = loop_scale_variation(fam, freqs, r)
+        assert scale_variation(fam, freqs, r) == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+    @given(families())
+    @settings(max_examples=40, deadline=None)
+    def test_total_multiplier_bit_identical_to_per_bump_sum(self, case):
+        fam, _ = case
+        for k in fam.scale_list():
+            want = np.zeros(fam.grid.n, dtype=np.complex128)
+            for _, bump, coeff in fam.scales[k]:
+                want += coeff * bump.samples(fam.grid)
+            assert np.array_equal(fam.total_multiplier(k), want)
 
 
 class TestGrowthScan:

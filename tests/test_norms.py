@@ -1,18 +1,24 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from timefreq import Grid, SampledFunction
-from timefreq.dyadic import DyadicInterval, Interval, Tile
+from timefreq import Grid, SampledFunction, trees
+from timefreq.dyadic import DyadicInterval, Interval, Tile, TileUniverse
+from timefreq.grid import dft, idft, lp_norm_values
 from timefreq.norms import (
+    _POSITIONS,
+    _base_profile,
     adapted_family,
+    bump_values,
     interval_weight,
     make_adapted_bump,
     maximal_multiplier_lower,
+    per_tile_sizes,
     tile_size,
     variational_norm,
     variational_norm_field,
@@ -90,6 +96,19 @@ class TestVariationalNorm:
         for i in (0, 7, 39):
             assert field[i] == pytest.approx(variational_norm(vals[:, i], 3.0).value, abs=1e-12)
 
+    @given(st.integers(1, 7), st.integers(1, 12), st.integers(0, 2**32 - 1),
+           st.sampled_from([1.0, 2.0, 3.0, 4.5]), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_field_matches_scalar_every_column(self, k, n, seed, r, quantized):
+        rng = np.random.default_rng(seed)
+        vals = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
+        if quantized:  # ties and repeated values
+            vals = np.round(vals)
+        field = variational_norm_field(vals, r)
+        for i in range(n):
+            scalar = variational_norm(vals[:, i], r).value
+            assert field[i] == pytest.approx(scalar, rel=1e-12, abs=1e-15)
+
 
 class TestIntervalWeight:
     def test_center_and_one_length(self):
@@ -109,6 +128,20 @@ class TestIntervalWeight:
         assert near_wrap == pytest.approx(1.0 / (1.0 + 0.9), rel=1e-12)
         plain = float(interval_weight(iv, 15.6))
         assert plain == pytest.approx(1.0 / (1.0 + 15.1), rel=1e-12)
+
+
+def single_bump(bump, xi):
+    """Oracle for bump_values: one bump evaluated on its own."""
+    pos = _POSITIONS[bump.variant % len(_POSITIONS)]
+    mod = bump.variant // len(_POSITIONS)
+    a = bump.omega.a + pos[0] * bump.omega.length
+    w = (pos[1] - pos[0]) * bump.omega.length
+    t = (np.asarray(xi, dtype=float) - a) / w
+    inside = (t > 0.0) & (t < 1.0)
+    out = np.zeros(t.shape, dtype=np.complex128)
+    tv = t[inside]
+    out[inside] = bump.amplitude * _base_profile(tv) * np.exp(2j * np.pi * mod * tv)
+    return out
 
 
 class TestAdaptedBump:
@@ -139,8 +172,104 @@ class TestAdaptedBump:
         with pytest.raises(ValueError):
             make_adapted_bump(Interval(0.0, 1.0), 1e-9, 0)
 
+    @given(st.lists(st.tuples(st.floats(-20, 20), st.floats(0.01, 8), st.integers(0, 15),
+                              st.floats(1e-3, 3)), min_size=1, max_size=6),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_bump_values_bit_identical_to_single_bump(self, specs, seed):
+        bumps = [make_adapted_bump(Interval(a, a + length), c, v) for a, length, v, c in specs]
+        rng = np.random.default_rng(seed)
+        ends = [p for b in bumps for p in (b.omega.a, b.omega.b, b.omega.center)]
+        xi = np.concatenate([rng.uniform(-25, 30, 40), ends])
+        table = bump_values(bumps, xi)
+        for bump, row in zip(bumps, table):
+            assert np.array_equal(row, single_bump(bump, xi))
+            assert np.array_equal(bump(xi[:40].reshape(4, 10)), row[:40].reshape(4, 10))
+        # one point per bump
+        own = rng.uniform(-25, 30, len(bumps))
+        column = bump_values(bumps, own[:, None])[:, 0]
+        for bump, x, val in zip(bumps, own, column):
+            assert np.array_equal(val, single_bump(bump, np.array([x]))[0])
+
+
+def loop_maximal_multiplier_lower(multipliers, grid, q, search_budget=60, seed=0):
+    """Oracle for maximal_multiplier_lower: one FFT per multiplier."""
+    ms = [np.asarray(m, dtype=np.complex128) for m in multipliers]
+    if not ms or all(np.max(np.abs(m)) == 0.0 for m in ms):
+        return 0.0
+    rng = np.random.default_rng(seed)
+    qq = q / (q - 1.0) if q > 1 else math.inf
+
+    def dual_map(v, p):
+        a = np.abs(v)
+        top = a.max()
+        if top == 0.0:
+            return v
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return np.where(a > 0, (a / top) ** (p - 1.0), 0.0) * np.where(a > 0, v / a, 0.0)
+
+    def objective(ghat):
+        fields = np.stack([idft(SampledFunction(grid, m * ghat)).values for m in ms])
+        gq = lp_norm_values(idft(SampledFunction(grid, ghat)).values, grid.dx, q)
+        if gq == 0.0:
+            return 0.0, None, None
+        sup = np.abs(fields).max(axis=0)
+        return lp_norm_values(sup, grid.dx, q) / gq, fields, np.abs(fields).argmax(axis=0)
+
+    n = grid.n
+    stack = []
+    for m in ms[: max(1, search_budget // 6)]:
+        a = np.abs(m)
+        if a.max() > 0:
+            stack.append(np.conj(m) / a.max())
+            bump = np.zeros(n, dtype=np.complex128)
+            peak = int(np.argmax(a))
+            bump[max(0, peak - 4) : min(n, peak + 5)] = 1.0
+            stack.append(bump)
+    flat = np.zeros(n, dtype=np.complex128)
+    flat[n // 2] = 1.0
+    stack += [flat, np.ones(n, dtype=np.complex128)]
+    best, evals = 0.0, 0
+    while evals < search_budget:
+        ghat = stack.pop(0) if stack else rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        evals += 1
+        val, fields, argmax = objective(ghat)
+        best = max(best, val)
+        if fields is None:
+            continue
+        for _ in range(3):
+            if evals >= search_budget:
+                break
+            u = dual_map(fields[argmax, np.arange(n)], q)
+            what = np.zeros(n, dtype=np.complex128)
+            for ki, m in enumerate(ms):
+                mask = (argmax == ki).astype(np.complex128)
+                what += np.conj(m) * dft(SampledFunction(grid, u * mask)).values
+            if np.max(np.abs(what)) == 0.0:
+                break
+            gnew = dual_map(idft(SampledFunction(grid, what)).values, qq if q > 1 else 2.0)
+            evals += 1
+            val, fields, argmax = objective(dft(SampledFunction(grid, gnew)).values)
+            best = max(best, val)
+            if fields is None:
+                break
+    return best
+
 
 class TestMaximalMultiplierLower:
+    @given(st.integers(3, 10), st.integers(1, 6), st.integers(0, 2**32 - 1),
+           st.sampled_from([1.0, 1.3, 1.5, 2.0]), st.integers(1, 60), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_per_multiplier_loop(self, j, count, seed, q, budget, sparse):
+        g = Grid(j, 8.0)
+        rng = np.random.default_rng(seed)
+        fam = rng.standard_normal((count, g.n)) + 1j * rng.standard_normal((count, g.n))
+        if sparse:  # bump-like multipliers, some of them zero
+            fam *= rng.random((count, g.n)) < rng.uniform(0.0, 0.3, (count, 1))
+        fam = list(fam)
+        got = maximal_multiplier_lower(fam, g, q, budget, seed % 7)
+        assert got == loop_maximal_multiplier_lower(fam, g, q, budget, seed % 7)
+
     def test_identity_family(self):
         g = Grid(8, 8.0)
         val = maximal_multiplier_lower([np.ones(g.n, dtype=complex)], g, 1.5, 20, 0)
@@ -168,6 +297,69 @@ class TestMaximalMultiplierLower:
         oracle = maximal_multiplier_lower(fam, g, 1.5, search_budget=400, seed=0)
         assert small <= oracle + 1e-12
         assert small >= 0.95 * oracle
+
+
+def loop_tile_sizes(tiles, f, family_size=8, weight_power=10.0):
+    """Oracle for per_tile_sizes: each tile's bump family, one bump at a time."""
+    grid = f.grid
+    fhat = dft(f).values
+    out = {}
+    for s in tiles:
+        omega10 = s.freq.to_interval().dilate(10.0)
+        omega10 = Interval(max(omega10.a, -grid.freq_halfwidth), min(omega10.b, grid.freq_halfwidth))
+        weight = interval_weight(s.time.to_interval(), grid.xs(), weight_power, period=grid.length)
+        inv_sqrt = 1.0 / math.sqrt(s.time.length)
+        best = 0.0
+        for bump in adapted_family(omega10, 1.0, family_size):
+            tvals = idft(SampledFunction(grid, bump.samples(grid) * fhat)).values
+            best = max(best, inv_sqrt * lp_norm_values(weight * tvals, grid.dx, 2))
+        out[s] = best
+    return out
+
+
+@st.composite
+def size_cases(draw):
+    """A grid, an input (random or an indicator) and a box universe of tiles."""
+    j = draw(st.integers(7, 10))
+    g = Grid(j, 2.0 ** draw(st.integers(2, 4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        f = SampledFunction(g, rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n))
+    else:
+        a = rng.uniform(0.0, 0.8 * g.length)
+        f = SampledFunction.indicator(g, [(a, a + rng.uniform(0.1, 0.2) * g.length)])
+    k_min = draw(st.integers(-2, 1))
+    fbox = min(4.0, g.freq_halfwidth)
+    universe = TileUniverse(k_min, k_min + draw(st.integers(0, 1)),
+                            Interval(0.0, g.length), Interval(-fbox, fbox))
+    return f, universe, draw(st.sampled_from([4, 6, 8])), rng
+
+
+class TestPerTileSizes:
+    @given(size_cases())
+    @settings(max_examples=25, deadline=None)
+    def test_matches_per_tile_loop(self, case):
+        f, universe, family_size, rng = case
+        tiles = [s for s in universe.all_tiles() if rng.random() < 0.6]
+        rng.shuffle(tiles)
+        got = per_tile_sizes(tiles, f, family_size)
+        want = loop_tile_sizes(tiles, f, family_size)
+        assert list(got) == list(want)
+        for s in tiles:
+            assert got[s] == pytest.approx(want[s], rel=1e-12, abs=0.0)
+
+    @given(size_cases())
+    @settings(max_examples=8, deadline=None)
+    def test_forest_levels_match_per_tile_loop(self, case):
+        f, universe, family_size, _ = case
+        tiles = universe.all_tiles()
+        got = trees.select_forests(tiles, f, family_size)
+        with mock.patch.object(trees, "per_tile_sizes", loop_tile_sizes):
+            want = trees.select_forests(tiles, f, family_size)
+        assert got.to_text() == want.to_text()
+        rows, want_rows = got.summary_rows(), want.summary_rows()
+        assert [r[:-1] for r in rows] == [r[:-1] for r in want_rows]
+        assert [r[-1] for r in rows] == pytest.approx([r[-1] for r in want_rows], rel=1e-12)
 
 
 @pytest.fixture(scope="module")

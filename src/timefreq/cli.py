@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dyadic import tiles_from_text
+from .dyadic import Interval, tiles_from_text, tiles_to_text
 from .ergodic import (
     CircleRotation,
     convergence_diagnostic,
@@ -30,7 +30,7 @@ from .ergodic import (
     single_scale_blowup,
 )
 from .exceptional import ParameterError, run_pipeline
-from .grid import Grid, SampledFunction, lp_norm
+from .grid import Grid, lp_norm, random_indicator
 from .multipliers import growth_scan
 from .trees import select_forests, tree_variation_report
 from .wavepackets import build_kernel, build_window, gabor_expand, gabor_reconstruct
@@ -70,16 +70,6 @@ def _window(grid: Grid):
     return build_window(grid, min_freq_samples=min(64, int(grid.length)))
 
 
-def _random_indicator(grid: Grid, rng) -> SampledFunction:
-    mask = np.zeros(grid.n, dtype=bool)
-    while not mask.any():
-        for _ in range(int(rng.integers(1, 4))):
-            wdt = int(rng.integers(max(4, grid.n // 256), grid.n // 16 + 1))
-            start = int(rng.integers(0, grid.n - wdt))
-            mask[start : start + wdt] = True
-    return SampledFunction(grid, mask.astype(np.complex128))
-
-
 def cmd_frame_check(args) -> int:
     grid = _grid(args)
     window = _window(grid)
@@ -88,7 +78,7 @@ def cmd_frame_check(args) -> int:
     rows = []
     dev = window.frame_deviation()
     for idx in range(args.num_sets):
-        f = _random_indicator(grid, rng)
+        f = random_indicator(grid, rng, None)
         for k in ks:
             coeffs = gabor_expand(window, f, k)
             recon = gabor_reconstruct(window, coeffs, k)
@@ -104,8 +94,14 @@ def cmd_frame_check(args) -> int:
 def cmd_tree_select(args) -> int:
     grid = _grid(args)
     tiles = tiles_from_text(Path(args.tiles).read_text()) if args.tiles else []
+    time_box = Interval(0.0, grid.length)
+    freq_box = Interval(-grid.freq_halfwidth, grid.freq_halfwidth)
+    for s in tiles:
+        if not (time_box.contains(s.time.to_interval()) and freq_box.contains(s.freq.to_interval())):
+            raise ValueError(f"tile '{tiles_to_text([s]).strip()}' lies outside the box "
+                             f"[0, {grid.length:g}) x [{freq_box.a:g}, {freq_box.b:g})")
     rng = np.random.default_rng(args.seed)
-    f = _random_indicator(grid, rng)
+    f = random_indicator(grid, rng, None)
     out = _out_path(args, "tree_select.csv")
     if not tiles:
         _write_csv(out, ["level", "tree_count", "tile_count", "top_length_sum", "max_size"], [])
@@ -136,7 +132,7 @@ def cmd_tree_bound(args) -> int:
         for sub in range(2):
             tiles.append(Tile(DyadicInterval(-1, 2 * mt + sub), DyadicInterval(1, mf // 2)))
         tree = Tree.with_top_tile(tiles[0], tiles, top_freq=float(mf))
-        f = _random_indicator(grid, rng)
+        f = random_indicator(grid, rng, None)
         for level in (int(s) for s in args.l_list.split(",")):
             rep = tree_variation_report(tree, f, level, args.r, args.t, window, kernel)
             rows.append((trial, level, args.r, args.t, rep.lhs, rep.rhs_scale, rep.ratio))
@@ -231,8 +227,8 @@ def cmd_blowup(args) -> int:
 def cmd_tails(args) -> int:
     grid = _grid(args)
     rng = np.random.default_rng(args.seed)
-    f = _random_indicator(grid, rng)
-    g = _random_indicator(grid, rng)
+    f = random_indicator(grid, rng, None)
+    g = random_indicator(grid, rng, None)
     t1 = integral_tail(f, g, grid.length / 2.0)
     tau = CircleRotation((np.sqrt(5) - 1) / 2)
     sg = CircleRotation(np.sqrt(2) - 1)

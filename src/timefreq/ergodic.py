@@ -282,8 +282,7 @@ def _spike_coeff_table(window: Window, deltas: Sequence[float], center: float) -
     out = {}
     for d in deltas:
         ind = SampledFunction.indicator(grid, [(center, center + d)])
-        coeffs = gabor_expand(window, ind, 0)
-        out[d] = np.abs(np.fromiter(coeffs.values(), dtype=np.complex128))
+        out[d] = np.abs(gabor_expand(window, ind, 0).ravel())
     return out
 
 

@@ -12,7 +12,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .dyadic import Interval, Tile, Tree, is_convex, saturation, window_partition, decay_level
-from .grid import Grid, SampledFunction, hl_maximal, lp_norm
+from .grid import Grid, SampledFunction, hl_maximal, lp_norm, random_indicator
 from .norms import maximal_multiplier_lower, variational_norm_field
 from .trees import select_forests, tree_coefficients, tree_decompose
 from .wavepackets import Kernel, Window, model_function
@@ -348,17 +348,6 @@ class PipelineReport:
         return float(np.quantile(np.asarray(self.pointwise_ratios), 0.95))
 
 
-def _random_indicator(grid: Grid, rng: np.random.Generator, pieces: int = 3) -> SampledFunction:
-    mask = np.zeros(grid.n, dtype=bool)
-    min_w = max(4, grid.n // 256)
-    while not mask.any():
-        for _ in range(pieces):
-            w = int(rng.integers(min_w, grid.n // 16 + 1))
-            start = int(rng.integers(0, grid.n - w))
-            mask[start : start + w] = True
-    return SampledFunction(grid, mask.astype(np.complex128))
-
-
 def run_pipeline(
     grid: Grid,
     p: float,
@@ -394,7 +383,7 @@ def run_pipeline(
 
     ledger = ParamLedger(p, q, eps, lam)
     rng = np.random.default_rng(seed)
-    f = _random_indicator(grid, rng)
+    f = random_indicator(grid, rng, 3)
     measure_f = lp_norm(f, 1)
 
     eset = maximal_exceptional_set(f, lam, ledger.b)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -133,6 +134,18 @@ class SampledFunction:
     __rmul__ = __mul__
 
 
+def random_indicator(grid: Grid, rng: np.random.Generator, pieces: Optional[int]) -> SampledFunction:
+    """Indicator of ``pieces`` random intervals, each of at least max(4, n/256) and at most
+    n/16 samples; ``pieces=None`` draws the count from 1..3 first."""
+    mask = np.zeros(grid.n, dtype=bool)
+    min_w = max(4, grid.n // 256)
+    for _ in range(int(rng.integers(1, 4)) if pieces is None else pieces):
+        w = int(rng.integers(min_w, grid.n // 16 + 1))
+        start = int(rng.integers(0, grid.n - w))
+        mask[start : start + w] = True
+    return SampledFunction(grid, mask.astype(np.complex128))
+
+
 def dft(f: SampledFunction) -> SampledFunction:
     """Forward transform with continuum normalization.
 
@@ -149,12 +162,22 @@ def idft(fhat: SampledFunction) -> SampledFunction:
 
 def dft_values(values: np.ndarray, dx: float) -> np.ndarray:
     """:func:`dft` of raw samples along the last axis; a stack of rows takes one FFT."""
-    return dx * np.fft.fftshift(np.fft.fft(values, axis=-1), axes=-1)
+    return np.fft.fftshift(_fft(values, dx), axes=-1)
 
 
 def idft_values(values: np.ndarray, dx: float) -> np.ndarray:
     """:func:`idft` of raw spectra, row by row along the last axis."""
-    return np.fft.ifft(np.fft.ifftshift(values, axes=-1), axis=-1) / dx
+    return _ifft(np.fft.ifftshift(values, axes=-1), dx)
+
+
+def _fft(values: np.ndarray, dx: float) -> np.ndarray:
+    """:func:`dft_values` with the spectrum left in FFT order (frequency 0 first)."""
+    return dx * np.fft.fft(values, axis=-1)
+
+
+def _ifft(values: np.ndarray, dx: float) -> np.ndarray:
+    """:func:`idft_values` of a spectrum in FFT order."""
+    return np.fft.ifft(values, axis=-1) / dx
 
 
 def lp_norm(f: SampledFunction, p: float) -> float:
@@ -162,16 +185,11 @@ def lp_norm(f: SampledFunction, p: float) -> float:
 
     Raises for p < 1.
     """
-    if p < 1:
-        raise ValueError(f"lp_norm requires p >= 1, got {p}")
-    a = np.abs(f.values)
-    if math.isinf(p):
-        return float(a.max(initial=0.0))
-    return float((np.sum(a**p) * f.grid.dx) ** (1.0 / p))
+    return lp_norm_values(f.values, f.grid.dx, p)
 
 
 def lp_norm_values(values: np.ndarray, dx: float, p: float) -> float:
-    """L^p norm of raw samples with cell width dx."""
+    """:func:`lp_norm` of raw samples with cell width dx."""
     if p < 1:
         raise ValueError(f"lp_norm requires p >= 1, got {p}")
     a = np.abs(values)

@@ -12,7 +12,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .dyadic import Interval, Tile
-from .grid import Grid, SampledFunction, dft, dft_values, idft_values, lp_norm_values
+from .grid import Grid, SampledFunction, _fft, _ifft, dft, idft_values, lp_norm_values
 
 __all__ = [
     "VariationResult",
@@ -206,10 +206,11 @@ def bump_values(bumps: Sequence[AdaptedBump], xi) -> np.ndarray:
 
 
 def _mm_objective(ms, grid, q, ghat):
-    fields = idft_values(ms * ghat, grid.dx)
+    """Objective value, fields and argmax scale; spectra ``ms``, ``ghat`` in FFT order."""
+    fields = _ifft(ms * ghat, grid.dx)
     sup = np.abs(fields).max(axis=0)
     argmax = np.abs(fields).argmax(axis=0)
-    g = idft_values(ghat, grid.dx)
+    g = _ifft(ghat, grid.dx)
     gq = lp_norm_values(g, grid.dx, q)
     if gq == 0.0:
         return 0.0, None, None
@@ -230,6 +231,8 @@ def maximal_multiplier_lower(
     matched frequency bumps, random restarts, and a nonlinear power iteration
     on the linearized (argmax-frozen) operator, and is deterministic given
     the seed.  ``search_budget`` caps the number of objective evaluations.
+    The search runs on spectra in FFT order: the family and every candidate
+    are unshifted once, so no step pays for a shift.
     """
     if not 1 <= q:
         raise ValueError("q must be >= 1")
@@ -264,6 +267,8 @@ def maximal_multiplier_lower(
     flat[n // 2] = 1.0
     candidates.append(flat)
     candidates.append(np.ones(n, dtype=np.complex128))
+    ms = np.fft.ifftshift(ms, axes=-1)
+    stack = [np.fft.ifftshift(c) for c in candidates]
 
     best = 0.0
     evals = 0
@@ -276,12 +281,11 @@ def maximal_multiplier_lower(
             best = val
         return val, fields, argmax
 
-    stack = list(candidates)
     while evals < search_budget:
         if stack:
             ghat = stack.pop(0)
         else:
-            ghat = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            ghat = np.fft.ifftshift(rng.standard_normal(n) + 1j * rng.standard_normal(n))
         val, fields, argmax = consider(ghat)
         if fields is None:
             continue
@@ -293,12 +297,12 @@ def maximal_multiplier_lower(
             u = dual_map(sup_field, q)
             masked = u * (argmax == np.arange(len(ms))[:, None]).astype(np.complex128)
             what = np.zeros(n, dtype=np.complex128)
-            for m, spectrum in zip(ms, dft_values(masked, grid.dx)):
+            for m, spectrum in zip(ms, _fft(masked, grid.dx)):
                 what += np.conj(m) * spectrum
             if np.max(np.abs(what)) == 0.0:
                 break
-            gnew_time = dual_map(idft_values(what, grid.dx), qq if q > 1 else 2.0)
-            ghat = dft_values(gnew_time, grid.dx)
+            gnew_time = dual_map(_ifft(what, grid.dx), qq if q > 1 else 2.0)
+            ghat = _fft(gnew_time, grid.dx)
             val, fields, argmax = consider(ghat)
             if fields is None:
                 break

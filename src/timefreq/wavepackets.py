@@ -208,69 +208,58 @@ def tile_packet_hat(w: Window, s: Tile) -> np.ndarray:
     return amp * _tile_profile(u) * phase
 
 
-def _lattice_indices(w: Window, k: int, l2: int) -> np.ndarray:
-    g = w.grid
-    w0, _ = w.lattice_sizes(k)
-    j_start = g.n // 2 + l2 * (w0 // 2)
-    return (j_start + np.arange(w0 + 1)) % g.n
+def _lattice(w: Window, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Scale-k lattice: the ``(n_freq, w0+1)`` grid indices and the packet profile.
 
-
-def gabor_expand(w: Window, f: SampledFunction, k: int) -> dict[tuple[int, int], complex]:
-    """Frame coefficients <f, phi_{k,m,l/2}> over the full scale-k lattice.
-
-    Keys are (m, l2) with l2 the doubled modulation index; m runs over the
-    L 2^-k time positions and l2 over the 2N/(L 2^-k) periodized modulations,
-    so reconstruction from these coefficients is exact on the grid.
+    Row l2 of the index matrix holds the frequency samples, at offsets
+    t = 0..w0, under the packets of doubled modulation index l2.
     """
     g = w.grid
     w0, n_freq = w.lattice_sizes(k)
-    prof = w.packet_profile(k)
-    fh = dft(f).values
-    u = np.arange(w0 + 1) / w0
-    mmat = np.exp(2j * np.pi * np.outer(np.arange(w0), u))  # (m, t)
-    amp = 2.0 ** (k / 2.0) / g.length
-    out: dict[tuple[int, int], complex] = {}
-    for l2 in range(n_freq):
-        jj = _lattice_indices(w, k, l2)
-        gvec = fh[jj] * prof
-        cm = amp * (mmat @ gvec)
-        for m in range(w0):
-            out[(m, l2)] = complex(cm[m])
-    return out
+    idx = (g.n // 2 + (w0 // 2) * np.arange(n_freq)[:, None] + np.arange(w0 + 1)) % g.n
+    return idx, w.packet_profile(k)
 
 
-def gabor_reconstruct(w: Window, coeffs: dict[tuple[int, int], complex], k: int) -> SampledFunction:
-    """Sum of coeff * packet over the scale-k lattice; inverts :func:`gabor_expand`."""
-    g = w.grid
-    w0, n_freq = w.lattice_sizes(k)
-    prof = w.packet_profile(k)
-    u = np.arange(w0 + 1) / w0
-    recon_hat = np.zeros(g.n, dtype=np.complex128)
-    amp = 2.0 ** (k / 2.0)
-    cm = np.zeros(w0, dtype=np.complex128)
-    for l2 in range(n_freq):
-        cm[:] = 0.0
-        seen = False
-        for m in range(w0):
-            c = coeffs.get((m, l2))
-            if c is not None:
-                cm[m] = c
-                seen = True
-        if not seen:
-            continue
-        st = cm @ np.exp(-2j * np.pi * np.outer(np.arange(w0), u))
-        jj = _lattice_indices(w, k, l2)
-        np.add.at(recon_hat, jj, amp * prof * st)
-    return idft(SampledFunction(g, recon_hat))
+def gabor_expand(w: Window, f: SampledFunction, k: int) -> np.ndarray:
+    """Frame coefficients <f, phi_{k,m,l2/2}> over the full scale-k lattice.
+
+    An ``(n_freq, w0)`` array: row l2 is the doubled modulation index over
+    the 2N/(L 2^-k) periodized modulations, column m the L 2^-k time
+    positions, so reconstruction from these coefficients is exact on the
+    grid.  One gather of the transform onto the lattice, then the sums
+    over t of exp(2 pi i m t / w0) times the gathered row: the phase of
+    offset w0 equals that of offset 0, so the sums are one stacked
+    length-w0 inverse FFT.
+    """
+    idx, prof = _lattice(w, k)
+    rows = dft(f).values[idx] * prof
+    rows[:, 0] += rows[:, -1]
+    w0 = prof.size - 1
+    return 2.0 ** (k / 2.0) / w.grid.length * w0 * np.fft.ifft(rows[:, :-1], axis=-1)
 
 
-def coeffs_to_csv_rows(coeffs: dict[tuple[int, int], complex], k: int) -> list[tuple]:
-    """Rows (k, 2m, 2l, re, im), sorted; doubled indices keep keys integral."""
-    rows = []
-    for (m, l2) in sorted(coeffs):
-        c = coeffs[(m, l2)]
-        rows.append((k, 2 * m, l2, c.real, c.imag))
-    return rows
+def gabor_reconstruct(w: Window, coeffs: np.ndarray, k: int) -> SampledFunction:
+    """Sum of coeff * packet over the scale-k lattice; inverts :func:`gabor_expand`.
+
+    One stacked FFT gives each packet row's transform at offsets 0..w0
+    (offset w0 repeats offset 0), then one scatter-add in row (l2) order.
+    """
+    idx, prof = _lattice(w, k)
+    shape = (idx.shape[0], prof.size - 1)
+    if np.shape(coeffs) != shape:
+        raise ValueError(f"scale {k} coefficients must have shape {shape}, got {np.shape(coeffs)}")
+    spectra = np.take(np.fft.fft(coeffs, axis=-1), np.arange(shape[1] + 1), axis=1, mode="wrap")
+    recon_hat = np.zeros(w.grid.n, dtype=np.complex128)
+    np.add.at(recon_hat, idx.ravel(), (2.0 ** (k / 2.0) * prof * spectra).ravel())
+    return idft(SampledFunction(w.grid, recon_hat))
+
+
+def coeffs_to_csv_rows(coeffs: np.ndarray, k: int) -> list[tuple]:
+    """Rows (k, 2m, l2, re, im) of the nonzero coefficients, sorted by (m, l2);
+    doubled indices keep the keys integral."""
+    m, l2 = np.nonzero(coeffs.T)
+    c = coeffs[l2, m]
+    return list(zip([k] * m.size, (2 * m).tolist(), l2.tolist(), c.real.tolist(), c.imag.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +449,7 @@ class ModelFunction:
         k = self.tile.scale
         ratio = theta / g.dxi
         j0 = round(ratio)
-        if abs(ratio - j0) < 1e-9:
+        if ratio == j0:
             lat = self.kernel.khat_lattice(k)
             idx = (g.n - 1) + (j0 + g.n // 2) - np.arange(g.n)
             kv = lat[idx]

@@ -158,3 +158,15 @@ def test_grid_exponent_cap_diagnosed(tmp_path, capsys):
     errors = error_lines(capsys)
     assert len(errors) == 1 and "between 1 and 20" in errors[0]
     assert not out.exists()
+
+
+# time [100, 101) past the box length 8; frequency [100, 101) past the halfwidth 32
+@pytest.mark.parametrize("line", ["0 100 0 2", "0 1 0 100"])
+def test_tree_select_tile_outside_box_diagnosed(tmp_path, capsys, line):
+    tiles = tmp_path / "tiles.txt"
+    tiles.write_text("0 1 0 2\n" + line + "\n")
+    out = tmp_path / "sel.csv"
+    assert run(["tree-select", "--J", "9", "--L", "8", "--tiles", str(tiles), "--out", str(out)]) == 2
+    errors = error_lines(capsys)
+    assert len(errors) == 1 and f"'{line}'" in errors[0] and "[0, 8) x [-32, 32)" in errors[0]
+    assert not out.exists()

@@ -228,6 +228,13 @@ class TestSerialization:
         assert tiles_from_text(text) == sorted(tiles, key=Tile.sort_key)
         assert tiles_to_text(tiles_from_text(text)) == text
 
+    @given(st.lists(tiles_strategy, max_size=30))
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_random_lists(self, tiles):
+        text = tiles_to_text(tiles)
+        assert tiles_from_text(text) == sorted(tiles, key=Tile.sort_key)
+        assert tiles_to_text(tiles_from_text(text)) == text
+
     def test_empty(self):
         assert tiles_to_text([]) == ""
         assert tiles_from_text("") == []

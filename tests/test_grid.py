@@ -46,6 +46,15 @@ class TestDft:
         back = idft(dft(f))
         assert np.max(np.abs(back.values - f.values)) <= 1e-10 * np.max(np.abs(f.values))
 
+    @given(st.integers(1, 14), st.integers(-6, 8), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_any_grid(self, j, log2_length, seed):
+        g = Grid(j, 2.0**log2_length)
+        rng = np.random.default_rng(seed)
+        f = random_function(g, rng)
+        for back in (idft(dft(f)).values, dft(idft(f)).values):
+            assert np.max(np.abs(back - f.values)) <= 1e-10 * np.max(np.abs(f.values))
+
     @given(st.integers(1, 11), st.integers(1, 6), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_stacked_rows_match_single_transforms(self, j, rows, seed):

@@ -127,6 +127,26 @@ class TestApplyScale:
             assert np.all(sup >= np.abs(apply_scale(fam, f, k).values) - 1e-12)
 
 
+def loop_sup_over_scales(fam, f):
+    """Oracle for sup_over_scales: one apply_scale call per scale, running maximum."""
+    out = np.zeros(f.grid.n)
+    for k in fam.scale_list():
+        np.maximum(out, np.abs(apply_scale(fam, f, k).values), out=out)
+    return out
+
+
+class TestSupOverScales:
+    @given(st.integers(6, 11), st.integers(0, 2**32 - 1), st.lists(st.integers(-3, 3), max_size=6, unique=True))
+    @settings(max_examples=30, deadline=None)
+    def test_bit_identical_to_scale_loop(self, j, seed, scales):
+        g = Grid(j, 8.0)
+        rng = np.random.default_rng(seed)
+        freqs = FrequencySet(tuple(rng.uniform(-3, 3, 4)))
+        fam = random_family(g, freqs, scales, rng)
+        f = SampledFunction(g, rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n))
+        assert np.array_equal(sup_over_scales(fam, f).values, loop_sup_over_scales(fam, f))
+
+
 class TestScaleVariation:
     def test_constant_multipliers(self, grid):
         freqs = FrequencySet((0.4, 2.3))

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -89,7 +90,7 @@ class TestGaborFrame:
     def test_empty_set_zero_coefficients(self, coarse):
         g, w = coarse
         coeffs = gabor_expand(w, SampledFunction.zero(g), 0)
-        assert all(c == 0 for c in coeffs.values())
+        assert all(c == 0 for c in coeffs.ravel())
         recon = gabor_reconstruct(w, coeffs, 0)
         assert np.max(np.abs(recon.values)) == 0.0
 
@@ -97,7 +98,7 @@ class TestGaborFrame:
         g, w = coarse
         f = SampledFunction.indicator(g, [(0.5, 1.25), (9.0, 9.75)])
         coeffs = gabor_expand(w, f, 0)
-        total = sum(abs(c) ** 2 for c in coeffs.values())
+        total = sum(abs(c) ** 2 for c in coeffs.ravel())
         assert total == pytest.approx(w.frame_constant * lp_norm(f, 2) ** 2, rel=1e-6)
 
     def test_reconstruction_unit_interval(self, coarse):
@@ -132,15 +133,116 @@ class TestGaborFrame:
         coeffs = gabor_expand(w, f, 0)
         w0 = round(g.length)
         worst = max(
-            abs(c) * (1 + min(m, w0 - m)) ** 3 for (m, l2), c in coeffs.items()
+            abs(c) * (1 + min(m, w0 - m)) ** 3 for (l2, m), c in np.ndenumerate(coeffs)
         )
         assert worst <= 8.0  # fitted envelope constant
 
     def test_csv_rows(self, coarse):
         g, w = coarse
-        coeffs = {(0, 3): 1 + 2j, (1, 0): 0.5 + 0j}
+        coeffs = np.zeros((4, 2), dtype=complex)
+        coeffs[3, 0], coeffs[0, 1] = 1 + 2j, 0.5 + 0j
         rows = coeffs_to_csv_rows(coeffs, 1)
         assert rows == [(1, 0, 3, 1.0, 2.0), (1, 2, 0, 0.5, 0.0)]
+
+
+def _lattice_indices(w, k, l2):
+    g = w.grid
+    w0, _ = w.lattice_sizes(k)
+    j_start = g.n // 2 + l2 * (w0 // 2)
+    return (j_start + np.arange(w0 + 1)) % g.n
+
+
+def loop_gabor_expand(w, f, k):
+    """Oracle for gabor_expand: a dict keyed by (m, l2), one matrix-vector product per l2."""
+    g = w.grid
+    w0, n_freq = w.lattice_sizes(k)
+    prof = w.packet_profile(k)
+    fh = dft(f).values
+    u = np.arange(w0 + 1) / w0
+    mmat = np.exp(2j * np.pi * np.outer(np.arange(w0), u))  # (m, t)
+    amp = 2.0 ** (k / 2.0) / g.length
+    out: dict[tuple[int, int], complex] = {}
+    for l2 in range(n_freq):
+        jj = _lattice_indices(w, k, l2)
+        gvec = fh[jj] * prof
+        cm = amp * (mmat @ gvec)
+        for m in range(w0):
+            out[(m, l2)] = complex(cm[m])
+    return out
+
+
+def loop_gabor_reconstruct(w, coeffs, k):
+    """Oracle for gabor_reconstruct from a (m, l2) dict; missing keys count as zero."""
+    g = w.grid
+    w0, n_freq = w.lattice_sizes(k)
+    prof = w.packet_profile(k)
+    u = np.arange(w0 + 1) / w0
+    recon_hat = np.zeros(g.n, dtype=np.complex128)
+    amp = 2.0 ** (k / 2.0)
+    cm = np.zeros(w0, dtype=np.complex128)
+    for l2 in range(n_freq):
+        cm[:] = 0.0
+        seen = False
+        for m in range(w0):
+            c = coeffs.get((m, l2))
+            if c is not None:
+                cm[m] = c
+                seen = True
+        if not seen:
+            continue
+        st = cm @ np.exp(-2j * np.pi * np.outer(np.arange(w0), u))
+        jj = _lattice_indices(w, k, l2)
+        np.add.at(recon_hat, jj, amp * prof * st)
+    return idft(SampledFunction(g, recon_hat))
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_window(j, length):
+    return build_window(Grid(j, length), min_freq_samples=int(length))
+
+
+@st.composite
+def _frame_case(draw):
+    j = draw(st.integers(7, 11))
+    length = draw(st.sampled_from([8.0, 16.0, 32.0]))
+    k = draw(st.integers(-2, 2))
+    w = _oracle_window(j, length)
+    g = w.grid
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        a = rng.uniform(0.0, length - 0.5)
+        f = SampledFunction.indicator(g, [(a, min(a + rng.uniform(0.05, length / 4), length))])
+    else:
+        f = SampledFunction(g, rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n))
+    return w, f, k
+
+
+class TestGaborOracles:
+    @settings(max_examples=40, deadline=None)
+    @given(_frame_case())
+    def test_expand_matches_loop(self, case):
+        w, f, k = case
+        got = gabor_expand(w, f, k)
+        want = loop_gabor_expand(w, f, k)
+        w0, n_freq = w.lattice_sizes(k)
+        assert got.shape == (n_freq, w0)
+        ref = np.array([want[(m, l2)] for l2 in range(n_freq) for m in range(w0)]).reshape(n_freq, w0)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @settings(max_examples=40, deadline=None)
+    @given(_frame_case())
+    def test_reconstruct_matches_loop(self, case):
+        w, f, k = case
+        coeffs = gabor_expand(w, f, k)
+        got = gabor_reconstruct(w, coeffs, k).values
+        want = loop_gabor_reconstruct(w, {(m, l2): c for (l2, m), c in np.ndenumerate(coeffs)}, k).values
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_reconstruct_rejects_wrong_shape(self, coarse):
+        g, w = coarse
+        coeffs = gabor_expand(w, SampledFunction.zero(g), 0)
+        with pytest.raises(ValueError):
+            gabor_reconstruct(w, coeffs.T, 0)
 
 
 class TestKernel:
@@ -216,6 +318,15 @@ class TestKernelCorrelation:
         slow = ker.khat(xi)
         assert_same_as_quadrature(ker.khat_progression(xi, -math.ldexp(1.0, k) * g.dxi), slow)
         mf = model_function(w, ker, s)
+        expected = idft(SampledFunction(g, mf.packet_hat * slow)).values
+        assert np.max(np.abs(mf.x_slice(theta) - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_x_slice_near_lattice_not_snapped(self):
+        # theta 3.2e-11 off the lattice point 0: reading the lattice there is off by 3e-10 relative
+        g = Grid(6, 1.0)
+        ker, k, theta = build_kernel(g), -1, 1e-12 * g.freq_halfwidth
+        mf = model_function(build_window(g, min_freq_samples=1), ker, Tile(DyadicInterval(k, 0), DyadicInterval(-k, 0)))
+        slow = ker.khat(math.ldexp(1.0, k) * (theta - g.freqs()))
         expected = idft(SampledFunction(g, mf.packet_hat * slow)).values
         assert np.max(np.abs(mf.x_slice(theta) - expected)) <= 1e-12 * np.max(np.abs(expected))
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dyadic import Interval, tiles_from_text, tiles_to_text
+from .dyadic import DyadicInterval, Interval, Tile, Tree, tiles_from_text, tiles_to_text
 from .ergodic import (
     CircleRotation,
     convergence_diagnostic,
@@ -41,29 +41,20 @@ _FLOAT_FMT = "{:.12g}"
 def _fmt(x) -> str:
     if isinstance(x, float):
         return _FLOAT_FMT.format(x)
-    if isinstance(x, complex):
-        return _FLOAT_FMT.format(x.real) + "+" + _FLOAT_FMT.format(x.imag) + "j"
     return str(x)
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(args, rows) -> Path:
+    """Write the subcommand's CSV (header ``args.columns``) and return its path:
+    ``--out``, else ``<name>.csv`` in TIMEFREQ_OUTDIR or the working directory."""
+    path = Path(args.out) if args.out else Path(os.environ.get("TIMEFREQ_OUTDIR", ".")) / args.csv_name
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
+        writer.writerow(args.columns)
         for row in rows:
             writer.writerow([_fmt(x) for x in row])
-
-
-def _out_path(args, default_name: str) -> Path:
-    if args.out:
-        return Path(args.out)
-    base = os.environ.get("TIMEFREQ_OUTDIR", ".")
-    return Path(base) / default_name
-
-
-def _grid(args) -> Grid:
-    return Grid(args.J, args.L)
+    return path
 
 
 def _window(grid: Grid):
@@ -71,7 +62,7 @@ def _window(grid: Grid):
 
 
 def cmd_frame_check(args) -> int:
-    grid = _grid(args)
+    grid = Grid(args.J, args.L)
     window = _window(grid)
     rng = np.random.default_rng(args.seed)
     ks = [int(s) for s in args.k_list.split(",")]
@@ -84,15 +75,14 @@ def cmd_frame_check(args) -> int:
             recon = gabor_reconstruct(window, coeffs, k)
             err = lp_norm(recon - f, 2) / lp_norm(f, 2)
             rows.append((idx, k, err, dev))
-    _write_csv(_out_path(args, "frame_check.csv"),
-               ["set_index", "k", "recon_rel_error", "frame_deviation"], rows)
+    _write_csv(args, rows)
     worst = max(r[2] for r in rows)
     print(f"frame-check: {len(rows)} reconstructions, worst relative error {worst:.3e}")
     return 0 if worst <= 1e-6 else 1
 
 
 def cmd_tree_select(args) -> int:
-    grid = _grid(args)
+    grid = Grid(args.J, args.L)
     tiles = tiles_from_text(Path(args.tiles).read_text()) if args.tiles else []
     time_box = Interval(0.0, grid.length)
     freq_box = Interval(-grid.freq_halfwidth, grid.freq_halfwidth)
@@ -102,14 +92,12 @@ def cmd_tree_select(args) -> int:
                              f"[0, {grid.length:g}) x [{freq_box.a:g}, {freq_box.b:g})")
     rng = np.random.default_rng(args.seed)
     f = random_indicator(grid, rng, None)
-    out = _out_path(args, "tree_select.csv")
     if not tiles:
-        _write_csv(out, ["level", "tree_count", "tile_count", "top_length_sum", "max_size"], [])
+        _write_csv(args, [])
         print("tree-select: empty tile collection, empty decomposition")
         return 0
     dec = select_forests(tiles, f, family_size=args.family_size)
-    _write_csv(out, ["level", "tree_count", "tile_count", "top_length_sum", "max_size"],
-               dec.summary_rows())
+    out = _write_csv(args, dec.summary_rows())
     tiles_out = out.with_suffix(".tiles.txt")
     tiles_out.write_text(dec.to_text())
     print(f"tree-select: {len(dec.levels)} levels over {len(tiles)} tiles -> {out}")
@@ -117,15 +105,14 @@ def cmd_tree_select(args) -> int:
 
 
 def cmd_tree_bound(args) -> int:
-    from .dyadic import DyadicInterval, Tile, Tree
-
-    grid = _grid(args)
+    if args.L < 8:
+        raise ValueError(f"tree-bound places its top tile at time 2..L-3 and needs --L >= 8, got {args.L:g}")
+    grid = Grid(args.J, args.L)
     window = _window(grid)
     kernel = build_kernel(grid)
     rng = np.random.default_rng(args.seed)
     rows = []
     for trial in range(args.trials):
-        k_top = 0
         mt = int(rng.integers(2, int(grid.length) - 2))
         mf = int(rng.integers(1, 4))
         tiles = [Tile(DyadicInterval(0, mt), DyadicInterval(0, mf))]
@@ -136,26 +123,23 @@ def cmd_tree_bound(args) -> int:
         for level in (int(s) for s in args.l_list.split(",")):
             rep = tree_variation_report(tree, f, level, args.r, args.t, window, kernel)
             rows.append((trial, level, args.r, args.t, rep.lhs, rep.rhs_scale, rep.ratio))
-    _write_csv(_out_path(args, "tree_bound.csv"),
-               ["trial", "level", "r", "t", "lhs", "rhs_scale", "ratio"], rows)
+    _write_csv(args, rows)
     print(f"tree-bound: {len(rows)} rows")
     return 0
 
 
 def cmd_mm_scan(args) -> int:
-    grid = _grid(args)
+    grid = Grid(args.J, args.L)
     n_list = [int(s) for s in args.N.split(",")]
     rows = growth_scan(grid, args.q, args.r, args.eps, n_list, args.trials, args.seed)
-    _write_csv(_out_path(args, "mm_scan.csv"),
-               ["q", "r", "eps", "N", "trial_count", "max_ratio", "fitted_slope", "max_numerator"],
-               [(r.q, r.r, r.eps, r.n, r.trial_count, r.max_ratio, r.fitted_slope, r.max_numerator)
-                for r in rows])
+    _write_csv(args, [(r.q, r.r, r.eps, r.n, r.trial_count, r.max_ratio, r.fitted_slope, r.max_numerator)
+                      for r in rows])
     print(f"mm-scan: fitted slope {rows[-1].fitted_slope:.4f} over N = {n_list}")
     return 0
 
 
 def cmd_exceptional(args) -> int:
-    grid = _grid(args)
+    grid = Grid(args.J, args.L)
     window = _window(grid)
     kernel = build_kernel(grid)
     rows = []
@@ -166,11 +150,7 @@ def cmd_exceptional(args) -> int:
             rows.append((n, sigma, beta, gamma, m1, m2, run, rescale,
                          rep.measure_e, rep.measure_estar, rep.estar_ratio,
                          rep.pointwise_p95()))
-    _write_csv(_out_path(args, "exceptional.csv"),
-               ["n", "sigma_n", "beta_n", "gamma_n", "measure_E1", "measure_E2",
-                "run", "coeff_rescale", "measure_E", "measure_Estar", "estar_ratio",
-                "pointwise_p95"],
-               rows)
+    _write_csv(args, rows)
     print(f"exceptional: {args.runs} runs at lambda = {args.lam}")
     return 0
 
@@ -199,8 +179,7 @@ def cmd_rtt_sim(args) -> int:
         tail = type(series)(series.n_list[i:], series.values[i:])
         osc, vr = convergence_diagnostic(tail, args.r)
         rows.append((n, series.values[i].real, osc, vr))
-    out = _out_path(args, "rtt_sim.csv")
-    _write_csv(out, ["N", "A_N", "oscillation", "vr"], rows)
+    out = _write_csv(args, rows)
     plot = out.with_suffix(".plot.txt")
     plot.write_text("".join(f"{n} {_fmt(val)}\n" for n, val, _, _ in rows))
     limit = cf[0] * cg[0]
@@ -218,14 +197,13 @@ def cmd_blowup(args) -> int:
         growth = r.value / prev if prev else float("nan")
         out_rows.append((r.j, r.value, r.delta_f, r.delta_g, growth))
         prev = r.value
-    _write_csv(_out_path(args, "blowup.csv"),
-               ["J", "proxy_value", "delta_f", "delta_g", "growth_factor"], out_rows)
+    _write_csv(args, out_rows)
     print(f"blowup: growth factors {[f'{r[4]:.3f}' for r in out_rows[1:]]}")
     return 0
 
 
 def cmd_tails(args) -> int:
-    grid = _grid(args)
+    grid = Grid(args.J, args.L)
     rng = np.random.default_rng(args.seed)
     f = random_indicator(grid, rng, None)
     g = random_indicator(grid, rng, None)
@@ -238,7 +216,7 @@ def cmd_tails(args) -> int:
                          lambda u: np.ones_like(np.asarray(u)), sg, args.y, args.n_max)
     rows = [("integral_tail", float("nan"), t1), ("orbit_tail_bounded", float("nan"), bounded)]
     rows += [("orbit_tail_spike", eps, v) for eps, v in zip(sharp, sweep)]
-    _write_csv(_out_path(args, "tails.csv"), ["statistic", "sharpness", "value"], rows)
+    _write_csv(args, rows)
     print(f"tails: spike sweep {[f'{v:.3g}' for v in sweep]}")
     return 0
 
@@ -251,9 +229,22 @@ def _count(text: str) -> int:
     return value
 
 
-def _add_grid_args(sp, j_default=10, l_default=16.0):
-    sp.add_argument("--J", type=int, default=j_default, help="grid refinement: 2^J samples")
-    sp.add_argument("--L", type=float, default=l_default, help="box length (power of two)")
+def _subcommand(sub, name: str, func, help: str, columns: list[str], grid=None, seed: bool = True):
+    """Add subcommand ``name`` writing a CSV with ``columns``, listed in its ``--help`` epilog.
+
+    Options ``--J``/``--L`` (defaults ``grid`` = (J, L); none for None), ``--seed``
+    (if ``seed``) and ``--out``; :func:`_write_csv` reads the columns and the file
+    name ``<name>.csv`` from the parsed arguments.
+    """
+    sp = sub.add_parser(name, help=help, epilog="CSV columns: " + ", ".join(columns))
+    if grid is not None:
+        sp.add_argument("--J", type=int, default=grid[0], help="grid refinement: 2^J samples")
+        sp.add_argument("--L", type=float, default=grid[1], help="box length (power of two)")
+    if seed:
+        sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--out")
+    sp.set_defaults(func=func, columns=columns, csv_name=name.replace("-", "_") + ".csv")
+    return sp
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -264,91 +255,63 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--config", help="JSON file with option defaults (flags win)")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("frame-check", help="Gabor expansion/reconstruction error report",
-                        epilog="CSV columns: set_index, k, recon_rel_error, frame_deviation")
-    _add_grid_args(sp, 12, 64.0)
+    sp = _subcommand(sub, "frame-check", cmd_frame_check, "Gabor expansion/reconstruction error report",
+                     ["set_index", "k", "recon_rel_error", "frame_deviation"], grid=(12, 64.0))
     sp.add_argument("--k-list", default="-2,-1,0,1,2")
     sp.add_argument("--num-sets", type=_count, default=20)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out")
-    sp.set_defaults(func=cmd_frame_check)
 
-    sp = sub.add_parser("tree-select", help="forest selection of a tile file",
-                        epilog="CSV columns: level, tree_count, tile_count, top_length_sum, max_size")
-    _add_grid_args(sp, 9, 8.0)
+    sp = _subcommand(sub, "tree-select", cmd_tree_select, "forest selection of a tile file",
+                     ["level", "tree_count", "tile_count", "top_length_sum", "max_size"], grid=(9, 8.0))
     sp.add_argument("--tiles", help="tile file: lines of k_time m_time k_freq m_freq")
     sp.add_argument("--family-size", type=int, default=6)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out")
-    sp.set_defaults(func=cmd_tree_select)
 
-    sp = sub.add_parser("tree-bound", help="tree variation norm vs its size bound",
-                        epilog="CSV columns: trial, level, r, t, lhs, rhs_scale, ratio")
-    _add_grid_args(sp, 10, 16.0)
+    sp = _subcommand(sub, "tree-bound", cmd_tree_bound, "tree variation norm vs its size bound",
+                     ["trial", "level", "r", "t", "lhs", "rhs_scale", "ratio"], grid=(10, 16.0))
     sp.add_argument("--l-list", default="0,1,2")
     sp.add_argument("--r", type=float, default=3.0)
     sp.add_argument("--t", type=float, default=2.0)
     sp.add_argument("--trials", type=_count, default=5)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out")
-    sp.set_defaults(func=cmd_tree_bound)
 
-    sp = sub.add_parser("mm-scan", help="maximal multiplier growth scan in N",
-                        epilog="CSV columns: q, r, eps, N, trial_count, max_ratio, fitted_slope, max_numerator")
-    _add_grid_args(sp, 10, 8.0)
+    sp = _subcommand(sub, "mm-scan", cmd_mm_scan, "maximal multiplier growth scan in N",
+                     ["q", "r", "eps", "N", "trial_count", "max_ratio", "fitted_slope", "max_numerator"],
+                     grid=(10, 8.0))
     sp.add_argument("--q", type=float, default=1.5)
     sp.add_argument("--r", type=float, default=3.0)
     sp.add_argument("--eps", type=float, default=0.01)
     sp.add_argument("--N", default="2,4,8,16,32")
     sp.add_argument("--trials", type=_count, default=50)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out")
-    sp.set_defaults(func=cmd_mm_scan)
 
-    sp = sub.add_parser("exceptional", help="exceptional-set pipeline report",
-                        epilog="CSV columns: n, sigma_n, beta_n, gamma_n, measure_E1, "
-                               "measure_E2, run, coeff_rescale, measure_E, measure_Estar, "
-                               "estar_ratio, pointwise_p95")
-    _add_grid_args(sp, 9, 8.0)
+    sp = _subcommand(sub, "exceptional", cmd_exceptional, "exceptional-set pipeline report",
+                     ["n", "sigma_n", "beta_n", "gamma_n", "measure_E1", "measure_E2", "run",
+                      "coeff_rescale", "measure_E", "measure_Estar", "estar_ratio", "pointwise_p95"],
+                     grid=(9, 8.0))
     sp.add_argument("--p", type=float, default=1.6)
     sp.add_argument("--q", type=float, default=1.5)
     sp.add_argument("--eps", type=float, default=0.01)
     sp.add_argument("--lam", type=float, default=0.5)
     sp.add_argument("--runs", type=_count, default=5)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out")
-    sp.set_defaults(func=cmd_exceptional)
 
-    sp = sub.add_parser("rtt-sim", help="return-times averages for rotation pairs",
-                        epilog="CSV columns: N, A_N, oscillation, vr")
+    sp = _subcommand(sub, "rtt-sim", cmd_rtt_sim, "return-times averages for rotation pairs",
+                     ["N", "A_N", "oscillation", "vr"])
     sp.add_argument("--alpha", type=float, default=(math.sqrt(5) - 1) / 2)
     sp.add_argument("--beta", type=float, default=math.sqrt(2) - 1)
     sp.add_argument("--x", type=float, default=0.2)
     sp.add_argument("--y", type=float, default=0.7)
     sp.add_argument("--log2-n-max", type=int, default=17)
     sp.add_argument("--r", type=float, default=3.0)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out")
-    sp.set_defaults(func=cmd_rtt_sim)
 
-    sp = sub.add_parser("blowup", help="single-scale threshold refinement scan",
-                        epilog="CSV columns: J, proxy_value, delta_f, delta_g, growth_factor")
+    sp = _subcommand(sub, "blowup", cmd_blowup, "single-scale threshold refinement scan",
+                     ["J", "proxy_value", "delta_f", "delta_g", "growth_factor"], seed=False)
     sp.add_argument("--p", type=float, default=1.25)
     sp.add_argument("--q", type=float, default=2.0)
     sp.add_argument("--J-list", default="8,10,12")
-    sp.add_argument("--out")
-    sp.set_defaults(func=cmd_blowup)
 
-    sp = sub.add_parser("tails", help="tail-operator statistics and heavy-tail stress",
-                        epilog="CSV columns: statistic, sharpness, value")
-    _add_grid_args(sp, 10, 16.0)
+    sp = _subcommand(sub, "tails", cmd_tails, "tail-operator statistics and heavy-tail stress",
+                     ["statistic", "sharpness", "value"], grid=(10, 16.0))
     sp.add_argument("--x", type=float, default=0.15)
     sp.add_argument("--y", type=float, default=0.55)
     sp.add_argument("--n-max", type=int, default=20000)
     sp.add_argument("--sharpness", default="0.04,0.02,0.01,0.005")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out")
-    sp.set_defaults(func=cmd_tails)
 
     return ap
 

@@ -109,10 +109,6 @@ class DyadicInterval:
             raise ValueError("ancestor scale must be coarser")
         return DyadicInterval(k, self.m >> (k - self.k))
 
-    def half(self, upper: bool) -> "DyadicInterval":
-        """Lower or upper dyadic child."""
-        return DyadicInterval(self.k - 1, 2 * self.m + (1 if upper else 0))
-
     def to_interval(self) -> Interval:
         return Interval(self.left, self.right)
 

@@ -15,8 +15,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grid import Grid, SampledFunction, dft, idft, lp_norm
-from .wavepackets import Kernel, Window, gabor_expand
+from .grid import Grid, SampledFunction, dft, dft_values, idft, lp_norm, lp_norm_values
+from .wavepackets import Kernel, Window, build_window, gabor_expand
 
 __all__ = [
     "CircleRotation",
@@ -192,7 +192,7 @@ def kernel_average(f: SampledFunction, g: SampledFunction, ker: Kernel, x: float
     """z -> (1/2^k) integral f(x+y) g(z+y) K(y/2^k) dy by FFT correlation."""
     grid = f.grid
     h = np.roll(f.values, -_x_index(grid, x)) * ker.scaled_time(k)
-    hhat = dft(SampledFunction(grid, h)).values
+    hhat = dft_values(h, grid.dx)
     ghat = dft(g).values
     rev = hhat[(grid.n - np.arange(grid.n)) % grid.n]
     return idft(SampledFunction(grid, ghat * rev))
@@ -238,7 +238,7 @@ def correlation_proxy(
     cands.append(bump)
     for _ in range(max(0, n_candidates - 2)):
         cands.append(rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n))
-    cands = [SampledFunction(grid, c / max(lp_norm(SampledFunction(grid, c), q), 1e-300)) for c in cands]
+    cands = [SampledFunction(grid, c / max(lp_norm_values(c, grid.dx, q), 1e-300)) for c in cands]
     out = np.zeros(len(x_indices))
     for i, xi in enumerate(x_indices):
         x = xi * grid.dx
@@ -309,7 +309,7 @@ def single_scale_blowup(
     rows = []
     for j in j_list:
         grid = Grid(j, length)
-        window = build_window_cached(grid)
+        window = build_window(grid, min_freq_samples=min(64, int(grid.length)))
         deltas = []
         d = 1.0
         while d >= min_width * grid.dx - 1e-12:
@@ -326,18 +326,6 @@ def single_scale_blowup(
                     best, best_pair = val, (df, dg)
         rows.append(BlowupRow(j, best, best_pair[0], best_pair[1]))
     return rows
-
-
-_WINDOW_CACHE: dict = {}
-
-
-def build_window_cached(grid: Grid) -> Window:
-    from .wavepackets import build_window
-
-    key = (grid.j, grid.length)
-    if key not in _WINDOW_CACHE:
-        _WINDOW_CACHE[key] = build_window(grid, min_freq_samples=min(64, int(grid.length)))
-    return _WINDOW_CACHE[key]
 
 
 # ---------------------------------------------------------------------------

@@ -6,15 +6,15 @@ sets, the pointwise bound check outside them, and the end-to-end pipeline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .dyadic import Interval, Tile, Tree, is_convex, saturation, window_partition, decay_level
+from .dyadic import Interval, Tile, TileUniverse, Tree, is_convex, saturation, window_partition, decay_level
 from .grid import Grid, SampledFunction, hl_maximal, lp_norm, random_indicator
-from .norms import maximal_multiplier_lower, variational_norm_field
-from .trees import select_forests, tree_coefficients, tree_decompose
+from .norms import maximal_multiplier_lower
+from .trees import select_forests, tail_variation, tree_coefficients
 from .wavepackets import Kernel, Window, model_function
 
 __all__ = [
@@ -254,7 +254,6 @@ def variation_exceptional_set(
         raise ValueError(
             f"coefficient normalization violated: sup |a|/sqrt|I| = {worst:.6g} > sigma = {sigma:.6g}"
         )
-    cache = {} if _slice_cache is None else _slice_cache
     mask = np.zeros(grid.n, dtype=bool)
     used = []
     for (l, m), trees in sorted(windows.items()):
@@ -263,22 +262,8 @@ def variation_exceptional_set(
         alpha = decay_level(l, m)
         thresh = gamma * 2.0 ** (-l_decay * l) * (abs(m) + 1.0) ** (-2.0)
         for tree in trees:
-            scales = tree.scales()
-            if not scales:
-                continue
-            fields = np.zeros((len(scales), grid.n), dtype=np.complex128)
-            for i, k in enumerate(scales):
-                for s in tree.tiles_at_scale(k):
-                    a = coeffs.get(s, 0.0)
-                    if a == 0.0:
-                        continue
-                    key = (s, tree.top_freq)
-                    if key not in cache:
-                        cache[key] = model_function(window, kernel, s).x_slice(tree.top_freq)
-                    pieces = tree_decompose(s, tree, alpha, window, kernel)
-                    fields[i] += a * pieces.tail_slice(tree.top_freq, phi_vals=cache[key])
-            vr = variational_norm_field(fields, r)
-            mask |= vr > thresh
+            if tree.tiles:
+                mask |= tail_variation(tree, coeffs, alpha, r, window, kernel, _slice_cache) > thresh
         used.append((l, m))
     return GridSet(grid, mask, meta={"windows": used, "l_min": l_min})
 
@@ -301,7 +286,7 @@ def check_pointwise_bound(
     a_s phi_s(x, theta) over tiles of that scale; the returned pair is
     (certified lower bound of its norm, beta^(1/q - 1/r + eps) (gamma + sigma)).
     """
-    grid = window.grid
+    rhs = params.beta ** (1.0 / q - 1.0 / r + eps) * (params.gamma + params.sigma)
     by_scale: dict[int, np.ndarray] = {}
     for s, a in coeffs.items():
         if a == 0.0:
@@ -313,10 +298,9 @@ def check_pointwise_bound(
         else:
             by_scale[s.scale] = vals
     if not by_scale:
-        return 0.0, params.beta ** (1.0 / q - 1.0 / r + eps) * (params.gamma + params.sigma)
+        return 0.0, rhs
     ms = [by_scale[k] for k in sorted(by_scale)]
-    lhs = maximal_multiplier_lower(ms, grid, q, search_budget=search_budget, seed=seed)
-    rhs = params.beta ** (1.0 / q - 1.0 / r + eps) * (params.gamma + params.sigma)
+    lhs = maximal_multiplier_lower(ms, window.grid, q, search_budget=search_budget, seed=seed)
     return lhs, rhs
 
 
@@ -379,8 +363,9 @@ def run_pipeline(
     making the normalization hold exactly at sigma_n (recorded per level), so
     the pointwise-bound hypothesis is satisfied verbatim.
     """
-    from .dyadic import TileUniverse
-
+    if freq_max > grid.freq_halfwidth:
+        raise ValueError(f"tile frequencies reach {freq_max:g}, past the frequency box half-width "
+                         f"2^(J-1)/L = {grid.freq_halfwidth:g}; raise --J or lower --L")
     ledger = ParamLedger(p, q, eps, lam)
     rng = np.random.default_rng(seed)
     f = random_indicator(grid, rng, 3)
@@ -402,8 +387,7 @@ def run_pipeline(
     if escaping:
         dec = select_forests(escaping, f, family_size=family_size, check_convexity=False)
         slice_cache: dict = {}
-        first_level_coeffs: Optional[dict] = None
-        first_level_params: Optional[LevelParams] = None
+        first_level = None  # (coefficients, parameters) of the first level
         for forest in dec.levels[:max_levels]:
             params = ledger.level(forest.level)
             level_tiles = forest.tiles()
@@ -433,19 +417,16 @@ def run_pipeline(
                 (forest.level, params.sigma, beta_eff, params.gamma,
                  e1.measure, e2.measure, rescale)
             )
-            if first_level_coeffs is None:
-                first_level_coeffs = coeffs
-                first_level_params = LevelParams(
-                    params.n, params.sigma, beta_eff, params.gamma
-                )
+            if first_level is None:
+                first_level = (coeffs, replace(params, beta=beta_eff))
 
-        if first_level_coeffs is not None:
+        if first_level is not None:
             outside = estar.complement_indices()
             if outside.size:
                 picks = outside[np.linspace(0, outside.size - 1, min(x_samples, outside.size)).astype(int)]
                 for xi in picks:
                     lhs, rhs = check_pointwise_bound(
-                        int(xi), first_level_coeffs, first_level_params,
+                        int(xi), *first_level,
                         q, r, eps, window, kernel, search_budget=mm_budget, seed=seed,
                     )
                     if rhs > 0:

@@ -119,9 +119,6 @@ class SampledFunction:
             mask[lo:hi] = True
         return cls(grid, mask.astype(np.complex128))
 
-    def copy(self) -> "SampledFunction":
-        return SampledFunction(self.grid, self.values.copy())
-
     def __add__(self, other):
         return SampledFunction(self.grid, self.values + other.values)
 
@@ -136,7 +133,9 @@ class SampledFunction:
 
 def random_indicator(grid: Grid, rng: np.random.Generator, pieces: Optional[int]) -> SampledFunction:
     """Indicator of ``pieces`` random intervals, each of at least max(4, n/256) and at most
-    n/16 samples; ``pieces=None`` draws the count from 1..3 first."""
+    n/16 samples; ``pieces=None`` draws the count from 1..3 first.  Needs n >= 64."""
+    if grid.n < 64:
+        raise ValueError(f"a random indicator needs at least 64 samples (J >= 6), got J = {grid.j}")
     mask = np.zeros(grid.n, dtype=bool)
     min_w = max(4, grid.n // 256)
     for _ in range(int(rng.integers(1, 4)) if pieces is None else pieces):

@@ -18,9 +18,9 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .dyadic import Forest, Tile, Tree, is_convex
-from .grid import SampledFunction, lp_norm_values
+from .grid import SampledFunction, dft_values, lp_norm_values
 from .norms import per_tile_sizes, tile_size, variational_norm_field
-from .wavepackets import Kernel, ModelFunction, Window, model_function, smooth_step, tile_packet
+from .wavepackets import Kernel, ModelFunction, Window, model_function, smooth_step, tile_packet_hat
 
 __all__ = [
     "ForestDecomposition",
@@ -28,6 +28,7 @@ __all__ = [
     "select_forests",
     "tree_decompose",
     "tree_coefficients",
+    "tail_variation",
     "TreeVariationReport",
     "tree_variation_report",
     "ZERO_SIZE_LEVEL",
@@ -167,17 +168,29 @@ class TreePieces:
     keeps the top-frequency mean of the local part plus everything outside,
     gains 2^(-M level) decay for every M, and is the piece entering the
     variational sums.  The two parts add back to the model function exactly.
+
+    The slices take the model function's x-slice ``phi_vals`` at theta; the
+    model function itself (``model``) is built from the window and kernel on
+    first use only, so a caller that passes ``phi_vals`` never builds it.
     """
 
     tile: Tile
     top_freq: float
     level: int
-    model: ModelFunction
+    window: Window = field(repr=False)
+    kernel: Kernel = field(repr=False)
     cutoff: np.ndarray = field(repr=False)
     cutoff_integral: float = 0.0
+    _model: Optional[ModelFunction] = field(default=None, repr=False)
+
+    @property
+    def model(self) -> ModelFunction:
+        if self._model is None:
+            self._model = model_function(self.window, self.kernel, self.tile)
+        return self._model
 
     def _mean_term(self, phi_vals: np.ndarray) -> np.ndarray:
-        g = self.model.window.grid
+        g = self.window.grid
         xs = g.xs()
         osc = np.exp(-2j * np.pi * self.top_freq * xs)
         amount = np.sum(phi_vals * osc * self.cutoff) * g.dx
@@ -211,28 +224,54 @@ def tree_decompose(
     At level zero the tail piece is the whole model function.  The local
     cutoff is the L-infinity-normalized dilation of the canonical time cutoff
     to 2^level |I_s| about the center of I_s, with distances wrapped on the
-    period.
+    period.  ``model``, when given, is the model function of s; otherwise it
+    is built only when a slice is asked for without its x-slice values.
     """
     if level < 0:
         raise ValueError("decomposition level must be >= 0")
     g = window.grid
-    if model is None:
-        model = model_function(window, kernel, s)
     width = math.ldexp(s.time.length, level)
     d = g.xs() - s.time.center
     d = (d + g.length / 2) % g.length - g.length / 2
     cutoff = time_cutoff(d / width)
     integral = float(np.sum(cutoff) * g.dx)
-    return TreePieces(s, tree.top_freq, level, model, cutoff, integral)
+    return TreePieces(s, tree.top_freq, level, window, kernel, cutoff, integral, model)
 
 
 def tree_coefficients(tree: Tree, f: SampledFunction, window: Window) -> dict[Tile, complex]:
-    """Packet coefficients <f, packet_s> for every tile of a tree."""
-    out = {}
-    for s in sorted(tree.tiles, key=Tile.sort_key):
-        pk = tile_packet(window, s)
-        out[s] = complex(np.sum(f.values * np.conj(pk.values)) * f.grid.dx)
-    return out
+    """Packet coefficients <f, packet_s> for every tile of a tree.
+
+    By Parseval, each is dxi * sum(fhat * conj(packet_hat)) over the
+    frequency grid, from one transform of f.
+    """
+    fhat = dft_values(f.values, f.grid.dx)
+    return {s: complex(f.grid.dxi * np.sum(fhat * np.conj(tile_packet_hat(window, s))))
+            for s in sorted(tree.tiles, key=Tile.sort_key)}
+
+
+def tail_variation(tree: Tree, coeffs: dict[Tile, complex], level: int, r: float, window: Window,
+                   kernel: Kernel, slice_cache: Optional[dict] = None) -> np.ndarray:
+    """V^r over the tree's scales k of the field sum_s a_s tail_s(x, top frequency), s of scale k.
+
+    Tail pieces are taken at ``level``; tiles that ``coeffs`` lacks or maps to
+    zero add nothing.  A tile's x-slice is built once and kept in
+    ``slice_cache`` under (tile, top frequency), so a cache shared across
+    calls builds one model function per key.  The tree must have a tile.
+    """
+    cache = {} if slice_cache is None else slice_cache
+    scales = tree.scales()
+    fields = np.zeros((len(scales), window.grid.n), dtype=np.complex128)
+    for i, k in enumerate(scales):
+        for s in tree.tiles_at_scale(k):
+            a = coeffs.get(s, 0.0)
+            if a == 0.0:
+                continue
+            pieces = tree_decompose(s, tree, level, window, kernel)
+            key = (s, tree.top_freq)
+            if key not in cache:
+                cache[key] = pieces.model.x_slice(tree.top_freq)
+            fields[i] += a * pieces.tail_slice(tree.top_freq, phi_vals=cache[key])
+    return variational_norm_field(fields, r)
 
 
 @dataclass(frozen=True)
@@ -267,16 +306,9 @@ def tree_variation_report(
         raise ValueError("variation exponent must exceed 2")
     if not 1 < t < math.inf:
         raise ValueError("integrability exponent must lie in (1, inf)")
-    g = window.grid
     coeffs = tree_coefficients(tree, f, window)
-    scales = tree.scales()
-    fields = np.zeros((len(scales), g.n), dtype=np.complex128)
-    for i, k in enumerate(scales):
-        for s in tree.tiles_at_scale(k):
-            pieces = tree_decompose(s, tree, level, window, kernel)
-            fields[i] += coeffs[s] * pieces.tail_slice(tree.top_freq)
-    vr = variational_norm_field(fields, r)
-    lhs = lp_norm_values(vr, g.dx, t)
+    vr = tail_variation(tree, coeffs, level, r, window, kernel)
+    lhs = lp_norm_values(vr, window.grid.dx, t)
     rhs = (
         2.0 ** (-decay_order * level)
         * tile_size(tree.tiles, f, family_size)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dyadic import Interval, Tile
-from .grid import Grid, SampledFunction, dft, idft
+from .grid import Grid, SampledFunction, dft, dft_values, idft, idft_values
 
 __all__ = [
     "Window",
@@ -39,6 +39,9 @@ _QUAD_NODES = 4096
 
 
 DEFAULT_ORDER = 15
+
+# sum over l of |phat(xi - l/2)|^2 for the canonical window, exactly one
+FRAME_CONSTANT = 1.0
 
 
 def smooth_step(t, order: float = DEFAULT_ORDER) -> np.ndarray:
@@ -85,7 +88,6 @@ class Window:
     smoothness: float
     phat: np.ndarray = field(repr=False)
     phi: SampledFunction = field(repr=False)
-    frame_constant: float = 1.0
 
     def bump(self, xi) -> np.ndarray:
         return partition_bump(xi, self.smoothness)
@@ -100,7 +102,7 @@ class Window:
         total = np.zeros_like(b)
         for l in range(self.grid.n // shift):
             total += np.roll(b, l * shift)
-        return float(np.max(np.abs(total - self.frame_constant)))
+        return float(np.max(np.abs(total - FRAME_CONSTANT)))
 
     def lattice_sizes(self, k: int) -> tuple[int, int]:
         """(time positions, doubled frequency positions) of the scale-k lattice."""
@@ -284,12 +286,16 @@ class Kernel:
 
     grid: Grid
     eta_profile: object = field(repr=False)
-    eta: SampledFunction = field(repr=False)
-    K: SampledFunction = field(repr=False)
     _khat_cache: dict = field(default_factory=dict, repr=False)
     _ktime_cache: dict = field(default_factory=dict, repr=False)
     _node_eta: np.ndarray | None = field(default=None, repr=False)
     _autocorrelation: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def K(self) -> SampledFunction:
+        """Samples of K on the grid."""
+        eta = np.asarray(self.eta_profile(self.grid.freqs()), dtype=np.complex128)
+        return SampledFunction(self.grid, np.abs(idft_values(eta, self.grid.dx)) ** 2)
 
     def khat(self, xi) -> np.ndarray:
         """Autocorrelation (eta * eta~)(xi) by quadrature on the profile."""
@@ -369,8 +375,7 @@ class Kernel:
     def scaled_time(self, k: int) -> np.ndarray:
         """Samples of 2^-k K(2^-k y): the inverse transform of khat(2^k xi)."""
         if k not in self._ktime_cache:
-            vals = idft(SampledFunction(self.grid, self.khat_grid(k).astype(np.complex128))).values
-            self._ktime_cache[k] = vals
+            self._ktime_cache[k] = idft_values(self.khat_grid(k), self.grid.dx)
         return self._ktime_cache[k]
 
 
@@ -399,12 +404,7 @@ def build_kernel(grid: Grid, eta_choice="smooth") -> Kernel:
         raise ValueError("eta must have nonzero integral")
     if grid.freq_halfwidth < 1.0:
         raise ValueError("frequency box must contain the kernel support [-1, 1]")
-
-    eta = SampledFunction(grid, np.asarray(profile(grid.freqs()), dtype=np.complex128))
-    e = idft(eta)
-    kvals = np.abs(e.values) ** 2
-    kernel = Kernel(grid, profile, eta, SampledFunction(grid, kvals.astype(np.complex128)))
-    return kernel
+    return Kernel(grid, profile)
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +426,7 @@ class ModelFunction:
     window: Window
     kernel: Kernel
     packet_hat: np.ndarray = field(repr=False)
-    packet: SampledFunction = field(repr=False)
+    packet: np.ndarray = field(repr=False)
 
     @property
     def theta_support(self) -> Interval:
@@ -456,14 +456,14 @@ class ModelFunction:
         else:
             kv = self.kernel.khat_progression(math.ldexp(1.0, k) * (theta - g.freqs()),
                                               -math.ldexp(1.0, k) * g.dxi)
-        return idft(SampledFunction(g, self.packet_hat * kv)).values
+        return idft_values(self.packet_hat * kv, g.dx)
 
     def theta_slice(self, x_index: int) -> np.ndarray:
         """phi_s(x, theta) over all grid thetas at one grid x (FFT path)."""
         g = self.window.grid
         k = self.tile.scale
-        shifted = np.roll(self.packet.values, -x_index)
-        return dft(SampledFunction(g, shifted * self.kernel.scaled_time(k))).values
+        shifted = np.roll(self.packet, -x_index)
+        return dft_values(shifted * self.kernel.scaled_time(k), g.dx)
 
 
 def model_function(w: Window, ker: Kernel, s: Tile) -> ModelFunction:
@@ -471,5 +471,4 @@ def model_function(w: Window, ker: Kernel, s: Tile) -> ModelFunction:
     if w.grid is not ker.grid and (w.grid.j != ker.grid.j or w.grid.length != ker.grid.length):
         raise ValueError("window and kernel must share a grid")
     phat = tile_packet_hat(w, s)
-    packet = idft(SampledFunction(w.grid, phat))
-    return ModelFunction(s, w, ker, phat, packet)
+    return ModelFunction(s, w, ker, phat, idft_values(phat, w.grid.dx))

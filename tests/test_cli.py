@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import warnings
@@ -5,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from timefreq.cli import main
+from timefreq.cli import build_parser, main
 
 
 def run(argv):
@@ -169,4 +170,50 @@ def test_tree_select_tile_outside_box_diagnosed(tmp_path, capsys, line):
     assert run(["tree-select", "--J", "9", "--L", "8", "--tiles", str(tiles), "--out", str(out)]) == 2
     errors = error_lines(capsys)
     assert len(errors) == 1 and f"'{line}'" in errors[0] and "[0, 8) x [-32, 32)" in errors[0]
+    assert not out.exists()
+
+
+# small-argument runs of every subcommand, used to read the header each one writes
+_HEADER_ARGV = {
+    "frame-check": ["--J", "9", "--L", "16", "--num-sets", "1"],
+    "tree-select": ["--J", "8", "--L", "8"],
+    "tree-bound": ["--J", "9", "--trials", "1", "--l-list", "0"],
+    "mm-scan": ["--J", "8", "--N", "2,4", "--trials", "1"],
+    "exceptional": ["--J", "8", "--runs", "1"],
+    "rtt-sim": ["--log2-n-max", "6"],
+    "blowup": ["--J-list", "8"],
+    "tails": ["--J", "8", "--n-max", "100"],
+}
+
+
+def test_header_table_covers_every_subcommand():
+    ap = build_parser()
+    sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(sub.choices) == sorted(_HEADER_ARGV)
+
+
+@pytest.mark.parametrize("sub", sorted(_HEADER_ARGV))
+def test_csv_header_matches_help_epilog(tmp_path, capsys, sub):
+    with pytest.raises(SystemExit) as exc:
+        run([sub, "--help"])
+    assert exc.value.code == 0
+    listed = " ".join(capsys.readouterr().out.split("CSV columns:", 1)[1].split())
+    out = tmp_path / "x.csv"
+    assert run([sub, *_HEADER_ARGV[sub], "--out", str(out)]) == 0
+    with out.open() as fh:
+        header = next(csv.reader(fh))
+    assert ", ".join(header) == listed
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["tails", "--J", "5", "--L", "2"], "(J >= 6), got J = 5"),
+    (["tree-select", "--J", "4", "--L", "2"], "(J >= 6), got J = 4"),
+    (["tree-bound", "--L", "4"], "needs --L >= 8, got 4"),
+    (["exceptional", "--J", "6", "--L", "8", "--runs", "1"], "raise --J or lower --L"),
+])
+def test_too_small_grid_diagnosed(tmp_path, capsys, argv, message):
+    out = tmp_path / "x.csv"
+    assert run(argv + ["--out", str(out)]) == 2
+    errors = error_lines(capsys)
+    assert len(errors) == 1 and message in errors[0]
     assert not out.exists()

@@ -1,7 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from timefreq import Grid, SampledFunction
 from timefreq.dyadic import DyadicInterval, Interval, Tile, TileUniverse, Tree, is_convex
@@ -224,3 +227,91 @@ class TestTreeVariationReport:
             tree_variation_report(tree, f, 0, 2.0, 2.0, w, ker)
         with pytest.raises(ValueError):
             tree_variation_report(tree, f, 0, 3.0, 1.0, w, ker)
+
+
+def loop_tree_coefficients(tree, f, window):
+    """Oracle: each <f, packet_s> as a time-domain sum against the inverse-transformed packet."""
+    out = {}
+    for s in sorted(tree.tiles, key=Tile.sort_key):
+        pk = tile_packet(window, s)
+        out[s] = complex(np.sum(f.values * np.conj(pk.values)) * f.grid.dx)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _window(j, length):
+    g = Grid(j, length)
+    return build_window(g, min_freq_samples=int(length))
+
+
+@st.composite
+def coefficient_cases(draw):
+    """A grid (J 7..11, L 4..32), 1..8 tiles of scales -1..1 inside its box, an input kind and seed.
+
+    The first tile drawn is returned too: an indicator input sits inside its
+    time interval, so that the largest coefficient is not a far tail of a
+    packet, which would leave only roundoff to compare.
+    """
+    j = draw(st.integers(7, 11))
+    length = 2.0 ** draw(st.integers(2, 5))
+    fh = 2.0 ** (j - 1) / length
+    tiles = []
+    for _ in range(draw(st.integers(1, 8))):
+        k = draw(st.integers(-1, 1))
+        mt = draw(st.integers(0, int(length / 2.0**k) - 1))
+        nf = int(fh * 2.0**k)
+        mf = draw(st.integers(-nf, nf - 1))
+        tiles.append(Tile(DyadicInterval(k, mt), DyadicInterval(-k, mf)))
+    return j, length, tiles, draw(st.sampled_from(["indicator", "complex"])), draw(st.integers(0, 2**31 - 1))
+
+
+class TestTreeCoefficientsOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(coefficient_cases())
+    def test_matches_time_domain_loop(self, case):
+        j, length, tiles, kind, seed = case
+        w = _window(j, length)
+        g = w.grid
+        rng = np.random.default_rng(seed)
+        if kind == "indicator":
+            iv = tiles[0].time
+            a = iv.left + rng.uniform(0.0, 0.5) * iv.length
+            f = SampledFunction.indicator(g, [(a, a + 0.5 * iv.length)])
+        else:
+            f = SampledFunction(g, rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n))
+        tree = Tree(Interval(0.0, length), 0.0, frozenset(tiles))
+        got = tree_coefficients(tree, f, w)
+        want = loop_tree_coefficients(tree, f, w)
+        assert list(got) == list(want)
+        scale = max(abs(c) for c in want.values())
+        assert max(abs(got[s] - want[s]) for s in want) <= 1e-12 * scale
+
+
+class TestTailVariation:
+    def test_one_model_function_per_tile_and_top(self, setup9, monkeypatch):
+        import timefreq.trees as trees_mod
+        from timefreq.exceptional import variation_exceptional_set
+
+        g, w, ker = setup9
+        built = []
+        real = trees_mod.model_function
+
+        def counting(window, kernel, s):
+            built.append(s)
+            return real(window, kernel, s)
+
+        monkeypatch.setattr(trees_mod, "model_function", counting)
+        tree = left_aligned_tree(mt=3)
+        other = Tree.with_top_tile(tree.top_tile, tree.tiles, top_freq=4.5)
+        zero = next(s for s in tree.tiles if s.scale == -2)
+        coeffs = {s: (0.0 if s == zero else 0.3) * math.sqrt(s.time.length) for s in tree.tiles}
+        # the same tree under two window keys, and the same tiles under a second top frequency
+        windows = {(0, 0): [tree], (1, 0): [tree, other]}
+        cache = {}
+        first = variation_exceptional_set(windows, coeffs, 0.05, 3.0, 1.0, w, ker, _slice_cache=cache)
+        distinct = {(s, t.top_freq) for t in (tree, other) for s in t.tiles if s != zero}
+        assert len(built) == len(distinct) == 6
+        assert {(s, t) for s, t in cache} == distinct
+        again = variation_exceptional_set(windows, coeffs, 0.05, 3.0, 1.0, w, ker, _slice_cache=cache)
+        assert len(built) == 6  # a shared cache builds nothing more
+        assert np.array_equal(first.mask, again.mask)

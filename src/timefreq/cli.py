@@ -229,6 +229,21 @@ def _count(text: str) -> int:
     return value
 
 
+# Largest orbit lengths: rtt-sim and tails hold about 60 bytes per orbit step, so a
+# run at the cap peaks near 300 MB.
+MAX_LOG2_N = 22
+
+
+def _count_up_to(cap: int):
+    """argparse type of a count option between 1 and ``cap``, checked before anything is allocated."""
+    def count(text: str) -> int:
+        value = _count(text)
+        if value > cap:
+            raise argparse.ArgumentTypeError(f"must be at most {cap}, got {value}")
+        return value
+    return count
+
+
 def _subcommand(sub, name: str, func, help: str, columns: list[str], grid=None, seed: bool = True):
     """Add subcommand ``name`` writing a CSV with ``columns``, listed in its ``--help`` epilog.
 
@@ -263,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = _subcommand(sub, "tree-select", cmd_tree_select, "forest selection of a tile file",
                      ["level", "tree_count", "tile_count", "top_length_sum", "max_size"], grid=(9, 8.0))
     sp.add_argument("--tiles", help="tile file: lines of k_time m_time k_freq m_freq")
-    sp.add_argument("--family-size", type=int, default=6)
+    sp.add_argument("--family-size", type=_count, default=6)
 
     sp = _subcommand(sub, "tree-bound", cmd_tree_bound, "tree variation norm vs its size bound",
                      ["trial", "level", "r", "t", "lhs", "rhs_scale", "ratio"], grid=(10, 16.0))
@@ -297,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--beta", type=float, default=math.sqrt(2) - 1)
     sp.add_argument("--x", type=float, default=0.2)
     sp.add_argument("--y", type=float, default=0.7)
-    sp.add_argument("--log2-n-max", type=int, default=17)
+    sp.add_argument("--log2-n-max", type=_count_up_to(MAX_LOG2_N), default=17,
+                    help=f"averages at N = 2, 4, ..., 2^this (at most {MAX_LOG2_N})")
     sp.add_argument("--r", type=float, default=3.0)
 
     sp = _subcommand(sub, "blowup", cmd_blowup, "single-scale threshold refinement scan",
@@ -310,7 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
                      ["statistic", "sharpness", "value"], grid=(10, 16.0))
     sp.add_argument("--x", type=float, default=0.15)
     sp.add_argument("--y", type=float, default=0.55)
-    sp.add_argument("--n-max", type=int, default=20000)
+    sp.add_argument("--n-max", type=_count_up_to(1 << MAX_LOG2_N), default=20000,
+                    help=f"orbit steps of the tail statistics (at most {1 << MAX_LOG2_N})")
     sp.add_argument("--sharpness", default="0.04,0.02,0.01,0.005")
 
     return ap

@@ -254,10 +254,7 @@ class Forest:
             seen |= t.tiles
 
     def tiles(self) -> set[Tile]:
-        out: set[Tile] = set()
-        for t in self.trees:
-            out |= t.tiles
-        return out
+        return set().union(*(t.tiles for t in self.trees))
 
     def top_length_sum(self) -> float:
         return sum(t.top_interval.length for t in self.trees)
@@ -272,10 +269,6 @@ def saturation(tree: Tree, tiles: Iterable[Tile]) -> set[Tile]:
     if top is None:
         raise ValueError("saturation requires a tree with a top tile")
     return {s for s in tiles if s.freq.contains(top.freq)}
-
-
-def _window_index(x: Fraction, base: Fraction, width: Fraction) -> Fraction:
-    return (x - base) / width
 
 
 def window_partition(tiles: Iterable[Tile], tree: Tree, level: int) -> dict[int, Tree]:
@@ -300,8 +293,8 @@ def window_partition(tiles: Iterable[Tile], tree: Tree, level: int) -> dict[int,
         if s.time.length > top.time.length:
             raise ValueError("window partition requires |I_s| <= |I_T| for every tile")
         p, q = s.time.fractions()
-        i_first = math.floor(_window_index(p, base, width))
-        iq = _window_index(q, base, width)
+        i_first = math.floor((p - base) / width)
+        iq = (q - base) / width
         i_last = int(iq) - 1 if iq == int(iq) else math.floor(iq)
         if i_last - i_first > 1:
             raise ValueError("tile meets more than two adjacent windows")

@@ -15,8 +15,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grid import Grid, SampledFunction, dft, dft_values, idft, lp_norm, lp_norm_values
-from .wavepackets import Kernel, Window, build_window, gabor_expand
+from .grid import Grid, SampledFunction, dft_values, idft_values, lp_norm, lp_norm_values
+from .wavepackets import Kernel, build_window, gabor_expand
 
 __all__ = [
     "CircleRotation",
@@ -125,11 +125,10 @@ class IntervalExchange:
 
 @dataclass
 class AverageSeries:
-    """Partial averages along a list of times, with run metadata."""
+    """Partial averages along a list of times."""
 
     n_list: tuple[int, ...]
     values: np.ndarray = field(repr=False)
-    meta: dict = field(default_factory=dict)
 
 
 def return_times_average(
@@ -158,7 +157,7 @@ def return_times_average(
     vals = (sums_re[idx] / np.asarray(n_list)).astype(np.float64) + 1j * (
         sums_im[idx] / np.asarray(n_list)
     ).astype(np.float64)
-    return AverageSeries(n_list, vals, meta={"x": x, "y": y})
+    return AverageSeries(n_list, vals)
 
 
 def convergence_diagnostic(series: AverageSeries, r: float) -> tuple[float, float]:
@@ -188,14 +187,22 @@ def _x_index(grid: Grid, x: float) -> int:
     return int(j) % grid.n
 
 
+def _kernel_averages(f: SampledFunction, g: SampledFunction, ker: Kernel, x: float, k_list) -> np.ndarray:
+    """:func:`kernel_average` values at every scale of ``k_list``, one row per scale.
+
+    One transform of g and one stacked transform of the scales' kernel-weighted
+    copies of f, then one stacked inverse transform.
+    """
+    grid = f.grid
+    kt = np.array([ker.scaled_time(k) for k in k_list]).reshape(-1, grid.n)
+    hhat = dft_values(np.roll(f.values, -_x_index(grid, x)) * kt, grid.dx)
+    rev = hhat[:, (grid.n - np.arange(grid.n)) % grid.n]
+    return idft_values(dft_values(g.values, grid.dx) * rev, grid.dx)
+
+
 def kernel_average(f: SampledFunction, g: SampledFunction, ker: Kernel, x: float, k: int) -> SampledFunction:
     """z -> (1/2^k) integral f(x+y) g(z+y) K(y/2^k) dy by FFT correlation."""
-    grid = f.grid
-    h = np.roll(f.values, -_x_index(grid, x)) * ker.scaled_time(k)
-    hhat = dft_values(h, grid.dx)
-    ghat = dft(g).values
-    rev = hhat[(grid.n - np.arange(grid.n)) % grid.n]
-    return idft(SampledFunction(grid, ghat * rev))
+    return SampledFunction(f.grid, _kernel_averages(f, g, ker, x, [k])[0])
 
 
 def kernel_average_at(f: SampledFunction, g: SampledFunction, ker: Kernel, x: float, z: float, k: int) -> complex:
@@ -207,12 +214,8 @@ def kernel_average_at(f: SampledFunction, g: SampledFunction, ker: Kernel, x: fl
 
 
 def kernel_average_max(f: SampledFunction, g: SampledFunction, ker: Kernel, x: float, k_list) -> SampledFunction:
-    """Pointwise sup over scales of the absolute kernel correlation."""
-    grid = f.grid
-    out = np.zeros(grid.n)
-    for k in k_list:
-        np.maximum(out, np.abs(kernel_average(f, g, ker, x, k).values), out=out)
-    return SampledFunction(grid, out)
+    """Pointwise sup over the scales of ``k_list`` of the absolute kernel correlation; zero for no scales."""
+    return SampledFunction(f.grid, np.abs(_kernel_averages(f, g, ker, x, k_list)).max(axis=0, initial=0.0))
 
 
 def correlation_proxy(
@@ -241,13 +244,16 @@ def correlation_proxy(
     cands = [SampledFunction(grid, c / max(lp_norm_values(c, grid.dx, q), 1e-300)) for c in cands]
     out = np.zeros(len(x_indices))
     for i, xi in enumerate(x_indices):
-        x = xi * grid.dx
-        best = 0.0
-        for g in cands:
-            val = lp_norm(kernel_average_max(f, g, ker, x, k_list), q)
-            best = max(best, val)
-        out[i] = best
+        out[i] = max(lp_norm(kernel_average_max(f, g, ker, xi * grid.dx, k_list), q) for g in cands)
     return out
+
+
+def _pair_average(f: SampledFunction, g: SampledFunction, xi: int, lo: int, hi: int, t: float) -> float:
+    """|(1/2t) sum of f(x + y) g(x - y) dy| over the offsets y = o dx, lo <= o < hi, at x = xi dx."""
+    grid = f.grid
+    offs = np.arange(lo, hi)
+    vals = f.values[(xi + offs) % grid.n] * g.values[(xi - offs) % grid.n]
+    return abs(np.sum(vals) * grid.dx / (2.0 * t))
 
 
 def bilinear_max(f: SampledFunction, g: SampledFunction, x: float, t_grid) -> float:
@@ -259,9 +265,7 @@ def bilinear_max(f: SampledFunction, g: SampledFunction, x: float, t_grid) -> fl
         half = int(round(t / grid.dx))
         if half < 1 or 2 * half > grid.n:
             raise ValueError(f"window t = {t} unusable on this grid")
-        offs = np.arange(-half, half)
-        vals = f.values[(xi + offs) % grid.n] * g.values[(xi - offs) % grid.n]
-        best = max(best, abs(np.sum(vals) * grid.dx / (2.0 * t)))
+        best = max(best, _pair_average(f, g, xi, -half, half, t))
     return best
 
 
@@ -275,15 +279,6 @@ class BlowupRow:
     value: float
     delta_f: float
     delta_g: float
-
-
-def _spike_coeff_table(window: Window, deltas: Sequence[float], center: float) -> dict[float, np.ndarray]:
-    grid = window.grid
-    out = {}
-    for d in deltas:
-        ind = SampledFunction.indicator(grid, [(center, center + d)])
-        out[d] = np.abs(gabor_expand(window, ind, 0).ravel())
-    return out
 
 
 def single_scale_blowup(
@@ -316,7 +311,8 @@ def single_scale_blowup(
             deltas.append(d)
             d /= 4.0
         center = length / 2.0
-        tables = _spike_coeff_table(window, deltas, center)
+        spikes = {d: SampledFunction.indicator(grid, [(center, center + d)]) for d in deltas}
+        tables = {d: np.abs(gabor_expand(window, ind, 0).ravel()) for d, ind in spikes.items()}
         best, best_pair = 0.0, (deltas[0], deltas[0])
         for df in deltas:
             for dg in deltas:
@@ -346,11 +342,8 @@ def integral_tail(f: SampledFunction, g: SampledFunction, x: float, t_list=None)
     for t in t_list:
         if t <= 1.0:
             raise ValueError("tail windows require t > 1")
-        lo = int(round(t / grid.dx))
-        hi = int(round((t + 1.0) / grid.dx))
-        offs = np.arange(lo, hi)
-        vals = f.values[(xi + offs) % grid.n] * g.values[(xi - offs) % grid.n]
-        best = max(best, abs(np.sum(vals) * grid.dx / (2.0 * t)))
+        lo, hi = int(round(t / grid.dx)), int(round((t + 1.0) / grid.dx))
+        best = max(best, _pair_average(f, g, xi, lo, hi, t))
     return best
 
 
@@ -361,20 +354,21 @@ def orbit_tail(f_obs: Callable, tau, x: float, g_obs: Callable, sigma, y, n_max:
     return float(np.max(np.abs(fo * go) / np.arange(1, n_max + 1)))
 
 
+def _circle_distance(u, center: float) -> np.ndarray:
+    """Distance from u to center on the unit circle, both in [0, 1), so no reduction mod 1 is needed."""
+    d = np.abs(np.asarray(u, dtype=float) - center)
+    return np.minimum(d, 1.0 - d)
+
+
 def _spike_observable(center: float, eps: float, exponent: float):
     if not 0.0 < eps < 0.5:
         raise ValueError("sharpness levels are regularization widths in (0, 1/2)")
-    uu = np.linspace(0.0, 1.0, 1 << 16, endpoint=False)
-    d0 = np.minimum(np.abs(uu - center), 1.0 - np.abs(uu - center))
-    norm = float((np.maximum(d0, eps) ** (-exponent)).mean())
 
-    def obs(u):
-        u = np.asarray(u, dtype=float)
-        d = np.abs(u - center)
-        d = np.minimum(d, 1.0 - d)
-        return np.maximum(d, eps) ** (-exponent) / norm
+    def spike(u):
+        return np.maximum(_circle_distance(u, center), eps) ** (-exponent)
 
-    return obs
+    norm = float(spike(np.linspace(0.0, 1.0, 1 << 16, endpoint=False)).mean())
+    return lambda u: spike(u) / norm
 
 
 def heavy_tail_sweep(
@@ -398,9 +392,7 @@ def heavy_tail_sweep(
     the first few steps.
     """
     probe = min(8, n_max)
-    approach = np.abs(tau.orbit(x, probe) - center)
-    approach = np.minimum(approach, 1.0 - approach)
-    n_star = int(np.argmin(approach)) + 1
+    n_star = int(np.argmin(_circle_distance(tau.orbit(x, probe), center))) + 1
     center_f = float(tau.orbit(x, 1, start=n_star)[0])
     center_g = float(sigma.orbit(y, 1, start=n_star)[0])
     out = []

@@ -197,13 +197,8 @@ def group_by_escape_level(trapped: Iterable[Tile], eset: GridSet, validate_conve
     return out
 
 
-def overlap_exceptional_set(
-    trees: Sequence[Tree],
-    beta: float,
-    grid: Grid,
-    l_min: int = 0,
-) -> GridSet:
-    """Union over l >= l_min of {x : #{trees with x in 2^l I_T} > beta 4^l}.
+def overlap_exceptional_set(trees: Sequence[Tree], beta: float, grid: Grid) -> GridSet:
+    """Union over l >= 0 of {x : #{trees with x in 2^l I_T} > beta 4^l}.
 
     The union stops once the threshold exceeds the tree count (no point can
     qualify) and records the dilation levels actually inspected.
@@ -211,17 +206,19 @@ def overlap_exceptional_set(
     if beta < 1.0:
         raise ValueError(f"overlap threshold requires beta >= 1, got {beta}")
     mask = np.zeros(grid.n, dtype=bool)
-    levels = []
-    l = l_min
-    while beta * 4.0**l <= len(trees) and l < 64:
+    levels = [l for l in range(64) if beta * 4.0**l <= len(trees)]
+    for l in levels:
         count = np.zeros(grid.n, dtype=np.int64)
         for t in trees:
             lo, hi = _tile_indices(grid, t.top_interval.dilate(math.ldexp(1.0, l)))
             count[lo:hi] += 1
         mask |= count > beta * 4.0**l
-        levels.append(l)
-        l += 1
-    return GridSet(grid, mask, meta={"levels": levels, "l_min": l_min})
+    return GridSet(grid, mask, meta={"levels": levels})
+
+
+def _coefficient_size(coeffs: dict[Tile, complex]) -> float:
+    """sup over tiles of |a_s| / |I_s|^(1/2), 0 for no coefficients."""
+    return max((abs(a) / math.sqrt(s.time.length) for s, a in coeffs.items()), default=0.0)
 
 
 def variation_exceptional_set(
@@ -232,7 +229,6 @@ def variation_exceptional_set(
     sigma: float,
     window: Window,
     kernel: Kernel,
-    l_min: int = 0,
     l_decay: float = 10.0,
     _slice_cache: Optional[dict] = None,
 ) -> GridSet:
@@ -247,25 +243,19 @@ def variation_exceptional_set(
     an ``l_decay`` below the pieces' effective decay order.
     """
     grid = window.grid
-    worst = max(
-        (abs(a) / math.sqrt(s.time.length) for s, a in coeffs.items()), default=0.0
-    )
+    worst = _coefficient_size(coeffs)
     if worst > sigma * (1.0 + 1e-9):
         raise ValueError(
             f"coefficient normalization violated: sup |a|/sqrt|I| = {worst:.6g} > sigma = {sigma:.6g}"
         )
     mask = np.zeros(grid.n, dtype=bool)
-    used = []
     for (l, m), trees in sorted(windows.items()):
-        if l < l_min:
-            continue
         alpha = decay_level(l, m)
         thresh = gamma * 2.0 ** (-l_decay * l) * (abs(m) + 1.0) ** (-2.0)
         for tree in trees:
             if tree.tiles:
                 mask |= tail_variation(tree, coeffs, alpha, r, window, kernel, _slice_cache) > thresh
-        used.append((l, m))
-    return GridSet(grid, mask, meta={"windows": used, "l_min": l_min})
+    return GridSet(grid, mask)
 
 
 def check_pointwise_bound(
@@ -394,10 +384,7 @@ def run_pipeline(
             coeffs = {}
             for tree in forest.trees:
                 coeffs.update(tree_coefficients(tree, f, window))
-            worst = max(
-                (abs(a) / math.sqrt(s.time.length) for s, a in coeffs.items()),
-                default=0.0,
-            )
+            worst = _coefficient_size(coeffs)
             rescale = 1.0 if worst <= params.sigma else params.sigma / worst
             coeffs = {s: a * rescale for s, a in coeffs.items()}
             beta_eff = max(1.0, params.beta)

@@ -31,6 +31,12 @@ def _is_power_of_two(x: float) -> bool:
 MAX_J = 20
 
 
+def wrapped_distance(x, center: float, period: float) -> np.ndarray:
+    """Minimal periodic distance |x - center| on the torus of length ``period``."""
+    d = np.abs(np.asarray(x, dtype=float) - center) % period
+    return np.minimum(d, period - d)
+
+
 @dataclass(frozen=True)
 class Grid:
     """Periodic sampling grid with 2**j samples on [0, length).
@@ -83,8 +89,7 @@ class Grid:
 
     def wrapped_dist(self, x, center: float) -> np.ndarray:
         """Minimal periodic distance |x - center| on the length-L torus."""
-        d = np.abs(np.asarray(x, dtype=float) - center) % self.length
-        return np.minimum(d, self.length - d)
+        return wrapped_distance(x, center, self.length)
 
     def index_range(self, a: float, b: float) -> tuple[int, int]:
         """Sample index range [lo, hi) covering the interval [a, b) inside the box."""

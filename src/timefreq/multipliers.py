@@ -198,7 +198,6 @@ def growth_scan(
         raise ValueError("variation exponent must exceed 2")
     lam_box = grid.freq_halfwidth / 2.0
     rows = []
-    per_n_max_num = []
     for n in n_list:
         max_ratio = 0.0
         max_num = 0.0
@@ -218,12 +217,11 @@ def growth_scan(
             ratio = num / den if den > 0 else 0.0
             max_ratio = max(max_ratio, ratio)
             max_num = max(max_num, num)
-        per_n_max_num.append(max_num)
         rows.append((n, trials, max_ratio, max_num))
     slope = float("nan")
     if len(set(n_list)) >= 2:
         slope = float(
-            np.polyfit(np.log2(np.asarray(n_list, dtype=float)), np.log2(per_n_max_num), 1)[0]
+            np.polyfit(np.log2(np.asarray(n_list, dtype=float)), np.log2([row[3] for row in rows]), 1)[0]
         )
     return [
         ScanRow(q, r, eps, n, tc, mr, mn, slope) for (n, tc, mr, mn) in rows

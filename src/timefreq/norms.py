@@ -5,6 +5,7 @@ of a tile collection.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -12,7 +13,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .dyadic import Interval, Tile
-from .grid import Grid, SampledFunction, _fft, _ifft, dft, idft_values, lp_norm_values
+from .grid import Grid, SampledFunction, _fft, _ifft, dft, idft_values, lp_norm_values, wrapped_distance
 
 __all__ = [
     "VariationResult",
@@ -105,11 +106,10 @@ def interval_weight(interval: Interval, x, power: float = 1.0, period: Optional[
     """
     if interval.length <= 0:
         raise ValueError("interval must have positive length")
-    x = np.asarray(x, dtype=float)
-    d = np.abs(x - interval.center)
-    if period is not None:
-        d = d % period
-        d = np.minimum(d, period - d)
+    if period is None:
+        d = np.abs(np.asarray(x, dtype=float) - interval.center)
+    else:
+        d = wrapped_distance(x, interval.center, period)
     return (1.0 + d / interval.length) ** (-power)
 
 
@@ -126,17 +126,14 @@ def _base_profile(t: np.ndarray) -> np.ndarray:
     return smooth_step(2.0 * t) * smooth_step(2.0 * (1.0 - t))
 
 
+@functools.cache
 def _variant_derivative_bound(variant: int) -> float:
-    key = variant % len(_POSITIONS), variant // len(_POSITIONS)
-    cache = _variant_derivative_bound.__dict__.setdefault("cache", {})
-    if key not in cache:
-        pos, mod = key
-        t = np.linspace(0.0, 1.0, 20001)
-        vals = _base_profile(t) * np.exp(2j * np.pi * mod * t)
-        d = np.abs(np.diff(vals)) / (t[1] - t[0])
-        a, b = _POSITIONS[pos]
-        cache[key] = float(d.max()) / (b - a)
-    return cache[key]
+    pos, mod = variant % len(_POSITIONS), variant // len(_POSITIONS)
+    t = np.linspace(0.0, 1.0, 20001)
+    vals = _base_profile(t) * np.exp(2j * np.pi * mod * t)
+    d = np.abs(np.diff(vals)) / (t[1] - t[0])
+    a, b = _POSITIONS[pos]
+    return float(d.max()) / (b - a)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .dyadic import Forest, Tile, Tree, is_convex
+from .dyadic import Forest, Tile, Tree, is_convex, tiles_to_text
 from .grid import SampledFunction, dft_values, lp_norm_values
 from .norms import per_tile_sizes, tile_size, variational_norm_field
 from .wavepackets import Kernel, ModelFunction, Window, model_function, smooth_step, tile_packet_hat
@@ -41,21 +41,16 @@ ZERO_SIZE_LEVEL = 60
 class ForestDecomposition:
     """Disjoint union of per-level forests with size certificates.
 
-    ``delta`` records ceil(-log2 size) of the input; the first emitted level
-    is floor(-log2 size), one below delta when the size is not an exact power
-    of two, since otherwise the first level could not certify 2^-n.  Tiles of
-    size zero land at level ``ZERO_SIZE_LEVEL``.
+    The first emitted level is floor(-log2 size) of the input, since a level
+    above it could not certify 2^-n.  Tiles of size zero land at level
+    ``ZERO_SIZE_LEVEL``.
     """
 
     levels: tuple[Forest, ...]
-    delta: int
     sizes: dict = field(repr=False)
 
     def all_tiles(self) -> set[Tile]:
-        out: set[Tile] = set()
-        for forest in self.levels:
-            out |= forest.tiles()
-        return out
+        return set().union(*(forest.tiles() for forest in self.levels))
 
     def level_map(self) -> dict[int, Forest]:
         return {f.level: f for f in self.levels}
@@ -77,11 +72,8 @@ class ForestDecomposition:
         return rows
 
     def to_text(self) -> str:
-        """Tile serialization with a level column appended."""
-        lines = []
-        for f in self.levels:
-            for s in sorted(f.tiles(), key=Tile.sort_key):
-                lines.append(f"{s.time.k} {s.time.m} {s.freq.k} {s.freq.m} {f.level}")
+        """Tile serialization (:func:`tiles_to_text`) with a level column appended."""
+        lines = [f"{line} {f.level}" for f in self.levels for line in tiles_to_text(f.tiles()).splitlines()]
         return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -111,8 +103,6 @@ def select_forests(
         raise ValueError("forest selection requires a convex tile collection")
     sizes = per_tile_sizes(tile_set, f, family_size)
     sigma = max(sizes.values(), default=0.0)
-    delta = ZERO_SIZE_LEVEL if sigma == 0.0 else math.ceil(-math.log2(sigma))
-
     levels: list[Forest] = []
     residual = set(tile_set)
     n = ZERO_SIZE_LEVEL if sigma == 0.0 else math.floor(-math.log2(sigma))
@@ -136,18 +126,18 @@ def select_forests(
             residual -= members
             offenders = [s for s in offenders if s not in members]
         if trees:
-            level_tiles = set().union(*(t.tiles for t in trees))
-            level_size = max(sizes[s] for s in level_tiles)
+            forest = Forest(tuple(trees), n)
+            level_size = max(sizes[s] for s in forest.tiles())
             if level_size > math.ldexp(1.0, -n):
                 raise RuntimeError(
                     f"size certificate violated at level {n}: {level_size} > 2^-{n}"
                 )
-            levels.append(Forest(tuple(trees), n))
+            levels.append(forest)
         if not residual:
             break
         res_sigma = max(sizes[s] for s in residual)
         n = ZERO_SIZE_LEVEL if res_sigma == 0.0 else max(n + 1, math.floor(-math.log2(res_sigma)))
-    return ForestDecomposition(tuple(levels), delta, sizes)
+    return ForestDecomposition(tuple(levels), sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +221,7 @@ def tree_decompose(
         raise ValueError("decomposition level must be >= 0")
     g = window.grid
     width = math.ldexp(s.time.length, level)
-    d = g.xs() - s.time.center
-    d = (d + g.length / 2) % g.length - g.length / 2
-    cutoff = time_cutoff(d / width)
+    cutoff = time_cutoff(g.wrapped_dist(g.xs(), s.time.center) / width)
     integral = float(np.sum(cutoff) * g.dx)
     return TreePieces(s, tree.top_freq, level, window, kernel, cutoff, integral, model)
 

@@ -13,6 +13,7 @@ enlarged by one reciprocal length on each side.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -36,6 +37,8 @@ __all__ = [
 ]
 
 _QUAD_NODES = 4096
+# midpoints of the 4096 cells of [-1/2, 1/2], then one more past the right end
+_NODES = -0.5 + (np.arange(_QUAD_NODES + 1) + 0.5) / _QUAD_NODES
 
 
 DEFAULT_ORDER = 15
@@ -168,6 +171,8 @@ def wave_packet(w: Window, k: int, m: int, l: float) -> SampledFunction:
 
 
 TILE_PROFILE_POWER = 4
+# integral of sin(pi u)^(2p) over [0, 1] is binom(2p, p) / 4^p
+_TILE_PROFILE_NORM = math.comb(2 * TILE_PROFILE_POWER, TILE_PROFILE_POWER) / 4.0**TILE_PROFILE_POWER
 
 
 def tile_packet(w: Window, s: Tile) -> SampledFunction:
@@ -189,12 +194,6 @@ def _tile_profile(u) -> np.ndarray:
     return out
 
 
-def _tile_profile_norm() -> float:
-    # integral of sin(pi u)^(2p) over [0, 1] is binom(2p, p) / 4^p
-    p = TILE_PROFILE_POWER
-    return math.comb(2 * p, p) / 4.0**p
-
-
 def tile_packet_hat(w: Window, s: Tile) -> np.ndarray:
     g = w.grid
     k = s.scale
@@ -205,7 +204,7 @@ def tile_packet_hat(w: Window, s: Tile) -> np.ndarray:
         raise ValueError("tile frequency interval falls outside the box")
     xi = g.freqs()
     u = math.ldexp(1.0, k) * xi - s.freq.m
-    amp = 2.0 ** (k / 2.0) / math.sqrt(_tile_profile_norm())
+    amp = 2.0 ** (k / 2.0) / math.sqrt(_TILE_PROFILE_NORM)
     phase = np.exp(-2j * np.pi * s.time.center * (xi - s.freq.left))
     return amp * _tile_profile(u) * phase
 
@@ -286,9 +285,7 @@ class Kernel:
 
     grid: Grid
     eta_profile: object = field(repr=False)
-    _khat_cache: dict = field(default_factory=dict, repr=False)
     _ktime_cache: dict = field(default_factory=dict, repr=False)
-    _node_eta: np.ndarray | None = field(default=None, repr=False)
     _autocorrelation: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -300,15 +297,18 @@ class Kernel:
     def khat(self, xi) -> np.ndarray:
         """Autocorrelation (eta * eta~)(xi) by quadrature on the profile."""
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        nodes = -0.5 + (np.arange(_QUAD_NODES) + 0.5) / _QUAD_NODES
-        ev = np.asarray(self.eta_profile(nodes), dtype=float)
         out = np.empty(xi.shape, dtype=float)
         chunk = 1 << 12
         for i in range(0, xi.size, chunk):
             block = xi[i : i + chunk]
-            shifted = self.eta_profile(nodes[None, :] - block[:, None])
-            out[i : i + chunk] = (shifted * ev[None, :]).sum(axis=1) / _QUAD_NODES
+            shifted = self.eta_profile(_NODES[None, :-1] - block[:, None])
+            out[i : i + chunk] = (shifted * self._node_eta[None, :]).sum(axis=1) / _QUAD_NODES
         return out
+
+    @functools.cached_property
+    def _node_eta(self) -> np.ndarray:
+        """eta at the quadrature nodes."""
+        return np.asarray(self.eta_profile(_NODES[:-1]), dtype=float)
 
     def khat_progression(self, xi: np.ndarray, step: float) -> np.ndarray:
         """:meth:`khat` at an arithmetic progression ``xi`` with spacing ``step``.
@@ -344,12 +344,8 @@ class Kernel:
         """sum_m eta(node_(m-s) - frac / N) eta(node_m) / N at index N - 1 - s."""
         if frac == 0.0 and self._autocorrelation is not None:
             return self._autocorrelation
-        if self._node_eta is None:
-            nodes = -0.5 + (np.arange(_QUAD_NODES) + 0.5) / _QUAD_NODES
-            self._node_eta = np.asarray(self.eta_profile(nodes), dtype=float)
         # node N moved down by frac / N can still lie inside [-1/2, 1/2]
-        moved = -0.5 + (np.arange(_QUAD_NODES + 1) + 0.5) / _QUAD_NODES - frac / _QUAD_NODES
-        a = np.asarray(self.eta_profile(moved), dtype=float)
+        a = np.asarray(self.eta_profile(_NODES - frac / _QUAD_NODES), dtype=float)
         corr = np.correlate(a, self._node_eta, "full") / _QUAD_NODES
         if frac == 0.0:
             self._autocorrelation = corr
@@ -362,11 +358,9 @@ class Kernel:
         :meth:`khat_progression`) when 2^k * 4096 / L is an integer, so the
         lattice costs no quadrature; otherwise evaluated by :meth:`khat`.
         """
-        if k not in self._khat_cache:
-            n = self.grid.n
-            step = math.ldexp(1.0, k) * self.grid.dxi
-            self._khat_cache[k] = self.khat_progression(step * np.arange(-(n - 1), n), step)
-        return self._khat_cache[k]
+        n = self.grid.n
+        step = math.ldexp(1.0, k) * self.grid.dxi
+        return self.khat_progression(step * np.arange(-(n - 1), n), step)
 
     def khat_grid(self, k: int) -> np.ndarray:
         """khat(2^k xi_j) over the frequency axis."""
@@ -426,7 +420,6 @@ class ModelFunction:
     window: Window
     kernel: Kernel
     packet_hat: np.ndarray = field(repr=False)
-    packet: np.ndarray = field(repr=False)
 
     @property
     def theta_support(self) -> Interval:
@@ -439,36 +432,25 @@ class ModelFunction:
         """phi_s(x, theta) for all grid x at one theta (any real frequency).
 
         The kernel transform is sampled at 2^k (theta - xi_j), a progression
-        with step -2^k / L.  A theta on the frequency grid reads the scale-k
-        lattice; any other theta takes one correlation of the quadrature
-        nodes (see :meth:`Kernel.khat_progression`).  Both are exact up to
-        summation order when 2^k * 4096 / L is an integer and fall back to
-        the quadrature otherwise.
+        with step -2^k / L, read from one correlation of the quadrature nodes
+        (see :meth:`Kernel.khat_progression`); on the frequency grid that is
+        the kernel's cached autocorrelation.  Exact up to summation order
+        when 2^k * 4096 / L is an integer, the quadrature otherwise.
         """
         g = self.window.grid
-        k = self.tile.scale
-        ratio = theta / g.dxi
-        j0 = round(ratio)
-        if ratio == j0:
-            lat = self.kernel.khat_lattice(k)
-            idx = (g.n - 1) + (j0 + g.n // 2) - np.arange(g.n)
-            kv = lat[idx]
-        else:
-            kv = self.kernel.khat_progression(math.ldexp(1.0, k) * (theta - g.freqs()),
-                                              -math.ldexp(1.0, k) * g.dxi)
+        step = math.ldexp(1.0, self.tile.scale)
+        kv = self.kernel.khat_progression(step * (theta - g.freqs()), -step * g.dxi)
         return idft_values(self.packet_hat * kv, g.dx)
 
     def theta_slice(self, x_index: int) -> np.ndarray:
         """phi_s(x, theta) over all grid thetas at one grid x (FFT path)."""
         g = self.window.grid
-        k = self.tile.scale
-        shifted = np.roll(self.packet, -x_index)
-        return dft_values(shifted * self.kernel.scaled_time(k), g.dx)
+        shifted = np.roll(idft_values(self.packet_hat, g.dx), -x_index)
+        return dft_values(shifted * self.kernel.scaled_time(self.tile.scale), g.dx)
 
 
 def model_function(w: Window, ker: Kernel, s: Tile) -> ModelFunction:
     """Model function of a tile; see :class:`ModelFunction`."""
     if w.grid is not ker.grid and (w.grid.j != ker.grid.j or w.grid.length != ker.grid.length):
         raise ValueError("window and kernel must share a grid")
-    phat = tile_packet_hat(w, s)
-    return ModelFunction(s, w, ker, phat, idft_values(phat, w.grid.dx))
+    return ModelFunction(s, w, ker, tile_packet_hat(w, s))

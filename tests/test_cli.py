@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from timefreq.cli import build_parser, main
+from timefreq.cli import MAX_LOG2_N, build_parser, main
 
 
 def run(argv):
@@ -114,15 +114,42 @@ def test_mm_scan_single_n_reports_nan_slope(tmp_path, n_list):
     assert slopes == {"nan"}
 
 
-@pytest.mark.parametrize("sub,flag", [("frame-check", "--num-sets"), ("exceptional", "--runs"),
-                                      ("tree-bound", "--trials"), ("mm-scan", "--trials")])
-@pytest.mark.parametrize("value", ["0", "-3"])
+# each subcommand's arguments besides the count: rtt-sim has no --J, and tree-select
+# reads a tile file, so an empty tile collection cannot end its run before the count is used
+_COUNT_ARGV = {"rtt-sim": [], "tree-select": ["--J", "8", "--tiles", "TILES"]}
+_COUNT_CASES = [(sub, flag, value)
+                for sub, flag in [("frame-check", "--num-sets"), ("exceptional", "--runs"),
+                                  ("tree-bound", "--trials"), ("mm-scan", "--trials"), ("tails", "--n-max"),
+                                  ("rtt-sim", "--log2-n-max"), ("tree-select", "--family-size")]
+                for value in ["0", "-3"]]
+_COUNT_CASES += [("tails", "--n-max", str((1 << MAX_LOG2_N) + 1)),
+                 ("rtt-sim", "--log2-n-max", str(MAX_LOG2_N + 1))]
+
+
+@pytest.mark.parametrize("sub,flag,value", _COUNT_CASES, ids=[f"{v}-{s}-{f}" for s, f, v in _COUNT_CASES])
 def test_counts_must_be_positive(tmp_path, capsys, sub, flag, value):
+    tiles = tmp_path / "tiles.txt"
+    tiles.write_text("0 1 0 2\n0 2 0 2\n-1 2 1 1\n")
+    argv = [str(tiles) if a == "TILES" else a for a in _COUNT_ARGV.get(sub, ["--J", "8"])]
     with pytest.raises(SystemExit) as exc:
-        run([sub, "--J", "8", flag, value, "--out", str(tmp_path / "x.csv")])
+        run([sub, *argv, flag, value, "--out", str(tmp_path / "x.csv")])
     assert exc.value.code == 2
     assert len(error_lines(capsys)) == 1
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("sub,flag,cap,bench", [("rtt-sim", "--log2-n-max", MAX_LOG2_N, 20),
+                                                ("tails", "--n-max", 1 << MAX_LOG2_N, 500000)])
+def test_orbit_length_caps(capsys, sub, flag, cap, bench):
+    ap = build_parser()
+    assert getattr(ap.parse_args([sub, flag, str(cap)]), flag[2:].replace("-", "_")) == cap
+    assert getattr(ap.parse_args([sub, flag, str(bench)]), flag[2:].replace("-", "_")) == bench
+    with pytest.raises(SystemExit):
+        ap.parse_args([sub, flag, str(cap + 1)])
+    assert f"must be at most {cap}, got {cap + 1}" in error_lines(capsys)[0]
+    with pytest.raises(SystemExit):
+        run([sub, "--help"])
+    assert f"(at most {cap})" in " ".join(capsys.readouterr().out.split())
 
 
 def test_config_values_converted_like_flags(tmp_path):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from timefreq import Grid, SampledFunction, hl_maximal, lp_norm
 from timefreq.ergodic import (
@@ -20,7 +22,25 @@ from timefreq.ergodic import (
     return_times_average,
     single_scale_blowup,
 )
+from timefreq.grid import dft_values, idft_values
 from timefreq.wavepackets import build_kernel
+
+
+def single_scale_average(f, g, ker, x, k):
+    """Oracle: one scale's kernel correlation by 1-D transforms."""
+    grid = f.grid
+    h = np.roll(f.values, -int(round(x / grid.dx))) * ker.scaled_time(k)
+    rev = dft_values(h, grid.dx)[(grid.n - np.arange(grid.n)) % grid.n]
+    return idft_values(dft_values(g.values, grid.dx) * rev, grid.dx)
+
+
+def loop_kernel_average_max(f, g, ker, x, k_list):
+    """Oracle: the pointwise maximum over a loop of single-scale correlations."""
+    out = np.zeros(f.grid.n)
+    for k in k_list:
+        np.maximum(out, np.abs(single_scale_average(f, g, ker, x, k)), out=out)
+    return out
+
 
 GOLDEN = (math.sqrt(5) - 1) / 2
 SQRT2M1 = math.sqrt(2) - 1
@@ -180,6 +200,21 @@ class TestKernelAverage:
         offs = np.arange(g.n)
         direct = np.sum(f.values[(xin + offs) % g.n] * h.values[(xin - offs) % g.n] * kk) * g.dx
         assert abs(lhs - direct) <= 1e-8
+
+    @given(st.integers(6, 10), st.sampled_from([2.0, 4.0, 8.0]), st.floats(0.0, 1.0),
+           st.lists(st.integers(-2, 3), max_size=4), st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_max_matches_per_scale_loop(self, j, length, where, k_list, seed):
+        g = Grid(j, length)
+        ker = build_kernel(g)
+        rng = np.random.default_rng(seed)
+        f = SampledFunction(g, rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n))
+        h = SampledFunction(g, rng.standard_normal(g.n))
+        x = int(where * (g.n - 1)) * g.dx
+        expected = loop_kernel_average_max(f, h, ker, x, k_list)
+        assert np.array_equal(kernel_average_max(f, h, ker, x, k_list).values, expected)
+        for k in k_list:
+            assert np.array_equal(kernel_average(f, h, ker, x, k).values, single_scale_average(f, h, ker, x, k))
 
     def test_max_dominates_scales(self, corr_setup):
         g, ker = corr_setup

@@ -306,7 +306,8 @@ class TestKernelCorrelation:
         assert_same_as_quadrature(ker.khat_lattice(k), slow)
         assert_same_as_quadrature(ker.khat_grid(k), slow[g.n // 2 - 1 : g.n // 2 - 1 + g.n])
 
-    @given(kernel_cases(), st.floats(-0.5, 0.5), st.booleans())
+    # where = +-1 is the edge of the frequency box, so thetas past it are drawn too
+    @given(kernel_cases(), st.floats(-3.0, 3.0), st.booleans())
     @settings(max_examples=25, deadline=None)
     def test_x_slice_matches_quadrature(self, case, where, on_lattice):
         g, ker, k = case
@@ -330,6 +331,18 @@ class TestKernelCorrelation:
         slow = ker.khat(math.ldexp(1.0, k) * (theta - g.freqs()))
         expected = idft(SampledFunction(g, mf.packet_hat * slow)).values
         assert np.max(np.abs(mf.x_slice(theta) - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    # lattice thetas past the box [-32, 32): 32 meets the tile [31, 32) within the kernel
+    # support, -96.625 lies beyond it, so its slice is exactly zero
+    @pytest.mark.parametrize("theta", [32.0, -96.625])
+    def test_x_slice_outside_box(self, theta):
+        g = Grid(9, 8.0)
+        ker = build_kernel(g)
+        mf = model_function(build_window(g, min_freq_samples=8), ker, Tile(DyadicInterval(0, 3), DyadicInterval(0, 31)))
+        expected = idft(SampledFunction(g, mf.packet_hat * ker.khat(theta - g.freqs()))).values
+        got = mf.x_slice(theta)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+        assert np.any(got) == np.any(expected) == (theta > 0)
 
     def test_off_node_spacing_falls_back_to_quadrature(self):
         g = Grid(6, 8.0)

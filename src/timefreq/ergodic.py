@@ -299,8 +299,12 @@ def single_scale_blowup(
     the squared restricted pairing against an L^2-normalized third side,
     maximized over a nested family of dyadic spike widths reaching down to
     ``min_width`` grid cells.  Finer grids only extend the candidate family,
-    so in the unbounded regime the reported values grow with j.
+    so in the unbounded regime the reported values grow with j.  Both
+    exponents must be positive.
     """
+    for name, value in (("p", p), ("q", q)):
+        if not value > 0:
+            raise ValueError(f"exponent {name} must be positive, got {value:g}")
     rows = []
     for j in j_list:
         grid = Grid(j, length)

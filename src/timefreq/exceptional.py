@@ -7,15 +7,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .dyadic import Interval, Tile, TileUniverse, Tree, is_convex, saturation, window_partition, decay_level
-from .grid import Grid, SampledFunction, hl_maximal, lp_norm, random_indicator
+from .grid import Grid, SampledFunction, dft_values, hl_maximal, idft_values, lp_norm, random_indicator
 from .norms import maximal_multiplier_lower
 from .trees import select_forests, tail_variation, tree_coefficients
-from .wavepackets import Kernel, Window, model_function
+from .wavepackets import Kernel, Window, tile_packet_hat
 
 __all__ = [
     "ParameterError",
@@ -230,7 +230,6 @@ def variation_exceptional_set(
     window: Window,
     kernel: Kernel,
     l_decay: float = 10.0,
-    _slice_cache: Optional[dict] = None,
 ) -> GridSet:
     """Union over window trees of scalewise-variation level sets.
 
@@ -240,7 +239,8 @@ def variation_exceptional_set(
     sup |a_s| / |I_s|^(1/2) <= sigma.  The default threshold decay of ten per
     dilation level presumes adaptedness orders the sampled pieces cannot
     reach; callers wanting nontrivial complements at desk scale should pass
-    an ``l_decay`` below the pieces' effective decay order.
+    an ``l_decay`` below the pieces' effective decay order.  The window trees
+    share one x-slice per (tile, top frequency).
     """
     grid = window.grid
     worst = _coefficient_size(coeffs)
@@ -249,12 +249,13 @@ def variation_exceptional_set(
             f"coefficient normalization violated: sup |a|/sqrt|I| = {worst:.6g} > sigma = {sigma:.6g}"
         )
     mask = np.zeros(grid.n, dtype=bool)
+    slices: dict = {}
     for (l, m), trees in sorted(windows.items()):
         alpha = decay_level(l, m)
         thresh = gamma * 2.0 ** (-l_decay * l) * (abs(m) + 1.0) ** (-2.0)
         for tree in trees:
             if tree.tiles:
-                mask |= tail_variation(tree, coeffs, alpha, r, window, kernel, _slice_cache) > thresh
+                mask |= tail_variation(tree, coeffs, alpha, r, window, kernel, slices) > thresh
     return GridSet(grid, mask)
 
 
@@ -275,22 +276,22 @@ def check_pointwise_bound(
     The multiplier family collects, scale by scale, theta -> sum of
     a_s phi_s(x, theta) over tiles of that scale; the returned pair is
     (certified lower bound of its norm, beta^(1/q - 1/r + eps) (gamma + sigma)).
+    Model functions are linear in the packet, so each scale's sum is the
+    :meth:`ModelFunction.theta_slice` of its summed packets, all in one stack.
     """
     rhs = params.beta ** (1.0 / q - 1.0 / r + eps) * (params.gamma + params.sigma)
-    by_scale: dict[int, np.ndarray] = {}
+    packets: dict[int, np.ndarray] = {}
     for s, a in coeffs.items():
-        if a == 0.0:
-            continue
-        mf = model_function(window, kernel, s)
-        vals = a * mf.theta_slice(x_index)
-        if s.scale in by_scale:
-            by_scale[s.scale] += vals
-        else:
-            by_scale[s.scale] = vals
-    if not by_scale:
+        if a != 0.0:
+            packets[s.scale] = packets.get(s.scale, 0.0) + a * tile_packet_hat(window, s)
+    if not packets:
         return 0.0, rhs
-    ms = [by_scale[k] for k in sorted(by_scale)]
-    lhs = maximal_multiplier_lower(ms, window.grid, q, search_budget=search_budget, seed=seed)
+    g = window.grid
+    scales = sorted(packets)
+    summed = idft_values(np.array([packets[k] for k in scales]), g.dx)
+    kt = np.array([kernel.scaled_time(k) for k in scales])
+    ms = dft_values(np.roll(summed, -x_index, axis=-1) * kt, g.dx)
+    lhs = maximal_multiplier_lower(ms, g, q, search_budget=search_budget, seed=seed)
     return lhs, rhs
 
 
@@ -376,7 +377,6 @@ def run_pipeline(
     estar = GridSet(grid, eset.mask.copy())
     if escaping:
         dec = select_forests(escaping, f, family_size=family_size, check_convexity=False)
-        slice_cache: dict = {}
         first_level = None  # (coefficients, parameters) of the first level
         for forest in dec.levels[:max_levels]:
             params = ledger.level(forest.level)
@@ -395,10 +395,8 @@ def run_pipeline(
                 for l in range(max_window_l + 1):
                     for m, wtree in window_partition(g_tiles, tree, l).items():
                         windows.setdefault((l, m), []).append(wtree)
-            e2 = variation_exceptional_set(
-                windows, coeffs, params.gamma, r, params.sigma, window, kernel,
-                l_decay=window_decay, _slice_cache=slice_cache,
-            )
+            e2 = variation_exceptional_set(windows, coeffs, params.gamma, r, params.sigma, window, kernel,
+                                           l_decay=window_decay)
             estar = estar.union(e1).union(e2)
             report.level_rows.append(
                 (forest.level, params.sigma, beta_eff, params.gamma,

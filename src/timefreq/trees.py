@@ -18,9 +18,9 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .dyadic import Forest, Tile, Tree, is_convex, tiles_to_text
-from .grid import SampledFunction, dft_values, lp_norm_values
+from .grid import Grid, SampledFunction, dft_values, lp_norm_values
 from .norms import per_tile_sizes, tile_size, variational_norm_field
-from .wavepackets import Kernel, ModelFunction, Window, model_function, smooth_step, tile_packet_hat
+from .wavepackets import Kernel, Window, model_function, smooth_step, tile_packet_hat
 
 __all__ = [
     "ForestDecomposition",
@@ -158,72 +158,47 @@ class TreePieces:
     keeps the top-frequency mean of the local part plus everything outside,
     gains 2^(-M level) decay for every M, and is the piece entering the
     variational sums.  The two parts add back to the model function exactly.
-
-    The slices take the model function's x-slice ``phi_vals`` at theta; the
-    model function itself (``model``) is built from the window and kernel on
-    first use only, so a caller that passes ``phi_vals`` never builds it.
+    Both slices take the model function's x-slice ``phi_vals`` at one theta.
     """
 
     tile: Tile
     top_freq: float
     level: int
-    window: Window = field(repr=False)
-    kernel: Kernel = field(repr=False)
+    grid: Grid = field(repr=False)
     cutoff: np.ndarray = field(repr=False)
     cutoff_integral: float = 0.0
-    _model: Optional[ModelFunction] = field(default=None, repr=False)
-
-    @property
-    def model(self) -> ModelFunction:
-        if self._model is None:
-            self._model = model_function(self.window, self.kernel, self.tile)
-        return self._model
 
     def _mean_term(self, phi_vals: np.ndarray) -> np.ndarray:
-        g = self.window.grid
-        xs = g.xs()
-        osc = np.exp(-2j * np.pi * self.top_freq * xs)
+        g = self.grid
+        osc = np.exp(-2j * np.pi * self.top_freq * g.xs())
         amount = np.sum(phi_vals * osc * self.cutoff) * g.dx
         return np.conj(osc) * self.cutoff * (amount / self.cutoff_integral)
 
-    def tail_slice(self, theta: float, phi_vals: Optional[np.ndarray] = None) -> np.ndarray:
-        if phi_vals is None:
-            phi_vals = self.model.x_slice(theta)
+    def tail_slice(self, phi_vals: np.ndarray) -> np.ndarray:
         if self.level == 0:
             return phi_vals
         return self._mean_term(phi_vals) + phi_vals * (1.0 - self.cutoff)
 
-    def local_slice(self, theta: float, phi_vals: Optional[np.ndarray] = None) -> np.ndarray:
-        if phi_vals is None:
-            phi_vals = self.model.x_slice(theta)
+    def local_slice(self, phi_vals: np.ndarray) -> np.ndarray:
         if self.level == 0:
             return np.zeros_like(phi_vals)
         return phi_vals * self.cutoff - self._mean_term(phi_vals)
 
 
-def tree_decompose(
-    s: Tile,
-    tree: Tree,
-    level: int,
-    window: Window,
-    kernel: Kernel,
-    model: Optional[ModelFunction] = None,
-) -> TreePieces:
+def tree_decompose(s: Tile, tree: Tree, level: int, grid: Grid) -> TreePieces:
     """Build the two pieces of the model function of s relative to the tree.
 
     At level zero the tail piece is the whole model function.  The local
     cutoff is the L-infinity-normalized dilation of the canonical time cutoff
     to 2^level |I_s| about the center of I_s, with distances wrapped on the
-    period.  ``model``, when given, is the model function of s; otherwise it
-    is built only when a slice is asked for without its x-slice values.
+    period.
     """
     if level < 0:
         raise ValueError("decomposition level must be >= 0")
-    g = window.grid
     width = math.ldexp(s.time.length, level)
-    cutoff = time_cutoff(g.wrapped_dist(g.xs(), s.time.center) / width)
-    integral = float(np.sum(cutoff) * g.dx)
-    return TreePieces(s, tree.top_freq, level, window, kernel, cutoff, integral, model)
+    cutoff = time_cutoff(grid.wrapped_dist(grid.xs(), s.time.center) / width)
+    integral = float(np.sum(cutoff) * grid.dx)
+    return TreePieces(s, tree.top_freq, level, grid, cutoff, integral)
 
 
 def tree_coefficients(tree: Tree, f: SampledFunction, window: Window) -> dict[Tile, complex]:
@@ -243,8 +218,8 @@ def tail_variation(tree: Tree, coeffs: dict[Tile, complex], level: int, r: float
 
     Tail pieces are taken at ``level``; tiles that ``coeffs`` lacks or maps to
     zero add nothing.  A tile's x-slice is built once and kept in
-    ``slice_cache`` under (tile, top frequency), so a cache shared across
-    calls builds one model function per key.  The tree must have a tile.
+    ``slice_cache`` under (tile, top frequency), so trees sharing a cache
+    build one model function per key.  The tree must have a tile.
     """
     cache = {} if slice_cache is None else slice_cache
     scales = tree.scales()
@@ -254,11 +229,10 @@ def tail_variation(tree: Tree, coeffs: dict[Tile, complex], level: int, r: float
             a = coeffs.get(s, 0.0)
             if a == 0.0:
                 continue
-            pieces = tree_decompose(s, tree, level, window, kernel)
             key = (s, tree.top_freq)
             if key not in cache:
-                cache[key] = pieces.model.x_slice(tree.top_freq)
-            fields[i] += a * pieces.tail_slice(tree.top_freq, phi_vals=cache[key])
+                cache[key] = model_function(window, kernel, s).x_slice(tree.top_freq)
+            fields[i] += a * tree_decompose(s, tree, level, window.grid).tail_slice(cache[key])
     return variational_norm_field(fields, r)
 
 

@@ -90,7 +90,6 @@ class Window:
     grid: Grid
     smoothness: float
     phat: np.ndarray = field(repr=False)
-    phi: SampledFunction = field(repr=False)
 
     def bump(self, xi) -> np.ndarray:
         return partition_bump(xi, self.smoothness)
@@ -99,7 +98,12 @@ class Window:
         return np.sqrt(self.bump(xi))
 
     def frame_deviation(self) -> float:
-        """max over grid frequencies of |sum_l |phat(xi - l/2)|^2 - C|."""
+        """max over grid frequencies of |sum_l |phat(xi - l/2)|^2 - C|.
+
+        The half-integer shifts must be whole grid steps, so L must be at least 2.
+        """
+        if self.grid.length < 2:
+            raise ValueError(f"the frame deviation needs box length L >= 2, got L = {self.grid.length:g}")
         b = self.bump(self.grid.freqs())
         shift = round(0.5 / self.grid.dxi)
         total = np.zeros_like(b)
@@ -143,11 +147,7 @@ def build_window(grid: Grid, smoothness: float = DEFAULT_ORDER, min_freq_samples
         raise ValueError("frequency box must contain [0, 1]")
     if smoothness <= 0:
         raise ValueError("smoothness must be positive")
-    xi = grid.freqs()
-    b = partition_bump(xi, smoothness)
-    phat = np.sqrt(b)
-    phi = idft(SampledFunction(grid, phat.astype(np.complex128)))
-    return Window(grid, smoothness, phat, phi)
+    return Window(grid, smoothness, np.sqrt(partition_bump(grid.freqs(), smoothness)))
 
 
 def wave_packet(w: Window, k: int, m: int, l: float) -> SampledFunction:

@@ -142,12 +142,12 @@ def test_criterion_3_tree_decomposition(fine_setup):
         mf = model_function(w, ker, s)
         sup = mf.theta_support
         for level in (1, 2, 3):
-            pieces = tree_decompose(s, tree, level, w, ker, model=mf)
+            pieces = tree_decompose(s, tree, level, g)
             for frac in (0.3, 0.6):
                 theta = sup.a + frac * sup.length
                 phi = mf.x_slice(theta)
-                tail = pieces.tail_slice(theta, phi)
-                local = pieces.local_slice(theta, phi)
+                tail = pieces.tail_slice(phi)
+                local = pieces.local_slice(phi)
                 scale = max(1.0, float(np.max(np.abs(phi))))
                 worst_sum = max(worst_sum, float(np.max(np.abs(local + tail - phi))) / scale)
                 mean = abs(np.sum(tail * osc) * g.dx)
@@ -157,8 +157,8 @@ def test_criterion_3_tree_decomposition(fine_setup):
         weight = interval_weight(s.time.to_interval(), xs, 4.0, period=g.length)
         envs = []
         for level in range(1, 5):
-            pieces = tree_decompose(s, tree, level, w, ker)
-            tail = pieces.tail_slice(tree.top_freq)
+            pieces = tree_decompose(s, tree, level, g)
+            tail = pieces.tail_slice(model_function(w, ker, s).x_slice(tree.top_freq))
             envs.append(np.max(np.abs(tail) * weight) * math.sqrt(s.time.length))
         slopes.append(np.polyfit(range(1, 5), np.log2(envs), 1)[0])
     ok = worst_sum <= 1e-12 and worst_mean <= 1e-8 and max(slopes) <= -3.5

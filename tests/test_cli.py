@@ -1,10 +1,15 @@
 import argparse
+import contextlib
 import csv
+import io
 import json
+import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from timefreq.cli import MAX_LOG2_N, build_parser, main
 
@@ -237,6 +242,8 @@ def test_csv_header_matches_help_epilog(tmp_path, capsys, sub):
     (["tree-select", "--J", "4", "--L", "2"], "(J >= 6), got J = 4"),
     (["tree-bound", "--L", "4"], "needs --L >= 8, got 4"),
     (["exceptional", "--J", "6", "--L", "8", "--runs", "1"], "raise --J or lower --L"),
+    (["frame-check", "--J", "6", "--L", "1"], "needs box length L >= 2, got L = 1"),
+    (["frame-check", "--J", "6", "--L", "0.5"], "needs box length L >= 2, got L = 0.5"),
 ])
 def test_too_small_grid_diagnosed(tmp_path, capsys, argv, message):
     out = tmp_path / "x.csv"
@@ -244,3 +251,80 @@ def test_too_small_grid_diagnosed(tmp_path, capsys, argv, message):
     errors = error_lines(capsys)
     assert len(errors) == 1 and message in errors[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--p", "0"], "exponent p must be positive, got 0"),
+    (["--q", "0"], "exponent q must be positive, got 0"),
+    (["--p", "-1.5"], "exponent p must be positive, got -1.5"),
+])
+def test_blowup_exponents_must_be_positive(tmp_path, capsys, argv, message):
+    out = tmp_path / "x.csv"
+    assert run(["blowup", "--J-list", "8", *argv, "--out", str(out)]) == 2
+    errors = error_lines(capsys)
+    assert len(errors) == 1 and message in errors[0]
+    assert not out.exists()
+
+
+def _small_list(values, max_size=3):
+    return st.lists(st.sampled_from(values), min_size=1, max_size=max_size).map(
+        lambda xs: ",".join(str(x) for x in xs))
+
+
+def _valid_or_not(valid, invalid):
+    """Half the draws from the usual values, half from zero, negative or odd ones."""
+    return st.one_of(st.sampled_from(valid), st.sampled_from(invalid))
+
+
+_J = _valid_or_not(["7", "8", "9"], ["-1", "0", "1", "4", "6"])
+_L = _valid_or_not(["4", "8", "16"], ["-2", "0", "0.5", "1", "2", "3"])
+_ONE = _valid_or_not(["1"], ["-1", "0"])
+_EXPONENT = _valid_or_not(["1.5", "1.6", "3"], ["-1", "0", "0.5", "1", "2"])
+# option strategies of each subcommand, beside --out; tree-select's TILES is the fuzz tile file
+_FUZZ_OPTIONS = {
+    "frame-check": {"--J": _J, "--L": _L, "--num-sets": _ONE, "--k-list": _small_list(range(-3, 4))},
+    "tree-select": {"--J": _J, "--L": _L, "--family-size": _ONE, "--tiles": st.just("TILES")},
+    "tree-bound": {"--J": _J, "--L": _L, "--trials": _ONE, "--l-list": _small_list(range(-1, 3)),
+                   "--r": _EXPONENT, "--t": _EXPONENT},
+    "mm-scan": {"--J": _J, "--L": _L, "--trials": _ONE, "--N": _small_list([-2, 0, 1, 2, 4]),
+                "--q": _EXPONENT, "--r": _EXPONENT, "--eps": st.sampled_from(["-0.01", "0", "0.01"])},
+    "exceptional": {"--J": _J, "--L": _L, "--runs": _ONE, "--p": _EXPONENT, "--q": _EXPONENT,
+                    "--lam": _valid_or_not(["0.25", "0.5", "1"], ["-0.5", "0", "2"])},
+    "rtt-sim": {"--log2-n-max": st.sampled_from(["-1", "0", "1", "6"]), "--r": _EXPONENT},
+    "blowup": {"--p": _EXPONENT, "--q": _EXPONENT, "--J-list": _small_list([-1, 0, 2, 6, 8, 9], 2)},
+    "tails": {"--J": _J, "--L": _L, "--n-max": st.sampled_from(["-1", "0", "1", "50"]),
+              "--sharpness": _small_list([-0.1, 0, 0.02, 0.5])},
+}
+# the options that set a run's size are always given, so no draw runs at a default size
+_FUZZ_SIZES = {"--num-sets", "--family-size", "--trials", "--runs", "--log2-n-max", "--n-max", "--J-list"}
+
+
+@st.composite
+def fuzz_argv(draw):
+    """A subcommand, its size options and a drawn subset of its other options, all small values."""
+    sub = draw(st.sampled_from(sorted(_FUZZ_OPTIONS)))
+    argv = [sub]
+    for flag, values in _FUZZ_OPTIONS[sub].items():
+        if flag in _FUZZ_SIZES or draw(st.booleans()):
+            argv += [flag, draw(values)]
+    return argv
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(fuzz_argv())
+def test_fuzz_small_argv(argv):
+    """Any small-valued argv ends with exit code 0, 1 or 2, no traceback and at most one error line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tiles = Path(tmp) / "tiles.txt"
+        tiles.write_text("0 1 0 2\n-1 2 1 1\n-1 3 1 -2\n")
+        argv = [str(tiles) if a == "TILES" else a for a in argv] + ["--out", str(Path(tmp) / "x.csv")]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                code = run(argv)
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 1, 2), argv
+    lines = err.getvalue().splitlines()
+    assert not any(line.startswith("Traceback") for line in lines), argv
+    assert sum("error:" in line for line in lines) <= 1, argv

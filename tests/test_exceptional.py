@@ -1,8 +1,12 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import timefreq.exceptional as exceptional_mod
 from timefreq import Grid, SampledFunction, hl_maximal, lp_norm
 from timefreq.dyadic import DyadicInterval, Interval, Tile, TileUniverse, Tree, is_convex
 from timefreq.exceptional import (
@@ -20,7 +24,7 @@ from timefreq.exceptional import (
 )
 from timefreq.norms import variational_norm
 from timefreq.trees import tree_decompose
-from timefreq.wavepackets import build_kernel, build_window
+from timefreq.wavepackets import build_kernel, build_window, model_function
 
 
 @pytest.fixture(scope="module")
@@ -265,8 +269,8 @@ class TestVariationSet:
         fields = np.zeros((len(scales), g.n), dtype=np.complex128)
         for i, k in enumerate(scales):
             for s in tree.tiles_at_scale(k):
-                pieces = tree_decompose(s, tree, 0, w, ker)
-                fields[i] += coeffs[s] * pieces.tail_slice(tree.top_freq)
+                pieces = tree_decompose(s, tree, 0, g)
+                fields[i] += coeffs[s] * pieces.tail_slice(model_function(w, ker, s).x_slice(tree.top_freq))
         for xin in rng.integers(0, g.n, 50):
             vr = variational_norm(fields[:, xin], 3.0).value
             assert (vr > gamma) == bool(es.mask[xin])
@@ -297,6 +301,79 @@ class TestPointwiseBound:
                                          search_budget=25, seed=1)
         assert 0.0 < lhs and rhs > 0.0
         assert lhs / rhs < 10.0  # calibration ratio stays moderate
+
+
+def loop_pointwise_multipliers(x_index, coeffs, w, ker):
+    """Oracle: per scale, the sum over its tiles of a_s times the theta-slice of the tile's model function."""
+    by_scale = {}
+    for s, a in coeffs.items():
+        if a == 0.0:
+            continue
+        vals = a * model_function(w, ker, s).theta_slice(x_index)
+        if s.scale in by_scale:
+            by_scale[s.scale] += vals
+        else:
+            by_scale[s.scale] = vals
+    return [by_scale[k] for k in sorted(by_scale)]
+
+
+@functools.lru_cache(maxsize=None)
+def _window_kernel(j, length):
+    g = Grid(j, length)
+    return build_window(g, min_freq_samples=int(length)), build_kernel(g)
+
+
+@st.composite
+def pointwise_cases(draw):
+    """A grid (J 7..10, L 4..16), 1..10 distinct tiles of scales -2..1 inside its box,
+    zero-coefficient flags for all tiles but the first, a coefficient seed and a grid point.
+
+    The point lies in the first tile's time interval, whose coefficient is
+    nonzero: at points many tile lengths from every tile the multipliers are
+    packet tails of about 1e-7, and the two paths differ there only by
+    roundoff of the packets' size.
+    """
+    j = draw(st.integers(7, 10))
+    length = 2.0 ** draw(st.integers(2, 4))
+    fh = 2.0 ** (j - 1) / length
+    tiles = []
+    for _ in range(draw(st.integers(1, 10))):
+        k = draw(st.integers(-2, 1))
+        mt = draw(st.integers(0, int(length / 2.0**k) - 1))
+        nf = int(fh * 2.0**k)
+        mf = draw(st.integers(-nf, nf - 1))
+        tiles.append(Tile(DyadicInterval(k, mt), DyadicInterval(-k, mf)))
+    tiles = list(dict.fromkeys(tiles))
+    zeros = [False] + draw(st.lists(st.booleans(), min_size=len(tiles) - 1, max_size=len(tiles) - 1))
+    g = Grid(j, length)
+    lo, hi = g.index_range(tiles[0].time.left, tiles[0].time.right)
+    return j, length, tiles, zeros, draw(st.integers(0, 2**31 - 1)), draw(st.integers(lo, hi - 1))
+
+
+class TestPointwiseOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(pointwise_cases())
+    def test_multipliers_match_per_tile_loop(self, case):
+        j, length, tiles, zeros, seed, x_index = case
+        w, ker = _window_kernel(j, length)
+        rng = np.random.default_rng(seed)
+        coeffs = {s: 0.0 if zero else complex(rng.standard_normal(), rng.standard_normal())
+                  for s, zero in zip(tiles, zeros)}
+        captured = []
+
+        def capture(ms, grid, q, search_budget, seed):
+            captured.append(np.array(ms))
+            return 0.0
+
+        params = level_params(1.6, 1.5, 0.01, 0.5, 2)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exceptional_mod, "maximal_multiplier_lower", capture)
+            check_pointwise_bound(x_index, coeffs, params, 1.5, 3.0, 0.01, w, ker)
+        want = loop_pointwise_multipliers(x_index, coeffs, w, ker)
+        (got,) = captured
+        assert got.shape == (len(want), w.grid.n)
+        scale = max(np.max(np.abs(m)) for m in want)
+        assert np.max(np.abs(got - np.array(want))) <= 1e-12 * scale
 
 
 class TestPipeline:

@@ -16,7 +16,7 @@ from timefreq.trees import (
     tree_decompose,
     tree_variation_report,
 )
-from timefreq.wavepackets import build_kernel, build_window, model_function, tile_packet
+from timefreq.wavepackets import ModelFunction, build_kernel, build_window, model_function, tile_packet
 
 
 @pytest.fixture(scope="module")
@@ -113,29 +113,29 @@ class TestTreeDecompose:
             mf = model_function(w, ker, s)
             sup = mf.theta_support
             for level in (0, 1, 2, 3):
-                pieces = tree_decompose(s, tree, level, w, ker, model=mf)
+                pieces = tree_decompose(s, tree, level, g)
                 for frac in (0.25, 0.7):
                     theta = sup.a + frac * sup.length
                     phi = mf.x_slice(theta)
-                    total = pieces.local_slice(theta, phi) + pieces.tail_slice(theta, phi)
+                    total = pieces.local_slice(phi) + pieces.tail_slice(phi)
                     assert np.max(np.abs(total - phi)) <= 1e-12 * max(1.0, np.max(np.abs(phi)))
 
     def test_level_zero_is_whole_model(self, setup11):
         g, w, ker = setup11
         tree = left_aligned_tree(mt=14)
         s = next(iter(tree.tiles))
-        pieces = tree_decompose(s, tree, 0, w, ker)
-        phi = pieces.model.x_slice(tree.top_freq)
-        assert np.array_equal(pieces.tail_slice(tree.top_freq, phi), phi)
-        assert np.max(np.abs(pieces.local_slice(tree.top_freq, phi))) == 0.0
+        pieces = tree_decompose(s, tree, 0, g)
+        phi = model_function(w, ker, s).x_slice(tree.top_freq)
+        assert np.array_equal(pieces.tail_slice(phi), phi)
+        assert np.max(np.abs(pieces.local_slice(phi))) == 0.0
 
     def test_local_piece_support(self, setup11):
         g, w, ker = setup11
         tree = left_aligned_tree(mt=14)
         s = tree.top_tile
         for level in (1, 2, 3):
-            pieces = tree_decompose(s, tree, level, w, ker)
-            loc = pieces.local_slice(tree.top_freq)
+            pieces = tree_decompose(s, tree, level, g)
+            loc = pieces.local_slice(model_function(w, ker, s).x_slice(tree.top_freq))
             dist = g.wrapped_dist(g.xs(), s.time.center)
             outside = dist > math.ldexp(s.time.length, level - 1) + g.dx
             assert np.max(np.abs(loc[outside])) == 0.0
@@ -149,10 +149,10 @@ class TestTreeDecompose:
             mf = model_function(w, ker, s)
             sup = mf.theta_support
             for level in (1, 2, 3):
-                pieces = tree_decompose(s, tree, level, w, ker, model=mf)
+                pieces = tree_decompose(s, tree, level, g)
                 for frac in (0.3, 0.6):
                     theta = sup.a + frac * sup.length
-                    tail = pieces.tail_slice(theta)
+                    tail = pieces.tail_slice(mf.x_slice(theta))
                     mean = abs(np.sum(tail * osc) * g.dx)
                     l1 = np.sum(np.abs(tail)) * g.dx
                     assert mean <= 1e-8 * l1
@@ -164,8 +164,8 @@ class TestTreeDecompose:
             weight = interval_weight(s.time.to_interval(), g.xs(), 4.0, period=g.length)
             envs = []
             for level in range(1, 5):
-                pieces = tree_decompose(s, tree, level, w, ker)
-                tail = pieces.tail_slice(tree.top_freq)
+                pieces = tree_decompose(s, tree, level, g)
+                tail = pieces.tail_slice(model_function(w, ker, s).x_slice(tree.top_freq))
                 envs.append(np.max(np.abs(tail) * weight) * math.sqrt(s.time.length))
             slope = np.polyfit(range(1, 5), np.log2(envs), 1)[0]
             assert slope <= -3.5
@@ -178,8 +178,9 @@ class TestTreeDecompose:
         mf = model_function(w, ker, s)
         h = g.dxi / 4.0
         theta0 = tree.top_freq + 0.3
-        pieces = tree_decompose(s, tree, 1, w, ker, model=mf)
-        d_tail = (pieces.tail_slice(theta0 + h) - pieces.tail_slice(theta0 - h)) / (2 * h)
+        pieces = tree_decompose(s, tree, 1, g)
+        tail_plus, tail_minus = (pieces.tail_slice(mf.x_slice(theta0 + d)) for d in (h, -h))
+        d_tail = (tail_plus - tail_minus) / (2 * h)
         weight = interval_weight(s.time.to_interval(), g.xs(), 4.0, period=g.length)
         env = np.max(np.abs(d_tail) * weight) / math.sqrt(s.time.length)
         assert env <= 50.0  # fitted once; scales with |I_s|^(1/2) per the envelope form
@@ -293,25 +294,19 @@ class TestTailVariation:
         from timefreq.exceptional import variation_exceptional_set
 
         g, w, ker = setup9
-        built = []
-        real = trees_mod.model_function
-
-        def counting(window, kernel, s):
-            built.append(s)
-            return real(window, kernel, s)
-
-        monkeypatch.setattr(trees_mod, "model_function", counting)
+        built, sliced = [], []
+        real_build, real_slice = trees_mod.model_function, ModelFunction.x_slice
+        monkeypatch.setattr(trees_mod, "model_function",
+                            lambda window, kernel, s: built.append(s) or real_build(window, kernel, s))
+        monkeypatch.setattr(ModelFunction, "x_slice",
+                            lambda mf, theta: sliced.append((mf.tile, theta)) or real_slice(mf, theta))
         tree = left_aligned_tree(mt=3)
         other = Tree.with_top_tile(tree.top_tile, tree.tiles, top_freq=4.5)
         zero = next(s for s in tree.tiles if s.scale == -2)
         coeffs = {s: (0.0 if s == zero else 0.3) * math.sqrt(s.time.length) for s in tree.tiles}
         # the same tree under two window keys, and the same tiles under a second top frequency
         windows = {(0, 0): [tree], (1, 0): [tree, other]}
-        cache = {}
-        first = variation_exceptional_set(windows, coeffs, 0.05, 3.0, 1.0, w, ker, _slice_cache=cache)
+        variation_exceptional_set(windows, coeffs, 0.05, 3.0, 1.0, w, ker)
         distinct = {(s, t.top_freq) for t in (tree, other) for s in t.tiles if s != zero}
-        assert len(built) == len(distinct) == 6
-        assert {(s, t) for s, t in cache} == distinct
-        again = variation_exceptional_set(windows, coeffs, 0.05, 3.0, 1.0, w, ker, _slice_cache=cache)
-        assert len(built) == 6  # a shared cache builds nothing more
-        assert np.array_equal(first.mask, again.mask)
+        assert len(built) == len(sliced) == len(distinct) == 6
+        assert set(sliced) == distinct

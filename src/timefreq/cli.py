@@ -361,8 +361,9 @@ def main(argv=None) -> int:
             sp.set_defaults(**_config_defaults(sp, args.config))
             args = ap.parse_args(argv)  # flags given on the command line win
         return args.func(args)
-    except (ParameterError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ParameterError, ValueError, OSError, MemoryError) as exc:
+        why = f"{args.command} ran out of memory; lower its sizes" if isinstance(exc, MemoryError) else exc
+        print(f"error: {why}", file=sys.stderr)
         return 2
 
 

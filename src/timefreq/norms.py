@@ -13,7 +13,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .dyadic import Interval, Tile
-from .grid import Grid, SampledFunction, _fft, _ifft, dft, idft_values, lp_norm_values, wrapped_distance
+from .grid import Grid, SampledFunction, _fft, _ifft, dft, idft_values, wrapped_distance
 
 __all__ = [
     "VariationResult",
@@ -202,16 +202,34 @@ def bump_values(bumps: Sequence[AdaptedBump], xi) -> np.ndarray:
 # maximal multiplier norm, lower estimation
 
 
-def _mm_objective(ms, grid, q, ghat):
-    """Objective value, fields and argmax scale; spectra ``ms``, ``ghat`` in FFT order."""
-    fields = _ifft(ms * ghat, grid.dx)
-    sup = np.abs(fields).max(axis=0)
-    argmax = np.abs(fields).argmax(axis=0)
-    g = _ifft(ghat, grid.dx)
-    gq = lp_norm_values(g, grid.dx, q)
-    if gq == 0.0:
-        return 0.0, None, None
-    return lp_norm_values(sup, grid.dx, q) / gq, fields, argmax
+def _dual_map(v: np.ndarray, p: float) -> np.ndarray:
+    """Duality map |v / max|v||^(p-1) sign(v) of each row; a zero row maps to zero."""
+    a = np.abs(v)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        scaled = np.where(a > 0, (a / a.max(axis=-1, keepdims=True)) ** (p - 1.0), 0.0)
+        phase = np.where(a > 0, v / a, 0.0)
+    return scaled * phase
+
+
+def _lp_rows(a: np.ndarray, dx: float, q: float) -> np.ndarray:
+    """``grid.lp_norm_values`` of each row of ``a`` >= 0; the root is scalar, as array pow can differ."""
+    return np.array([float(s) ** (1.0 / q) for s in np.sum(a**q, axis=-1) * dx])
+
+
+def _search_starts(ms: np.ndarray, search_budget: int) -> list[np.ndarray]:
+    """Matched and bump starts per nonzero multiplier, then the spike and the constant, in FFT order."""
+    n = ms.shape[-1]
+    starts = []
+    for m in ms[: max(1, search_budget // 6)]:
+        a = np.abs(m)
+        if a.max() > 0:
+            peak = int(np.argmax(a))
+            bump = np.zeros(n, dtype=np.complex128)
+            bump[max(0, peak - 4) : min(n, peak + 5)] = 1.0
+            starts += [np.conj(m) / a.max(), bump]
+    flat = np.zeros(n, dtype=np.complex128)
+    flat[n // 2] = 1.0
+    return [np.fft.ifftshift(c) for c in starts + [flat, np.ones(n, dtype=np.complex128)]]
 
 
 def maximal_multiplier_lower(
@@ -220,90 +238,64 @@ def maximal_multiplier_lower(
     q: float,
     search_budget: int = 60,
     seed: int = 0,
-) -> float:
-    """Certified lower bound on the maximal-multiplier norm of a family.
+) -> float | np.ndarray:
+    """Certified lower bound on the maximal-multiplier norm of a family, or of each family of a stack.
 
     The norm is sup over unit-L^q functions g of || sup_k |T_{m_k} g| ||_q.
+    One ``(m, n)`` family gives a float; a ``(P, m, n)`` stack gives P bounds.
     Every candidate evaluation is a valid lower bound; the search combines
     matched frequency bumps, random restarts, and a nonlinear power iteration
     on the linearized (argmax-frozen) operator, and is deterministic given
-    the seed.  ``search_budget`` caps the number of objective evaluations.
-    The search runs on spectra in FFT order: the family and every candidate
-    are unshifted once, so no step pays for a shift.
+    the seed.  Each of the ``search_budget`` passes makes one evaluation per
+    family, a fresh start or an ascent step, so a stack's families run in
+    lockstep, each with its own starts, ascent and random stream, and get the
+    bounds they get alone.  Spectra are searched in FFT order, unshifted once.
     """
     if not 1 <= q:
         raise ValueError("q must be >= 1")
-    ms = np.array([np.asarray(m, dtype=np.complex128) for m in multipliers]).reshape(-1, grid.n)
-    if not np.any(ms):
-        return 0.0
-    rng = np.random.default_rng(seed)
-    qq = q / (q - 1.0) if q > 1 else math.inf
-
-    def dual_map(v: np.ndarray, p: float) -> np.ndarray:
-        a = np.abs(v)
-        top = a.max()
-        if top == 0.0:
-            return v
-        with np.errstate(invalid="ignore", divide="ignore"):
-            scaled = np.where(a > 0, (a / top) ** (p - 1.0), 0.0)
-            phase = np.where(a > 0, v / a, 0.0)
-        return scaled * phase
-
-    candidates: list[np.ndarray] = []
-    n = grid.n
-    for m in ms[: max(1, search_budget // 6)]:
-        a = np.abs(m)
-        if a.max() > 0:
-            candidates.append(np.conj(m) / a.max())
-            peak = int(np.argmax(a))
-            bump = np.zeros(n, dtype=np.complex128)
-            lo, hi = max(0, peak - 4), min(n, peak + 5)
-            bump[lo:hi] = 1.0
-            candidates.append(bump)
-    flat = np.zeros(n, dtype=np.complex128)
-    flat[n // 2] = 1.0
-    candidates.append(flat)
-    candidates.append(np.ones(n, dtype=np.complex128))
+    n, dx = grid.n, grid.dx
+    ms = np.asarray(multipliers, dtype=np.complex128)
+    single = ms.ndim < 3
+    ms = ms.reshape(1, -1, n) if single else ms
+    count, m = ms.shape[:2]
+    if m == 0:  # an empty family has norm 0
+        return 0.0 if single else np.zeros(count)
+    starts = [_search_starts(family, search_budget) for family in ms]
+    rngs = [np.random.default_rng(seed) for _ in range(count)]
     ms = np.fft.ifftshift(ms, axes=-1)
-    stack = [np.fft.ifftshift(c) for c in candidates]
-
-    best = 0.0
-    evals = 0
-
-    def consider(ghat: np.ndarray) -> tuple[float, object, object]:
-        nonlocal best, evals
-        evals += 1
-        val, fields, argmax = _mm_objective(ms, grid, q, ghat)
-        if val > best:
-            best = val
-        return val, fields, argmax
-
-    while evals < search_budget:
-        if stack:
-            ghat = stack.pop(0)
-        else:
-            ghat = np.fft.ifftshift(rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        val, fields, argmax = consider(ghat)
-        if fields is None:
-            continue
-        # power-type ascent on the frozen-argmax linearization
-        for _ in range(3):
-            if evals >= search_budget:
-                break
-            sup_field = fields[argmax, np.arange(n)]
-            u = dual_map(sup_field, q)
-            masked = u * (argmax == np.arange(len(ms))[:, None]).astype(np.complex128)
-            what = np.zeros(n, dtype=np.complex128)
-            for m, spectrum in zip(ms, _fft(masked, grid.dx)):
-                what += np.conj(m) * spectrum
-            if np.max(np.abs(what)) == 0.0:
-                break
-            gnew_time = dual_map(_ifft(what, grid.dx), qq if q > 1 else 2.0)
-            ghat = _fft(gnew_time, grid.dx)
-            val, fields, argmax = consider(ghat)
-            if fields is None:
-                break
-    return best
+    conj = np.conj(ms)
+    dual = q / (q - 1.0) if q > 1 else 2.0
+    buf = np.empty((count, m + 1, n), dtype=np.complex128)  # rows :m hold the fields T_{m_k} g, row m holds g
+    ghat = np.empty((count, n), dtype=np.complex128)
+    climbs = np.zeros(count, dtype=int)  # ascent steps left after the last evaluation
+    best = np.zeros(count)
+    for _ in range(search_budget):
+        up = np.flatnonzero(climbs)
+        if up.size:  # power-type ascent on the frozen-argmax linearization
+            frozen = argmax[up, None, :]
+            u = _dual_map(np.take_along_axis(buf[up, :m], frozen, axis=1)[:, 0], q)
+            masked = u[:, None, :] * (frozen == np.arange(m)[:, None]).astype(np.complex128)
+            what = (conj[up] * _fft(masked, dx)).sum(axis=1)
+            live = what.any(axis=-1)
+            climbs[up[~live]] = 0
+            ghat[up[live]] = _fft(_dual_map(_ifft(what[live], dx), dual), dx)
+        for p in np.flatnonzero(climbs == 0):
+            if starts[p]:
+                ghat[p] = starts[p].pop(0)
+            else:
+                ghat[p] = np.fft.ifftshift(rngs[p].standard_normal(n) + 1j * rngs[p].standard_normal(n))
+        np.multiply(ms, ghat[:, None, :], out=buf[:, :m])
+        buf[:, m] = ghat
+        np.fft.ifft(buf, axis=-1, out=buf)
+        buf /= dx
+        a = np.abs(buf)
+        argmax = a[:, :m].argmax(axis=1)
+        gq = _lp_rows(a[:, m], dx, q)
+        found = gq != 0.0
+        val = np.divide(_lp_rows(a[:, :m].max(axis=1), dx, q), gq, out=np.zeros(count), where=found)
+        best = np.where(val > best, val, best)
+        climbs = np.where(found, np.where(climbs > 0, climbs - 1, 3), 0)
+    return float(best[0]) if single else best
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from timefreq import cli
 from timefreq.cli import MAX_LOG2_N, build_parser, main
 
 
@@ -263,6 +264,19 @@ def test_blowup_exponents_must_be_positive(tmp_path, capsys, argv, message):
     assert run(["blowup", "--J-list", "8", *argv, "--out", str(out)]) == 2
     errors = error_lines(capsys)
     assert len(errors) == 1 and message in errors[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sub,func", [("tails", "cmd_tails"), ("exceptional", "cmd_exceptional")])
+def test_out_of_memory_diagnosed(tmp_path, capsys, monkeypatch, sub, func):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, func, exhausted)
+    out = tmp_path / "x.csv"
+    assert run([sub, "--out", str(out)]) == 2
+    errors = error_lines(capsys)
+    assert len(errors) == 1 and f"error: {sub} ran out of memory" in errors[0]
     assert not out.exists()
 
 

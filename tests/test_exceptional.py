@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import timefreq.exceptional as exceptional_mod
@@ -288,7 +288,7 @@ class TestPointwiseBound:
     def test_zero_coefficients(self, setup):
         g, w, ker = setup
         params = level_params(1.6, 1.5, 0.01, 0.5, 4)
-        lhs, rhs = check_pointwise_bound(10, {}, params, 1.5, 3.0, 0.01, w, ker)
+        (lhs,), rhs = check_pointwise_bound([10], {}, params, 1.5, 3.0, 0.01, w, ker)
         assert lhs == 0.0 and rhs > 0.0
 
     def test_single_tile_calibration(self, setup):
@@ -297,10 +297,26 @@ class TestPointwiseBound:
         params = level_params(1.6, 1.5, 0.01, 0.5, 2)
         coeffs = {s: params.sigma * math.sqrt(s.time.length)}
         xin = round(s.time.center / g.dx)
-        lhs, rhs = check_pointwise_bound(xin, coeffs, params, 1.5, 3.0, 0.01, w, ker,
-                                         search_budget=25, seed=1)
+        (lhs,), rhs = check_pointwise_bound([xin], coeffs, params, 1.5, 3.0, 0.01, w, ker,
+                                            search_budget=25, seed=1)
         assert 0.0 < lhs and rhs > 0.0
         assert lhs / rhs < 10.0  # calibration ratio stays moderate
+
+    def test_points_together_match_points_alone(self, setup):
+        # 3 scales at J = 9 make blocks of 3 points, so 7 points run as blocks of 3, 3 and 1
+        g, w, ker = setup
+        rng = np.random.default_rng(4)
+        tiles = [Tile(DyadicInterval(-1, 5), DyadicInterval(1, 3)), Tile(DyadicInterval(0, 2), DyadicInterval(0, 1)),
+                 Tile(DyadicInterval(0, 6), DyadicInterval(0, -3)), Tile(DyadicInterval(1, 1), DyadicInterval(-1, 0))]
+        coeffs = {s: complex(rng.standard_normal(), rng.standard_normal()) for s in tiles}
+        params = level_params(1.6, 1.5, 0.01, 0.5, 2)
+        xs = [0, 77, 200, 263, 301, 450, 511]
+        lhs, rhs = check_pointwise_bound(xs, coeffs, params, 1.5, 3.0, 0.01, w, ker, search_budget=30, seed=3)
+        alone = [check_pointwise_bound([x], coeffs, params, 1.5, 3.0, 0.01, w, ker, search_budget=30, seed=3)
+                 for x in xs]
+        assert lhs.tolist() == [one[0][0] for one in alone]
+        assert all(one[1] == rhs for one in alone)
+        assert np.all(lhs > 0.0)
 
 
 def loop_pointwise_multipliers(x_index, coeffs, w, ker):
@@ -326,9 +342,9 @@ def _window_kernel(j, length):
 @st.composite
 def pointwise_cases(draw):
     """A grid (J 7..10, L 4..16), 1..10 distinct tiles of scales -2..1 inside its box,
-    zero-coefficient flags for all tiles but the first, a coefficient seed and a grid point.
+    zero-coefficient flags for all tiles but the first, a coefficient seed and 1..8 grid points.
 
-    The point lies in the first tile's time interval, whose coefficient is
+    The points lie in the first tile's time interval, whose coefficient is
     nonzero: at points many tile lengths from every tile the multipliers are
     packet tails of about 1e-7, and the two paths differ there only by
     roundoff of the packets' size.
@@ -347,14 +363,18 @@ def pointwise_cases(draw):
     zeros = [False] + draw(st.lists(st.booleans(), min_size=len(tiles) - 1, max_size=len(tiles) - 1))
     g = Grid(j, length)
     lo, hi = g.index_range(tiles[0].time.left, tiles[0].time.right)
-    return j, length, tiles, zeros, draw(st.integers(0, 2**31 - 1)), draw(st.integers(lo, hi - 1))
+    points = draw(st.lists(st.integers(lo, hi - 1), min_size=1, max_size=8))
+    return j, length, tiles, zeros, draw(st.integers(0, 2**31 - 1)), points
 
 
 class TestPointwiseOracle:
     @settings(max_examples=40, deadline=None)
     @given(pointwise_cases())
+    # one scale at J = 10 makes blocks of 3 points: 8 points cross two block boundaries
+    @example((10, 8.0, [Tile(DyadicInterval(0, 3), DyadicInterval(0, 2))], [False], 5,
+              [384, 400, 417, 430, 455, 470, 490, 511]))
     def test_multipliers_match_per_tile_loop(self, case):
-        j, length, tiles, zeros, seed, x_index = case
+        j, length, tiles, zeros, seed, x_indices = case
         w, ker = _window_kernel(j, length)
         rng = np.random.default_rng(seed)
         coeffs = {s: 0.0 if zero else complex(rng.standard_normal(), rng.standard_normal())
@@ -368,12 +388,14 @@ class TestPointwiseOracle:
         params = level_params(1.6, 1.5, 0.01, 0.5, 2)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(exceptional_mod, "maximal_multiplier_lower", capture)
-            check_pointwise_bound(x_index, coeffs, params, 1.5, 3.0, 0.01, w, ker)
-        want = loop_pointwise_multipliers(x_index, coeffs, w, ker)
-        (got,) = captured
-        assert got.shape == (len(want), w.grid.n)
-        scale = max(np.max(np.abs(m)) for m in want)
-        assert np.max(np.abs(got - np.array(want))) <= 1e-12 * scale
+            check_pointwise_bound(x_indices, coeffs, params, 1.5, 3.0, 0.01, w, ker)
+        families = np.concatenate(captured)
+        assert len(families) == len(x_indices)
+        for got, x_index in zip(families, x_indices):
+            want = loop_pointwise_multipliers(x_index, coeffs, w, ker)
+            assert got.shape == (len(want), w.grid.n)
+            scale = max(np.max(np.abs(m)) for m in want)
+            assert np.max(np.abs(got - np.array(want))) <= 1e-12 * scale
 
 
 class TestPipeline:

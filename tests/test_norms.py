@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from timefreq import Grid, SampledFunction, trees
@@ -270,6 +270,25 @@ class TestMaximalMultiplierLower:
         got = maximal_multiplier_lower(fam, g, q, budget, seed % 7)
         assert got == loop_maximal_multiplier_lower(fam, g, q, budget, seed % 7)
 
+    @given(st.integers(3, 9), st.integers(1, 6), st.integers(1, 3), st.integers(0, 2**32 - 1),
+           st.sampled_from([1.0, 1.3, 1.5, 2.0]), st.integers(0, 60))
+    # one or two rows have 4 or 6 starts, so budgets above 16 or 24 reach the random restarts
+    @example(j=6, families=4, rows=1, seed=11, q=1.5, budget=60)
+    @example(j=5, families=3, rows=2, seed=12, q=1.3, budget=45)
+    @settings(max_examples=40, deadline=None)
+    def test_stack_matches_each_family_alone(self, j, families, rows, seed, q, budget):
+        g = Grid(j, 8.0)
+        rng = np.random.default_rng(seed)
+        shape = (families, rows, g.n)
+        stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        stack *= rng.random(shape) < rng.uniform(0.0, 0.3, (families, rows, 1))  # bump-like rows
+        stack[rng.random((families, rows)) < 0.25] = 0.0  # some all-zero rows
+        stack[rng.integers(families)] = 0.0  # and an all-zero family
+        got = maximal_multiplier_lower(stack, g, q, budget, seed % 7)
+        assert got.shape == (families,)
+        for family, value in zip(stack, got):
+            assert value == loop_maximal_multiplier_lower(list(family), g, q, budget, seed % 7)
+
     def test_identity_family(self):
         g = Grid(8, 8.0)
         val = maximal_multiplier_lower([np.ones(g.n, dtype=complex)], g, 1.5, 20, 0)
@@ -278,6 +297,8 @@ class TestMaximalMultiplierLower:
     def test_zero_family(self):
         g = Grid(8, 8.0)
         assert maximal_multiplier_lower([np.zeros(g.n, dtype=complex)], g, 1.5) == 0.0
+        assert maximal_multiplier_lower([], g, 1.5) == 0.0
+        assert maximal_multiplier_lower(np.zeros((2, 0, g.n)), g, 1.5).tolist() == [0.0, 0.0]
 
     def test_deterministic(self):
         g = Grid(7, 8.0)

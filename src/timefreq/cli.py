@@ -57,13 +57,9 @@ def _write_csv(args, rows) -> Path:
     return path
 
 
-def _window(grid: Grid):
-    return build_window(grid, min_freq_samples=min(64, int(grid.length)))
-
-
 def cmd_frame_check(args) -> int:
     grid = Grid(args.J, args.L)
-    window = _window(grid)
+    window = build_window(grid)
     rng = np.random.default_rng(args.seed)
     ks = [int(s) for s in args.k_list.split(",")]
     rows = []
@@ -108,7 +104,7 @@ def cmd_tree_bound(args) -> int:
     if args.L < 8:
         raise ValueError(f"tree-bound places its top tile at time 2..L-3 and needs --L >= 8, got {args.L:g}")
     grid = Grid(args.J, args.L)
-    window = _window(grid)
+    window = build_window(grid)
     kernel = build_kernel(grid)
     rng = np.random.default_rng(args.seed)
     rows = []
@@ -140,7 +136,7 @@ def cmd_mm_scan(args) -> int:
 
 def cmd_exceptional(args) -> int:
     grid = Grid(args.J, args.L)
-    window = _window(grid)
+    window = build_window(grid)
     kernel = build_kernel(grid)
     rows = []
     for run in range(args.runs):

@@ -350,11 +350,16 @@ def tiles_to_text(tiles: Iterable[Tile]) -> str:
 
 
 def tiles_from_text(text: str) -> list[Tile]:
+    """Tiles of the lines ``k_time m_time k_freq m_freq``; a malformed line raises ValueError naming it."""
     out = []
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        kt, mt, kf, mf = (int(tok) for tok in line.split())
-        out.append(Tile(DyadicInterval(kt, mt), DyadicInterval(kf, mf)))
+        try:
+            kt, mt, kf, mf = (int(tok) for tok in line.split())
+            out.append(Tile(DyadicInterval(kt, mt), DyadicInterval(kf, mf)))
+        except ValueError as exc:
+            raise ValueError(f"tile file line {number}: {exc}; expected four integers "
+                             f"k_time m_time k_freq m_freq with k_time + k_freq = 0, got {line!r}") from None
     return out

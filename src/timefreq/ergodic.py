@@ -281,14 +281,8 @@ class BlowupRow:
     delta_g: float
 
 
-def single_scale_blowup(
-    p: float,
-    q: float,
-    j_list: Sequence[int],
-    length: float = 8.0,
-    min_width: int = 8,
-) -> list[BlowupRow]:
-    """Restricted single-scale proxy across grid refinements.
+def single_scale_blowup(p: float, q: float, j_list: Sequence[int]) -> list[BlowupRow]:
+    """Restricted single-scale proxy on the box [0, 8) across grid refinements.
 
     For indicator pairs (F, G) of co-located spikes the proxy is the
     unit-energy-tested pairing energy
@@ -298,23 +292,26 @@ def single_scale_blowup(
 
     the squared restricted pairing against an L^2-normalized third side,
     maximized over a nested family of dyadic spike widths reaching down to
-    ``min_width`` grid cells.  Finer grids only extend the candidate family,
-    so in the unbounded regime the reported values grow with j.  Both
-    exponents must be positive.
+    8 grid cells.  Finer grids only extend the candidate family, so in the
+    unbounded regime the reported values grow with j.  Both exponents must be
+    positive and every j at least 6, so that 8 cells fit in the widest spike.
     """
     for name, value in (("p", p), ("q", q)):
         if not value > 0:
             raise ValueError(f"exponent {name} must be positive, got {value:g}")
+    if min(j_list, default=6) < 6:
+        raise ValueError(f"blowup needs every --J-list entry >= 6, got {min(j_list)}: "
+                         f"its spikes reach down to 8 cells of width 8/2^J inside width 1")
     rows = []
     for j in j_list:
-        grid = Grid(j, length)
-        window = build_window(grid, min_freq_samples=min(64, int(grid.length)))
+        grid = Grid(j, 8.0)
+        window = build_window(grid)
         deltas = []
         d = 1.0
-        while d >= min_width * grid.dx - 1e-12:
+        while d >= 8 * grid.dx - 1e-12:
             deltas.append(d)
             d /= 4.0
-        center = length / 2.0
+        center = 4.0
         spikes = {d: SampledFunction.indicator(grid, [(center, center + d)]) for d in deltas}
         tables = {d: np.abs(gabor_expand(window, ind, 0).ravel()) for d, ind in spikes.items()}
         best, best_pair = 0.0, (deltas[0], deltas[0])
@@ -359,17 +356,17 @@ def orbit_tail(f_obs: Callable, tau, x: float, g_obs: Callable, sigma, y, n_max:
 
 
 def _circle_distance(u, center: float) -> np.ndarray:
-    """Distance from u to center on the unit circle, both in [0, 1), so no reduction mod 1 is needed."""
+    """Distance on the unit circle for u and center in [0, 1): no remainder pass, unlike wrapped_distance."""
     d = np.abs(np.asarray(u, dtype=float) - center)
     return np.minimum(d, 1.0 - d)
 
 
-def _spike_observable(center: float, eps: float, exponent: float):
+def _spike_observable(center: float, eps: float):
     if not 0.0 < eps < 0.5:
         raise ValueError("sharpness levels are regularization widths in (0, 1/2)")
 
     def spike(u):
-        return np.maximum(_circle_distance(u, center), eps) ** (-exponent)
+        return np.maximum(_circle_distance(u, center), eps) ** (-0.9)
 
     norm = float(spike(np.linspace(0.0, 1.0, 1 << 16, endpoint=False)).mean())
     return lambda u: spike(u) / norm
@@ -382,26 +379,23 @@ def heavy_tail_sweep(
     sigma,
     y,
     n_max: int,
-    center: float = 0.5,
-    exponent: float = 0.9,
 ) -> list[float]:
     """Orbit-tail statistic for sharpening unit-mass spike pairs.
 
-    Both observables are unit-integral spikes of regularization width eps,
-    centered on the two orbits at a fixed early hit time -- the adapted
-    placement that drives the known failure for integrable pairs.  The hit
-    contributes eps^(-2 exponent) / (hit_time * norms), which dominates the
-    statistic and grows as the levels sharpen.  ``center`` biases the hit
-    choice: the hit time is the first orbit's closest approach to it among
-    the first few steps.
+    Both observables are unit-integral spikes |u - c|^(-0.9) of regularization
+    width eps, centered on the two orbits at a fixed early hit time -- the
+    adapted placement that drives the known failure for integrable pairs.  The
+    hit contributes eps^(-1.8) / (hit_time * norms), which dominates the
+    statistic and grows as the levels sharpen.  The hit time is the first
+    orbit's closest approach to 1/2 among the first few steps.
     """
     probe = min(8, n_max)
-    n_star = int(np.argmin(_circle_distance(tau.orbit(x, probe), center))) + 1
+    n_star = int(np.argmin(_circle_distance(tau.orbit(x, probe), 0.5))) + 1
     center_f = float(tau.orbit(x, 1, start=n_star)[0])
     center_g = float(sigma.orbit(y, 1, start=n_star)[0])
     out = []
     for eps in sharpness_levels:
-        f_obs = _spike_observable(center_f, eps, exponent)
-        g_obs = _spike_observable(center_g, eps, exponent)
+        f_obs = _spike_observable(center_f, eps)
+        g_obs = _spike_observable(center_g, eps)
         out.append(orbit_tail(f_obs, tau, x, g_obs, sigma, y, n_max))
     return out

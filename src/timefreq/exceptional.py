@@ -94,15 +94,6 @@ class ParamLedger:
     def b(self) -> float:
         return (1.0 - self.p * self.Q) / (1.0 - 2.0 * self.Q)
 
-    def checks(self) -> dict[str, bool]:
-        s = 1.0 / self.p + 1.0 / self.q
-        return {
-            "exponent_sum": s < 1.5,
-            "aperture": self.Q < 1.0 - 1.0 / self.p,
-            "level_exponent": 0.0 < self.b < self.p,
-            "smallness": self.eps + (2.0 + self.eps) * self.Q < 1.0,
-        }
-
     def level(self, n: int) -> LevelParams:
         sigma = math.ldexp(1.0, -n)
         beta = 2.0 ** ((2.0 + self.eps) * n) * self.lam**self.p
@@ -123,7 +114,6 @@ class GridSet:
 
     grid: Grid
     mask: np.ndarray = field(repr=False)
-    meta: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.mask, dtype=bool)
@@ -201,7 +191,7 @@ def overlap_exceptional_set(trees: Sequence[Tree], beta: float, grid: Grid) -> G
     """Union over l >= 0 of {x : #{trees with x in 2^l I_T} > beta 4^l}.
 
     The union stops once the threshold exceeds the tree count (no point can
-    qualify) and records the dilation levels actually inspected.
+    qualify).
     """
     if beta < 1.0:
         raise ValueError(f"overlap threshold requires beta >= 1, got {beta}")
@@ -213,7 +203,7 @@ def overlap_exceptional_set(trees: Sequence[Tree], beta: float, grid: Grid) -> G
             lo, hi = _tile_indices(grid, t.top_interval.dilate(math.ldexp(1.0, l)))
             count[lo:hi] += 1
         mask |= count > beta * 4.0**l
-    return GridSet(grid, mask, meta={"levels": levels})
+    return GridSet(grid, mask)
 
 
 def _coefficient_size(coeffs: dict[Tile, complex]) -> float:
@@ -342,15 +332,6 @@ def run_pipeline(
     seed: int,
     window: Window,
     kernel: Kernel,
-    scale_range: tuple[int, int] = (-1, 1),
-    freq_max: float = 8.0,
-    r: float = 3.0,
-    max_levels: int = 3,
-    max_window_l: int = 2,
-    window_decay: float = 3.0,
-    x_samples: int = 24,
-    mm_budget: int = 30,
-    family_size: int = 6,
 ) -> PipelineReport:
     """Random level-set experiment: build the exceptional sets and check the
     pointwise bound outside them.
@@ -363,7 +344,13 @@ def run_pipeline(
     level's size parameter; each level rescales its coefficients by the factor
     making the normalization hold exactly at sigma_n (recorded per level), so
     the pointwise-bound hypothesis is satisfied verbatim.
+
+    The settings are fixed: tiles of scales -1..1 with frequencies in [0, 8),
+    six bumps per tile in forest selection, the first three forest levels,
+    window trees at dilation levels 0..2 with threshold decay 2^(-3l), the
+    variation exponent r = 3, and 24 sampled points with a search budget of 30.
     """
+    freq_max, r = 8.0, 3.0
     if freq_max > grid.freq_halfwidth:
         raise ValueError(f"tile frequencies reach {freq_max:g}, past the frequency box half-width "
                          f"2^(J-1)/L = {grid.freq_halfwidth:g}; raise --J or lower --L")
@@ -373,8 +360,7 @@ def run_pipeline(
     measure_f = lp_norm(f, 1)
 
     eset = maximal_exceptional_set(f, lam, ledger.b)
-    k0, k1 = scale_range
-    universe = TileUniverse(k0, k1, Interval(0.0, grid.length), Interval(0.0, freq_max))
+    universe = TileUniverse(-1, 1, Interval(0.0, grid.length), Interval(0.0, freq_max))
     tiles = universe.all_tiles()
     escaping, trapped = split_tiles(tiles, eset)
     escape_groups = group_by_escape_level(trapped, eset)
@@ -386,9 +372,9 @@ def run_pipeline(
 
     estar = GridSet(grid, eset.mask.copy())
     if escaping:
-        dec = select_forests(escaping, f, family_size=family_size, check_convexity=False)
+        dec = select_forests(escaping, f, family_size=6, check_convexity=False)
         first_level = None  # (coefficients, parameters) of the first level
-        for forest in dec.levels[:max_levels]:
+        for forest in dec.levels[:3]:
             params = ledger.level(forest.level)
             level_tiles = forest.tiles()
             coeffs = {}
@@ -402,11 +388,11 @@ def run_pipeline(
             windows: dict[tuple[int, int], list[Tree]] = {}
             for tree in forest.trees:
                 g_tiles = saturation(tree, level_tiles)
-                for l in range(max_window_l + 1):
+                for l in range(3):
                     for m, wtree in window_partition(g_tiles, tree, l).items():
                         windows.setdefault((l, m), []).append(wtree)
             e2 = variation_exceptional_set(windows, coeffs, params.gamma, r, params.sigma, window, kernel,
-                                           l_decay=window_decay)
+                                           l_decay=3.0)
             estar = estar.union(e1).union(e2)
             report.level_rows.append(
                 (forest.level, params.sigma, beta_eff, params.gamma,
@@ -418,9 +404,9 @@ def run_pipeline(
         if first_level is not None:
             outside = estar.complement_indices()
             if outside.size:
-                picks = outside[np.linspace(0, outside.size - 1, min(x_samples, outside.size)).astype(int)]
+                picks = outside[np.linspace(0, outside.size - 1, min(24, outside.size)).astype(int)]
                 lhs, rhs = check_pointwise_bound(picks, *first_level, q, r, eps, window, kernel,
-                                                 search_budget=mm_budget, seed=seed)
+                                                 search_budget=30, seed=seed)
                 if rhs > 0:
                     report.pointwise_ratios.extend(float(v / rhs) for v in lhs)
 

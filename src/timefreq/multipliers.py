@@ -95,14 +95,13 @@ def random_family(
     freqs: FrequencySet,
     scales,
     rng: np.random.Generator,
-    c_const: float = 1.0,
 ) -> MultiplierFamily:
-    """Adapted bumps on the covering intervals with random coefficients in [1/2, 1]."""
+    """Adapted bumps of constant 1 on the covering intervals, with random coefficients in [1/2, 1]."""
     per_scale = {}
     for k in scales:
         entries = []
         for iv in covering_intervals(freqs, k):
-            bump = make_adapted_bump(iv.to_interval(), c_const, modulation_index=int(rng.integers(0, 2)))
+            bump = make_adapted_bump(iv.to_interval(), 1.0, modulation_index=int(rng.integers(0, 2)))
             mag = rng.uniform(0.5, 1.0)
             phase = np.exp(2j * np.pi * rng.uniform())
             entries.append((iv, bump, complex(mag * phase)))
@@ -178,8 +177,6 @@ def growth_scan(
     n_list,
     trials: int,
     seed: int,
-    scales=range(0, 6),
-    c_const: float = 1.0,
 ) -> list[ScanRow]:
     """Scaling scan of the maximal projection norm in the frequency-set size.
 
@@ -188,8 +185,9 @@ def growth_scan(
 
         || sup_k |scale_k f| ||_q / (N^(1/q - 1/r + eps) (C + variation) ||f||_q)
 
-    and fits the log-log slope of the unnormalized numerator against N; the
-    slope is NaN when ``n_list`` holds fewer than two distinct N.
+    over families of scales 0..5 with adaptedness constant C = 1, and fits
+    the log-log slope of the unnormalized numerator against N; the slope is
+    NaN when ``n_list`` holds fewer than two distinct N.
     Deterministic given the seed; trials are seeded independently.
     """
     if not 1 < q < 2:
@@ -207,13 +205,13 @@ def growth_scan(
             while len(set(lam)) < n:
                 lam = rng.uniform(-lam_box, lam_box, size=n)
             freqs = FrequencySet(tuple(lam))
-            fam = random_family(grid, freqs, scales, rng, c_const)
+            fam = random_family(grid, freqs, range(0, 6), rng)
             f = SampledFunction(
                 grid, rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
             )
             num = lp_norm(sup_over_scales(fam, f), q)
             vstar = scale_variation(fam, freqs, r)
-            den = n ** (1.0 / q - 1.0 / r + eps) * (c_const + vstar) * lp_norm(f, q)
+            den = n ** (1.0 / q - 1.0 / r + eps) * (1.0 + vstar) * lp_norm(f, q)
             ratio = num / den if den > 0 else 0.0
             max_ratio = max(max_ratio, ratio)
             max_num = max(max_num, num)

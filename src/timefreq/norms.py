@@ -306,7 +306,6 @@ def per_tile_sizes(
     tiles: Iterable[Tile],
     f: SampledFunction,
     family_size: int = 8,
-    weight_power: float = 10.0,
 ) -> dict[Tile, float]:
     """Size of each singleton {s}, in input order: the collection size is their maximum.
 
@@ -325,7 +324,7 @@ def per_tile_sizes(
         omega10 = Interval(max(omega10.a, -fh_half), min(omega10.b, fh_half))
         bumps = bump_values(adapted_family(omega10, 1.0, family_size), xi)
         power = np.abs(idft_values(bumps * fhat, grid.dx)) ** 2
-        weights = np.stack([interval_weight(s.time.to_interval(), xs, weight_power, period=grid.length)
+        weights = np.stack([interval_weight(s.time.to_interval(), xs, 10.0, period=grid.length)
                             for s in group])
         norms = np.sqrt((power @ (weights**2).T * grid.dx).max(axis=0))
         for s, norm in zip(group, norms):
@@ -337,7 +336,6 @@ def tile_size(
     tiles: Iterable[Tile],
     f: SampledFunction,
     family_size: int = 8,
-    weight_power: float = 10.0,
 ) -> float:
     """Lower estimate of the size of a tile collection relative to f.
 
@@ -348,5 +346,5 @@ def tile_size(
     used, so inequalities involving size absorb the family deficiency into
     their fitted constants.
     """
-    sizes = per_tile_sizes(tiles, f, family_size, weight_power)
+    sizes = per_tile_sizes(tiles, f, family_size)
     return max(sizes.values(), default=0.0)

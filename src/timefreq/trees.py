@@ -254,14 +254,13 @@ def tree_variation_report(
     t: float,
     window: Window,
     kernel: Kernel,
-    decay_order: int = 4,
     family_size: int = 8,
 ) -> TreeVariationReport:
     """L^t norm of the scalewise r-variation of the tree's tail sums.
 
     lhs is the L^t_x norm of the V^r norm over scales k of
     sum over tiles of scale k of <f, packet_s> * tail_s(x, top frequency);
-    rhs_scale is 2^(-decay_order * level) * size(tree) * |I_T|^(1/t), so the
+    rhs_scale is 2^(-4 level) * size(tree) * |I_T|^(1/t), so the
     ratio tracks the tree bound with its implicit constant.
     """
     if not r > 2:
@@ -272,7 +271,7 @@ def tree_variation_report(
     vr = tail_variation(tree, coeffs, level, r, window, kernel)
     lhs = lp_norm_values(vr, window.grid.dx, t)
     rhs = (
-        2.0 ** (-decay_order * level)
+        2.0 ** (-4 * level)
         * tile_size(tree.tiles, f, family_size)
         * tree.top_interval.length ** (1.0 / t)
     )

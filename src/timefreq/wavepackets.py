@@ -88,11 +88,9 @@ class Window:
     """Frame window: phat = sqrt(b) for the canonical partition bump b."""
 
     grid: Grid
-    smoothness: float
-    phat: np.ndarray = field(repr=False)
 
     def bump(self, xi) -> np.ndarray:
-        return partition_bump(xi, self.smoothness)
+        return partition_bump(xi)
 
     def phat_profile(self, xi) -> np.ndarray:
         return np.sqrt(self.bump(xi))
@@ -128,26 +126,17 @@ class Window:
         return self.phat_profile(np.arange(w0 + 1) / w0)
 
 
-def build_window(grid: Grid, smoothness: float = DEFAULT_ORDER, min_freq_samples: int = 64) -> Window:
+def build_window(grid: Grid) -> Window:
     """Construct the canonical window with frame constant one.
 
-    ``smoothness`` is the flatness order of the transition (the number of
-    derivatives vanishing at the support edges), which sets the polynomial
-    decay order of the window in time.  The transform is supported in [0, 1],
-    which must contain at least ``min_freq_samples`` grid frequencies
-    (i.e. L >= min_freq_samples); pass a smaller value explicitly to work on
-    coarse boxes.
+    The transition is flat to order ``DEFAULT_ORDER`` (that many derivatives
+    vanish at the support edges), which sets the polynomial decay order of the
+    window in time.  The transform is supported in [0, 1], which the frequency
+    box must contain.
     """
-    if grid.length < min_freq_samples:
-        raise ValueError(
-            f"[0,1] in frequency spans only {grid.length:g} samples; "
-            f"need >= {min_freq_samples} (grid too coarse)"
-        )
     if grid.freq_halfwidth < 1.0:
         raise ValueError("frequency box must contain [0, 1]")
-    if smoothness <= 0:
-        raise ValueError("smoothness must be positive")
-    return Window(grid, smoothness, np.sqrt(partition_bump(grid.freqs(), smoothness)))
+    return Window(grid)
 
 
 def wave_packet(w: Window, k: int, m: int, l: float) -> SampledFunction:
@@ -285,8 +274,8 @@ class Kernel:
 
     grid: Grid
     eta_profile: object = field(repr=False)
-    _ktime_cache: dict = field(default_factory=dict, repr=False)
-    _autocorrelation: np.ndarray | None = field(default=None, repr=False)
+    _ktime_cache: dict = field(default_factory=dict, init=False, repr=False)
+    _autocorrelation: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @property
     def K(self) -> SampledFunction:

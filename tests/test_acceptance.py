@@ -50,7 +50,7 @@ def fine_setup():
 @pytest.fixture(scope="module")
 def lab_setup():
     g = Grid(9, 8.0)
-    return g, build_window(g, min_freq_samples=8), build_kernel(g)
+    return g, build_window(g), build_kernel(g)
 
 
 def test_criterion_1_gabor_identity(fine_setup):

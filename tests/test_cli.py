@@ -206,6 +206,23 @@ def test_tree_select_tile_outside_box_diagnosed(tmp_path, capsys, line):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line,why", [
+    ("0 1 0", "not enough values to unpack"),
+    ("0 1 0 2 5", "too many values to unpack"),
+    ("0 1 x 2", "invalid literal for int()"),
+    ("0 1 1 2", "tile must have area one"),
+])
+def test_tree_select_malformed_tile_line_diagnosed(tmp_path, capsys, line, why):
+    tiles = tmp_path / "tiles.txt"
+    tiles.write_text("# k_time m_time k_freq m_freq\n0 1 0 2\n" + line + "\n")
+    out = tmp_path / "sel.csv"
+    assert run(["tree-select", "--J", "9", "--L", "8", "--tiles", str(tiles), "--out", str(out)]) == 2
+    errors = error_lines(capsys)
+    assert len(errors) == 1 and errors[0].startswith("error: tile file line 3: " + why)
+    assert "four integers k_time m_time k_freq m_freq" in errors[0] and f"'{line}'" in errors[0]
+    assert not out.exists()
+
+
 # small-argument runs of every subcommand, used to read the header each one writes
 _HEADER_ARGV = {
     "frame-check": ["--J", "9", "--L", "16", "--num-sets", "1"],
@@ -245,6 +262,9 @@ def test_csv_header_matches_help_epilog(tmp_path, capsys, sub):
     (["exceptional", "--J", "6", "--L", "8", "--runs", "1"], "raise --J or lower --L"),
     (["frame-check", "--J", "6", "--L", "1"], "needs box length L >= 2, got L = 1"),
     (["frame-check", "--J", "6", "--L", "0.5"], "needs box length L >= 2, got L = 0.5"),
+    (["blowup", "--J-list", "3"], "--J-list entry >= 6, got 3"),
+    (["blowup", "--J-list", "4"], "--J-list entry >= 6, got 4"),
+    (["blowup", "--J-list", "8,5"], "--J-list entry >= 6, got 5"),
 ])
 def test_too_small_grid_diagnosed(tmp_path, capsys, argv, message):
     out = tmp_path / "x.csv"
@@ -305,7 +325,7 @@ _FUZZ_OPTIONS = {
     "exceptional": {"--J": _J, "--L": _L, "--runs": _ONE, "--p": _EXPONENT, "--q": _EXPONENT,
                     "--lam": _valid_or_not(["0.25", "0.5", "1"], ["-0.5", "0", "2"])},
     "rtt-sim": {"--log2-n-max": st.sampled_from(["-1", "0", "1", "6"]), "--r": _EXPONENT},
-    "blowup": {"--p": _EXPONENT, "--q": _EXPONENT, "--J-list": _small_list([-1, 0, 2, 6, 8, 9], 2)},
+    "blowup": {"--p": _EXPONENT, "--q": _EXPONENT, "--J-list": _small_list([-1, 0, 2, 4, 5, 6, 8, 9], 2)},
     "tails": {"--J": _J, "--L": _L, "--n-max": st.sampled_from(["-1", "0", "1", "50"]),
               "--sharpness": _small_list([-0.1, 0, 0.02, 0.5])},
 }

@@ -30,7 +30,7 @@ from timefreq.wavepackets import build_kernel, build_window, model_function
 @pytest.fixture(scope="module")
 def setup():
     g = Grid(9, 8.0)
-    return g, build_window(g, min_freq_samples=8), build_kernel(g)
+    return g, build_window(g), build_kernel(g)
 
 
 class TestParamLedger:
@@ -38,7 +38,6 @@ class TestParamLedger:
         led = ParamLedger(1.8, 1.5, 0.01, 0.5)
         assert led.Q == pytest.approx(0.176667, abs=1e-6)
         assert led.b == pytest.approx(1.054639, abs=1e-6)
-        assert all(led.checks().values())
 
     def test_degenerate_limit(self):
         led = ParamLedger(1.5, 1.999999, 1e-9, 0.5)
@@ -78,10 +77,9 @@ class TestParamLedger:
                     continue
                 for eps in (1e-4, 0.01, 0.05):
                     try:
-                        led = ParamLedger(p, q, eps, 0.5)
+                        ParamLedger(p, q, eps, 0.5)
                     except ParameterError:
                         continue  # eps too large for this corner of the range
-                    assert all(led.checks().values())
 
 
 class TestMaximalExceptionalSet:
@@ -198,9 +196,9 @@ class TestOverlapSet:
         rng = np.random.default_rng(7)
         trees = self._trees(g, rng, 12)
         es = overlap_exceptional_set(trees, 1.0, g)
-        # direct recomputation: per-tree accumulation at each inspected level
+        # direct recomputation: per-tree accumulation at each level whose threshold 4^l a count can exceed
         mask = np.zeros(g.n, dtype=bool)
-        for l in es.meta["levels"]:
+        for l in [l for l in range(64) if 4.0**l <= len(trees)]:
             count = np.zeros(g.n)
             for t in trees:
                 iv = t.top_interval.dilate(2.0**l)
@@ -336,7 +334,7 @@ def loop_pointwise_multipliers(x_index, coeffs, w, ker):
 @functools.lru_cache(maxsize=None)
 def _window_kernel(j, length):
     g = Grid(j, length)
-    return build_window(g, min_freq_samples=int(length)), build_kernel(g)
+    return build_window(g), build_kernel(g)
 
 
 @st.composite
@@ -403,8 +401,7 @@ class TestPipeline:
         g, w, ker = setup
         ratios = []
         for seed in range(4):
-            rep = run_pipeline(g, 1.6, 1.5, 0.01, 0.5, seed=seed, window=w, kernel=ker,
-                               x_samples=8, mm_budget=20)
+            rep = run_pipeline(g, 1.6, 1.5, 0.01, 0.5, seed=seed, window=w, kernel=ker)
             assert rep.measure_estar <= g.length
             assert rep.measure_f > 0
             ratios.append(rep.estar_ratio)

@@ -386,7 +386,7 @@ class TestPerTileSizes:
 @pytest.fixture(scope="module")
 def size_setup():
     g = Grid(9, 8.0)
-    w = build_window(g, min_freq_samples=8)
+    w = build_window(g)
     return g, w
 
 

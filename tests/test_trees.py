@@ -22,13 +22,13 @@ from timefreq.wavepackets import ModelFunction, build_kernel, build_window, mode
 @pytest.fixture(scope="module")
 def setup9():
     g = Grid(9, 8.0)
-    return g, build_window(g, min_freq_samples=8), build_kernel(g)
+    return g, build_window(g), build_kernel(g)
 
 
 @pytest.fixture(scope="module")
 def setup11():
     g = Grid(11, 32.0)
-    return g, build_window(g, min_freq_samples=32), build_kernel(g)
+    return g, build_window(g), build_kernel(g)
 
 
 @pytest.fixture(scope="module")
@@ -242,7 +242,7 @@ def loop_tree_coefficients(tree, f, window):
 @functools.lru_cache(maxsize=None)
 def _window(j, length):
     g = Grid(j, length)
-    return build_window(g, min_freq_samples=int(length))
+    return build_window(g)
 
 
 @st.composite

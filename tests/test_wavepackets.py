@@ -31,7 +31,7 @@ def fine():
 @pytest.fixture(scope="module")
 def coarse():
     g = Grid(12, 16.0)
-    return g, build_window(g, min_freq_samples=16)
+    return g, build_window(g)
 
 
 class TestWindow:
@@ -43,33 +43,28 @@ class TestWindow:
         g, w, _ = fine
         xi = g.freqs()
         outside = (xi < -1e-12) | (xi > 1.0 + 1e-12)
-        assert np.max(np.abs(w.phat[outside])) < 1e-12
+        assert np.max(np.abs(w.phat_profile(xi)[outside])) < 1e-12
 
     def test_time_decay_envelope(self, fine):
         g, w, _ = fine
         x = np.abs(g.signed_xs())
-        phi = idft(SampledFunction(g, w.phat))
+        phi = idft(SampledFunction(g, w.phat_profile(g.freqs())))
         c = np.max(np.abs(phi.values) * (1.0 + x) ** 4)
         # fitted once: the envelope constant stays moderate relative to the peak
         assert c <= 60.0 * np.max(np.abs(phi.values))
-
-    def test_too_coarse_grid_rejected(self):
-        g = Grid(10, 16.0)
-        with pytest.raises(ValueError):
-            build_window(g)  # default demands 64 samples across [0, 1]
 
 
 class TestWavePacket:
     def test_base_packet_is_window(self, fine):
         g, w, _ = fine
         pk = wave_packet(w, 0, 0, 0.0)
-        assert np.max(np.abs(pk.values - idft(SampledFunction(g, w.phat)).values)) < 1e-12
+        assert np.max(np.abs(pk.values - idft(SampledFunction(g, w.phat_profile(g.freqs()))).values)) < 1e-12
 
     @pytest.mark.parametrize("kml", [(0, 3, 1.5), (2, 1, 3.0), (-1, 5, 2.5), (1, 2, -3.0)])
     def test_norm_preserved(self, fine, kml):
         g, w, _ = fine
         k, m, l = kml
-        phi = idft(SampledFunction(g, w.phat))
+        phi = idft(SampledFunction(g, w.phat_profile(g.freqs())))
         assert lp_norm(wave_packet(w, k, m, l), 2) == pytest.approx(lp_norm(phi, 2), rel=1e-8)
 
     def test_transform_support_window(self, fine):
@@ -201,7 +196,7 @@ def loop_gabor_reconstruct(w, coeffs, k):
 
 @functools.lru_cache(maxsize=None)
 def _oracle_window(j, length):
-    return build_window(Grid(j, length), min_freq_samples=int(length))
+    return build_window(Grid(j, length))
 
 
 @st.composite
@@ -313,7 +308,7 @@ class TestKernelCorrelation:
     @settings(max_examples=25, deadline=None)
     def test_x_slice_matches_quadrature(self, case, where, on_lattice):
         g, ker, k = case
-        w = build_window(g, min_freq_samples=1)
+        w = build_window(g)
         s = Tile(DyadicInterval(k, 0), DyadicInterval(-k, 0))
         theta = where * g.freq_halfwidth
         if on_lattice:
@@ -329,7 +324,7 @@ class TestKernelCorrelation:
         # theta 3.2e-11 off the lattice point 0: reading the lattice there is off by 3e-10 relative
         g = Grid(6, 1.0)
         ker, k, theta = build_kernel(g), -1, 1e-12 * g.freq_halfwidth
-        mf = model_function(build_window(g, min_freq_samples=1), ker, Tile(DyadicInterval(k, 0), DyadicInterval(-k, 0)))
+        mf = model_function(build_window(g), ker, Tile(DyadicInterval(k, 0), DyadicInterval(-k, 0)))
         slow = ker.khat(math.ldexp(1.0, k) * (theta - g.freqs()))
         expected = idft(SampledFunction(g, mf.packet_hat * slow)).values
         assert np.max(np.abs(mf.x_slice(theta) - expected)) <= 1e-12 * np.max(np.abs(expected))
@@ -340,7 +335,7 @@ class TestKernelCorrelation:
     def test_x_slice_outside_box(self, theta):
         g = Grid(9, 8.0)
         ker = build_kernel(g)
-        mf = model_function(build_window(g, min_freq_samples=8), ker, Tile(DyadicInterval(0, 3), DyadicInterval(0, 31)))
+        mf = model_function(build_window(g), ker, Tile(DyadicInterval(0, 3), DyadicInterval(0, 31)))
         expected = idft(SampledFunction(g, mf.packet_hat * ker.khat(theta - g.freqs()))).values
         got = mf.x_slice(theta)
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))

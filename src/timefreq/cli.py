@@ -151,6 +151,21 @@ def cmd_exceptional(args) -> int:
     return 0
 
 
+def _trig_poly(c):
+    """u -> c0 + sum over d = 1..3 of c_{2d-1} cos(2 pi d u) + c_{2d} sin(2 pi d u).
+
+    One cos/sin pair; the d = 2 and 3 harmonics come from the double- and
+    triple-angle forms.
+    """
+    def fn(u):
+        t = 2 * np.pi * np.asarray(u, dtype=float)
+        c1, s1 = np.cos(t), np.sin(t)
+        c2, s2 = 2 * c1 * c1 - 1, 2 * s1 * c1
+        c3, s3 = c1 * (4 * c1 * c1 - 3), s1 * (3 - 4 * s1 * s1)
+        return c[0] + c[1] * c1 + c[2] * s1 + c[3] * c2 + c[4] * s2 + c[5] * c3 + c[6] * s3
+    return fn
+
+
 def cmd_rtt_sim(args) -> int:
     tau = CircleRotation(args.alpha)
     sg = CircleRotation(args.beta)
@@ -158,18 +173,8 @@ def cmd_rtt_sim(args) -> int:
     cf = rng.standard_normal(7) * np.exp(-np.arange(7))
     cg = rng.standard_normal(7) * np.exp(-np.arange(7))
 
-    def trig_poly(c):
-        def fn(u):
-            u = np.asarray(u, dtype=float)
-            out = np.full(u.shape, c[0])
-            for d in range(1, 4):
-                out = out + c[2 * d - 1] * np.cos(2 * np.pi * d * u)
-                out = out + c[2 * d] * np.sin(2 * np.pi * d * u)
-            return out
-        return fn
-
     n_list = [2**i for i in range(1, args.log2_n_max + 1)]
-    series = return_times_average(trig_poly(cf), tau, args.x, trig_poly(cg), sg, args.y, n_list)
+    series = return_times_average(_trig_poly(cf), tau, args.x, _trig_poly(cg), sg, args.y, n_list)
     rows = []
     for i, n in enumerate(series.n_list):
         tail = type(series)(series.n_list[i:], series.values[i:])
@@ -217,6 +222,17 @@ def cmd_tails(args) -> int:
     return 0
 
 
+def _finite(text: str) -> float:
+    """argparse type of every float option: a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
+    return value
+
+
 def _count(text: str) -> int:
     """argparse type of a count option: an integer >= 1."""
     value = int(text)
@@ -225,8 +241,8 @@ def _count(text: str) -> int:
     return value
 
 
-# Largest orbit lengths: rtt-sim and tails hold about 60 bytes per orbit step, so a
-# run at the cap peaks near 300 MB.
+# Largest orbit lengths, a bound on time: a run at the cap takes about 1 s on a
+# 2-core host; memory stays near 40 MB at any length, as the orbits go in blocks.
 MAX_LOG2_N = 22
 
 
@@ -250,7 +266,7 @@ def _subcommand(sub, name: str, func, help: str, columns: list[str], grid=None, 
     sp = sub.add_parser(name, help=help, epilog="CSV columns: " + ", ".join(columns))
     if grid is not None:
         sp.add_argument("--J", type=int, default=grid[0], help="grid refinement: 2^J samples")
-        sp.add_argument("--L", type=float, default=grid[1], help="box length (power of two)")
+        sp.add_argument("--L", type=_finite, default=grid[1], help="box length (power of two)")
     if seed:
         sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out")
@@ -279,16 +295,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp = _subcommand(sub, "tree-bound", cmd_tree_bound, "tree variation norm vs its size bound",
                      ["trial", "level", "r", "t", "lhs", "rhs_scale", "ratio"], grid=(10, 16.0))
     sp.add_argument("--l-list", default="0,1,2")
-    sp.add_argument("--r", type=float, default=3.0)
-    sp.add_argument("--t", type=float, default=2.0)
+    sp.add_argument("--r", type=_finite, default=3.0)
+    sp.add_argument("--t", type=_finite, default=2.0)
     sp.add_argument("--trials", type=_count, default=5)
 
     sp = _subcommand(sub, "mm-scan", cmd_mm_scan, "maximal multiplier growth scan in N",
                      ["q", "r", "eps", "N", "trial_count", "max_ratio", "fitted_slope", "max_numerator"],
                      grid=(10, 8.0))
-    sp.add_argument("--q", type=float, default=1.5)
-    sp.add_argument("--r", type=float, default=3.0)
-    sp.add_argument("--eps", type=float, default=0.01)
+    sp.add_argument("--q", type=_finite, default=1.5)
+    sp.add_argument("--r", type=_finite, default=3.0)
+    sp.add_argument("--eps", type=_finite, default=0.01)
     sp.add_argument("--N", default="2,4,8,16,32")
     sp.add_argument("--trials", type=_count, default=50)
 
@@ -296,32 +312,32 @@ def build_parser() -> argparse.ArgumentParser:
                      ["n", "sigma_n", "beta_n", "gamma_n", "measure_E1", "measure_E2", "run",
                       "coeff_rescale", "measure_E", "measure_Estar", "estar_ratio", "pointwise_p95"],
                      grid=(9, 8.0))
-    sp.add_argument("--p", type=float, default=1.6)
-    sp.add_argument("--q", type=float, default=1.5)
-    sp.add_argument("--eps", type=float, default=0.01)
-    sp.add_argument("--lam", type=float, default=0.5)
+    sp.add_argument("--p", type=_finite, default=1.6)
+    sp.add_argument("--q", type=_finite, default=1.5)
+    sp.add_argument("--eps", type=_finite, default=0.01)
+    sp.add_argument("--lam", type=_finite, default=0.5)
     sp.add_argument("--runs", type=_count, default=5)
 
     sp = _subcommand(sub, "rtt-sim", cmd_rtt_sim, "return-times averages for rotation pairs",
                      ["N", "A_N", "oscillation", "vr"])
-    sp.add_argument("--alpha", type=float, default=(math.sqrt(5) - 1) / 2)
-    sp.add_argument("--beta", type=float, default=math.sqrt(2) - 1)
-    sp.add_argument("--x", type=float, default=0.2)
-    sp.add_argument("--y", type=float, default=0.7)
+    sp.add_argument("--alpha", type=_finite, default=(math.sqrt(5) - 1) / 2)
+    sp.add_argument("--beta", type=_finite, default=math.sqrt(2) - 1)
+    sp.add_argument("--x", type=_finite, default=0.2)
+    sp.add_argument("--y", type=_finite, default=0.7)
     sp.add_argument("--log2-n-max", type=_count_up_to(MAX_LOG2_N), default=17,
                     help=f"averages at N = 2, 4, ..., 2^this (at most {MAX_LOG2_N})")
-    sp.add_argument("--r", type=float, default=3.0)
+    sp.add_argument("--r", type=_finite, default=3.0)
 
     sp = _subcommand(sub, "blowup", cmd_blowup, "single-scale threshold refinement scan",
                      ["J", "proxy_value", "delta_f", "delta_g", "growth_factor"], seed=False)
-    sp.add_argument("--p", type=float, default=1.25)
-    sp.add_argument("--q", type=float, default=2.0)
+    sp.add_argument("--p", type=_finite, default=1.25)
+    sp.add_argument("--q", type=_finite, default=2.0)
     sp.add_argument("--J-list", default="8,10,12")
 
     sp = _subcommand(sub, "tails", cmd_tails, "tail-operator statistics and heavy-tail stress",
                      ["statistic", "sharpness", "value"], grid=(10, 16.0))
-    sp.add_argument("--x", type=float, default=0.15)
-    sp.add_argument("--y", type=float, default=0.55)
+    sp.add_argument("--x", type=_finite, default=0.15)
+    sp.add_argument("--y", type=_finite, default=0.55)
     sp.add_argument("--n-max", type=_count_up_to(1 << MAX_LOG2_N), default=20000,
                     help=f"orbit steps of the tail statistics (at most {1 << MAX_LOG2_N})")
     sp.add_argument("--sharpness", default="0.04,0.02,0.01,0.005")

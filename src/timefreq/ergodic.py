@@ -37,6 +37,9 @@ __all__ = [
 ]
 
 _SCALE = 2**64
+# orbit steps per pass of the orbit statistics: 128 KB per float64 array, so a
+# pass stays in L2 (2^12..2^16 time alike)
+_BLOCK = 1 << 14
 
 
 def _to_fixed(x: float) -> np.uint64:
@@ -76,10 +79,18 @@ class TorusProduct:
 
 @dataclass(frozen=True)
 class IntervalExchange:
-    """Exchange of finitely many subintervals of [0, 1), exact in fixed point."""
+    """Exchange of finitely many subintervals of [0, 1), exact in fixed point.
+
+    A call ``orbit(x0, n, start)`` that starts where an earlier call on the same
+    x0 ended, as the blocked orbit statistics do, resumes from that call's
+    integer state instead of replaying start - 1 steps.
+    """
 
     lengths: tuple[float, ...]
     permutation: tuple[int, ...]
+    # end states of the two most recent orbits, keyed (fixed-point x0, next start):
+    # enough for the two orbits a statistic walks in lockstep
+    _resume: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if sorted(self.permutation) != list(range(len(self.lengths))):
@@ -106,13 +117,19 @@ class IntervalExchange:
 
     def orbit(self, x0: float, n: int, start: int = 1) -> np.ndarray:
         bounds, offsets = self._tables()
-        x = int((x0 % 1.0) * _SCALE)
-        for _ in range(start - 1):
-            x = self._step(x, bounds, offsets)
+        origin = int((x0 % 1.0) * _SCALE)
+        x = self._resume.pop((origin, start), None)
+        if x is None:
+            x = origin
+            for _ in range(start - 1):
+                x = self._step(x, bounds, offsets)
         out = np.empty(n, dtype=np.float64)
         for j in range(n):
             x = self._step(x, bounds, offsets)
             out[j] = x / _SCALE
+        self._resume[(origin, start + n)] = x
+        if len(self._resume) > 2:
+            del self._resume[next(iter(self._resume))]
         return out
 
     @staticmethod
@@ -131,6 +148,19 @@ class AverageSeries:
     values: np.ndarray = field(repr=False)
 
 
+def _orbit_blocks(tau, x: float, sigma, y, n: int):
+    """Both orbits at times 1..n in blocks of :data:`_BLOCK` steps.
+
+    Yields ``(tau^j x, sigma^j y, j)`` for the block's times j, so a statistic
+    makes its passes over arrays that stay in cache.
+    """
+    if n < 1:
+        raise ValueError(f"orbit statistics need at least one step, got {n}")
+    for start in range(1, n + 1, _BLOCK):
+        m = min(_BLOCK, n + 1 - start)
+        yield tau.orbit(x, m, start), sigma.orbit(y, m, start), np.arange(start, start + m)
+
+
 def return_times_average(
     f: Callable,
     tau,
@@ -142,21 +172,28 @@ def return_times_average(
 ) -> AverageSeries:
     """Averages (1/N) sum_{n<=N} f(tau^n x) g(sigma^n y) at the listed N.
 
-    Partial sums accumulate in extended precision, so the reported averages
-    are exact to double rounding.
+    f and g act pointwise.  The orbits are walked in blocks of :data:`_BLOCK`
+    steps; the real and imaginary partial sums accumulate in extended
+    precision, each block's running sum starting from the carry of the block
+    before, so they equal one cumulative sum over the whole orbit bit for bit
+    and the reported averages are exact to double rounding.  Only the sums at
+    the listed N are kept.
     """
     n_list = tuple(sorted(set(int(n) for n in n_list)))
     if not n_list or n_list[0] < 1:
         raise ValueError("average lengths must be positive")
-    n_max = n_list[-1]
-    w = np.asarray(f(tau.orbit(x, n_max)), dtype=np.complex128)
-    w = w * np.asarray(g(sigma.orbit(y, n_max)), dtype=np.complex128)
-    sums_re = np.cumsum(w.real.astype(np.longdouble))
-    sums_im = np.cumsum(w.imag.astype(np.longdouble))
-    idx = np.asarray(n_list) - 1
-    vals = (sums_re[idx] / np.asarray(n_list)).astype(np.float64) + 1j * (
-        sums_im[idx] / np.asarray(n_list)
-    ).astype(np.float64)
+    want = np.asarray(n_list)
+    sums = np.zeros((2, want.size), dtype=np.longdouble)
+    carry = np.zeros(2, dtype=np.longdouble)
+    for u, v, steps in _orbit_blocks(tau, x, sigma, y, n_list[-1]):
+        w = np.asarray(f(u), dtype=np.complex128) * np.asarray(g(v), dtype=np.complex128)
+        part = np.stack([w.real, w.imag]).astype(np.longdouble)
+        part[:, 0] += carry
+        np.cumsum(part, axis=1, out=part)
+        carry = part[:, -1].copy()
+        hit = (want >= steps[0]) & (want <= steps[-1])
+        sums[:, hit] = part[:, want[hit] - steps[0]]
+    vals = (sums[0] / want).astype(np.float64) + 1j * (sums[1] / want).astype(np.float64)
     return AverageSeries(n_list, vals)
 
 
@@ -349,10 +386,13 @@ def integral_tail(f: SampledFunction, g: SampledFunction, x: float, t_list=None)
 
 
 def orbit_tail(f_obs: Callable, tau, x: float, g_obs: Callable, sigma, y, n_max: int) -> float:
-    """sup over n <= n_max of |f(tau^n x) g(sigma^n y)| / n."""
-    fo = np.asarray(f_obs(tau.orbit(x, n_max)), dtype=np.complex128)
-    go = np.asarray(g_obs(sigma.orbit(y, n_max)), dtype=np.complex128)
-    return float(np.max(np.abs(fo * go) / np.arange(1, n_max + 1)))
+    """sup over n <= n_max of |f(tau^n x) g(sigma^n y)| / n, for pointwise f and g."""
+    best = -np.inf
+    for u, v, steps in _orbit_blocks(tau, x, sigma, y, n_max):
+        fo = np.asarray(f_obs(u), dtype=np.complex128)
+        go = np.asarray(g_obs(v), dtype=np.complex128)
+        best = np.maximum(best, np.max(np.abs(fo * go) / steps))
+    return float(best)
 
 
 def _circle_distance(u, center: float) -> np.ndarray:
@@ -361,15 +401,16 @@ def _circle_distance(u, center: float) -> np.ndarray:
     return np.minimum(d, 1.0 - d)
 
 
-def _spike_observable(center: float, eps: float):
+def _spike(d: np.ndarray, eps: float) -> np.ndarray:
+    """Unnormalized spike |u - c|^(-0.9) of regularization width eps at circle distance d."""
+    return np.maximum(d, eps) ** (-0.9)
+
+
+def _spike_norm(center: float, eps: float) -> float:
+    """Integral of the spike at ``center`` over the circle, by the mean of 2^16 samples."""
     if not 0.0 < eps < 0.5:
         raise ValueError("sharpness levels are regularization widths in (0, 1/2)")
-
-    def spike(u):
-        return np.maximum(_circle_distance(u, center), eps) ** (-0.9)
-
-    norm = float(spike(np.linspace(0.0, 1.0, 1 << 16, endpoint=False)).mean())
-    return lambda u: spike(u) / norm
+    return float(_spike(_circle_distance(np.linspace(0.0, 1.0, 1 << 16, endpoint=False), center), eps).mean())
 
 
 def heavy_tail_sweep(
@@ -388,14 +429,19 @@ def heavy_tail_sweep(
     hit contributes eps^(-1.8) / (hit_time * norms), which dominates the
     statistic and grows as the levels sharpen.  The hit time is the first
     orbit's closest approach to 1/2 among the first few steps.
+
+    Each value equals :func:`orbit_tail` of that level's spike pair; the
+    orbits and their circle distances are built once, block by block, for all
+    levels.
     """
     probe = min(8, n_max)
     n_star = int(np.argmin(_circle_distance(tau.orbit(x, probe), 0.5))) + 1
     center_f = float(tau.orbit(x, 1, start=n_star)[0])
     center_g = float(sigma.orbit(y, 1, start=n_star)[0])
-    out = []
-    for eps in sharpness_levels:
-        f_obs = _spike_observable(center_f, eps)
-        g_obs = _spike_observable(center_g, eps)
-        out.append(orbit_tail(f_obs, tau, x, g_obs, sigma, y, n_max))
-    return out
+    levels = [(eps, _spike_norm(center_f, eps), _spike_norm(center_g, eps)) for eps in sharpness_levels]
+    best = np.full(len(levels), -np.inf)
+    for u, v, steps in _orbit_blocks(tau, x, sigma, y, n_max):
+        df, dg = _circle_distance(u, center_f), _circle_distance(v, center_g)
+        for i, (eps, norm_f, norm_g) in enumerate(levels):
+            best[i] = np.maximum(best[i], np.max(_spike(df, eps) / norm_f * (_spike(dg, eps) / norm_g) / steps))
+    return best.tolist()

@@ -231,12 +231,16 @@ def hl_maximal(f: SampledFunction) -> SampledFunction:
 def _maximal_span(prefix: np.ndarray, lo: int, hi: int, out: np.ndarray) -> None:
     """Raise out[lo:hi] to the best average over intervals inside [lo, hi)."""
     if hi - lo <= _MAXIMAL_BLOCK:
-        for left in range(lo, hi):
-            # averages over [left, b) for b = left+1 .. hi, then the best
-            # interval covering sample i >= left is a suffix maximum
-            avgs = (prefix[left + 1 : hi + 1] - prefix[left]) / np.arange(1, hi - left + 1)
-            best = np.maximum.accumulate(avgs[::-1])[::-1]
-            np.maximum(out[left:hi], best, out=out[left:hi])
+        # the average over [a, b) sits in row a - lo, column b - lo - 1, and is
+        # an interval only on and above the diagonal; the best interval with
+        # left end a covering sample i >= a is the row's suffix maximum from
+        # column i - lo, and the column maximum takes the best left end
+        m = hi - lo
+        lengths = np.arange(1, m + 1) - np.arange(m)[:, None]
+        diffs = prefix[lo + 1 : hi + 1] - prefix[lo:hi, None]
+        avgs = np.divide(diffs, lengths, out=np.zeros((m, m)), where=lengths >= 1)
+        best = np.triu(np.maximum.accumulate(avgs[:, ::-1], axis=1)[:, ::-1])
+        np.maximum(out[lo:hi], best.max(axis=0), out=out[lo:hi])
         return
     mid = (lo + hi) // 2
     _maximal_span(prefix, lo, mid, out)

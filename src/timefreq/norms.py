@@ -48,7 +48,7 @@ def variational_norm(x: Sequence, r: float) -> VariationResult:
     program over the last index; the increment power only depends on the last
     element, so the program is exact.
     """
-    if r < 1:
+    if not r >= 1:
         raise ValueError(f"variational norm requires r >= 1, got {r}")
     v = np.asarray(x, dtype=np.complex128)
     if v.ndim != 1 or v.size == 0:
@@ -84,7 +84,7 @@ def variational_norm_field(values: np.ndarray, r: float) -> np.ndarray:
     Same dynamic program as :func:`variational_norm`, vectorized over the
     second axis; returns a length-``points`` array of norms.
     """
-    if r < 1:
+    if not r >= 1:
         raise ValueError(f"variational norm requires r >= 1, got {r}")
     v = np.asarray(values, dtype=np.complex128)
     if v.ndim != 2 or v.shape[0] == 0:

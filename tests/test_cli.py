@@ -7,6 +7,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -173,6 +174,7 @@ def test_config_values_converted_like_flags(tmp_path):
     ({"J": "nine"}, "invalid value"),
     ({"J": True}, "invalid value"),
     ([9], "JSON object"),
+    ({"lam": float("nan")}, "must be a finite number"),  # float options take finite values only
 ])
 def test_bad_config_rejected(tmp_path, capsys, config, message):
     cfg = tmp_path / "cfg.json"
@@ -300,6 +302,46 @@ def test_out_of_memory_diagnosed(tmp_path, capsys, monkeypatch, sub, func):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["rtt-sim", "--r", "nan"], "--r"),
+    (["rtt-sim", "--alpha", "nan"], "--alpha"),
+    (["mm-scan", "--eps", "nan"], "--eps"),
+    (["blowup", "--q", "inf"], "--q"),
+    (["tails", "--x", "nan"], "--x"),
+    (["tree-bound", "--L=-inf"], "--L"),  # "-inf" alone reads as an option
+])
+def test_non_finite_floats_diagnosed(tmp_path, capsys, argv, flag):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    errors = error_lines(capsys)
+    assert len(errors) == 1 and f"argument {flag}: must be a finite number" in errors[0]
+    assert not out.exists()
+
+
+def direct_trig_poly(c):
+    """rtt-sim's observable with one cos and one sin call per harmonic, the oracle of the angle forms."""
+    def fn(u):
+        u = np.asarray(u, dtype=float)
+        out = np.full(u.shape, c[0])
+        for d in range(1, 4):
+            out = out + c[2 * d - 1] * np.cos(2 * np.pi * d * u)
+            out = out + c[2 * d] * np.sin(2 * np.pi * d * u)
+        return out
+    return fn
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=64))
+def test_angle_forms_match_direct_harmonics(us):
+    """Each harmonic of rtt-sim's observable, picked by a unit coefficient vector, within 1e-14 absolute."""
+    u = np.array(us)
+    for k in range(7):
+        c = np.eye(7)[k]
+        assert np.max(np.abs(cli._trig_poly(c)(u) - direct_trig_poly(c)(u))) <= 1e-14
+
+
 def _small_list(values, max_size=3):
     return st.lists(st.sampled_from(values), min_size=1, max_size=max_size).map(
         lambda xs: ",".join(str(x) for x in xs))
@@ -310,10 +352,11 @@ def _valid_or_not(valid, invalid):
     return st.one_of(st.sampled_from(valid), st.sampled_from(invalid))
 
 
+_NON_FINITE = ["nan", "inf", "-inf"]
 _J = _valid_or_not(["7", "8", "9"], ["-1", "0", "1", "4", "6"])
-_L = _valid_or_not(["4", "8", "16"], ["-2", "0", "0.5", "1", "2", "3"])
+_L = _valid_or_not(["4", "8", "16"], ["-2", "0", "0.5", "1", "2", "3"] + _NON_FINITE)
 _ONE = _valid_or_not(["1"], ["-1", "0"])
-_EXPONENT = _valid_or_not(["1.5", "1.6", "3"], ["-1", "0", "0.5", "1", "2"])
+_EXPONENT = _valid_or_not(["1.5", "1.6", "3"], ["-1", "0", "0.5", "1", "2"] + _NON_FINITE)
 # option strategies of each subcommand, beside --out; tree-select's TILES is the fuzz tile file
 _FUZZ_OPTIONS = {
     "frame-check": {"--J": _J, "--L": _L, "--num-sets": _ONE, "--k-list": _small_list(range(-3, 4))},
@@ -321,9 +364,9 @@ _FUZZ_OPTIONS = {
     "tree-bound": {"--J": _J, "--L": _L, "--trials": _ONE, "--l-list": _small_list(range(-1, 3)),
                    "--r": _EXPONENT, "--t": _EXPONENT},
     "mm-scan": {"--J": _J, "--L": _L, "--trials": _ONE, "--N": _small_list([-2, 0, 1, 2, 4]),
-                "--q": _EXPONENT, "--r": _EXPONENT, "--eps": st.sampled_from(["-0.01", "0", "0.01"])},
+                "--q": _EXPONENT, "--r": _EXPONENT, "--eps": st.sampled_from(["-0.01", "0", "0.01"] + _NON_FINITE)},
     "exceptional": {"--J": _J, "--L": _L, "--runs": _ONE, "--p": _EXPONENT, "--q": _EXPONENT,
-                    "--lam": _valid_or_not(["0.25", "0.5", "1"], ["-0.5", "0", "2"])},
+                    "--lam": _valid_or_not(["0.25", "0.5", "1"], ["-0.5", "0", "2"] + _NON_FINITE)},
     "rtt-sim": {"--log2-n-max": st.sampled_from(["-1", "0", "1", "6"]), "--r": _EXPONENT},
     "blowup": {"--p": _EXPONENT, "--q": _EXPONENT, "--J-list": _small_list([-1, 0, 2, 4, 5, 6, 8, 9], 2)},
     "tails": {"--J": _J, "--L": _L, "--n-max": st.sampled_from(["-1", "0", "1", "50"]),

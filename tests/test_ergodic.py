@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from timefreq.ergodic import (
     return_times_average,
     single_scale_blowup,
 )
+from timefreq.ergodic import _BLOCK
 from timefreq.grid import dft_values, idft_values
 from timefreq.wavepackets import build_kernel
 
@@ -308,6 +310,112 @@ class TestTails:
         for (x, y) in [(0.15, 0.55), (0.9, 0.3)]:
             vals = heavy_tail_sweep([0.04, 0.02, 0.01, 0.005], tau, x, sg, y, 20000)
             assert all(b > a for a, b in zip(vals, vals[1:]))
+
+
+def whole_return_times_average(f, tau, x, g, sigma, y, n_list):
+    """Oracle: the averages from one cumulative sum over the whole orbit."""
+    n_list = np.array(sorted(set(n_list)))
+    w = np.asarray(f(tau.orbit(x, n_list[-1])), dtype=np.complex128)
+    w = w * np.asarray(g(sigma.orbit(y, n_list[-1])), dtype=np.complex128)
+    sums_re = np.cumsum(w.real.astype(np.longdouble))[n_list - 1]
+    sums_im = np.cumsum(w.imag.astype(np.longdouble))[n_list - 1]
+    return (sums_re / n_list).astype(np.float64) + 1j * (sums_im / n_list).astype(np.float64)
+
+
+def whole_orbit_tail(f_obs, tau, x, g_obs, sigma, y, n_max):
+    """Oracle: the tail statistic over the whole orbit at once."""
+    fo = np.asarray(f_obs(tau.orbit(x, n_max)), dtype=np.complex128)
+    go = np.asarray(g_obs(sigma.orbit(y, n_max)), dtype=np.complex128)
+    return float(np.max(np.abs(fo * go) / np.arange(1, n_max + 1)))
+
+
+def whole_heavy_tail_sweep(levels, tau, x, sigma, y, n_max):
+    """Oracle: one whole-orbit tail per level, with that level's normalized spike observables."""
+    def distance(u, center):
+        d = np.abs(np.asarray(u, dtype=float) - center)
+        return np.minimum(d, 1.0 - d)
+
+    def observable(center, eps):
+        def spike(u):
+            return np.maximum(distance(u, center), eps) ** (-0.9)
+        norm = float(spike(np.linspace(0.0, 1.0, 1 << 16, endpoint=False)).mean())
+        return lambda u: spike(u) / norm
+
+    n_star = int(np.argmin(distance(tau.orbit(x, min(8, n_max)), 0.5))) + 1
+    center_f = float(tau.orbit(x, 1, start=n_star)[0])
+    center_g = float(sigma.orbit(y, 1, start=n_star)[0])
+    return [whole_orbit_tail(observable(center_f, eps), tau, x, observable(center_g, eps), sigma, y, n_max)
+            for eps in levels]
+
+
+IET = IntervalExchange((math.sqrt(2) - 1, math.sqrt(3) - 1.5, 3.5 - math.sqrt(2) - math.sqrt(3)), (2, 1, 0))
+# (tau, x, sigma, y, f, g): rotations, a torus against a rotation, one exchange walked from two points
+_SYSTEMS = {
+    "rotations": (CircleRotation(GOLDEN), 0.2, CircleRotation(SQRT2M1), 0.7,
+                  lambda u: 0.4 + np.cos(2 * np.pi * u) + 0.3j * np.sin(6 * np.pi * u),
+                  lambda u: -0.7 + 0.5 * np.sin(4 * np.pi * u)),
+    "torus": (TorusProduct(GOLDEN, SQRT2M1), (0.2, 0.9), CircleRotation(SQRT2M1), 0.7,
+              lambda p: np.cos(2 * np.pi * p[:, 0]) + 1j * np.sin(2 * np.pi * p[:, 1]),
+              lambda u: np.exp(-u) + 0.1),
+    "exchange": (IET, 0.123, IET, 0.456, lambda u: np.cos(2 * np.pi * u) - 0.2j, lambda u: u - 0.5),
+}
+_N_MAX = [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5]
+
+
+class TestBlockedStatistics:
+    """The blocked orbit statistics equal their whole-orbit oracles bit for bit."""
+
+    @pytest.mark.parametrize("n_max", _N_MAX)
+    @pytest.mark.parametrize("system", sorted(_SYSTEMS))
+    def test_return_times_average(self, system, n_max):
+        tau, x, sg, y, f, g = _SYSTEMS[system]
+        edges = [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, 2 * _BLOCK + 1, 3 * _BLOCK, n_max]
+        n_list = [n for n in edges if n <= n_max]
+        got = return_times_average(f, tau, x, g, sg, y, n_list)
+        assert got.n_list == tuple(sorted(set(n_list)))
+        assert np.array_equal(got.values, whole_return_times_average(f, tau, x, g, sg, y, n_list))
+
+    @pytest.mark.parametrize("n_max", _N_MAX)
+    @pytest.mark.parametrize("system", sorted(_SYSTEMS))
+    def test_orbit_tail(self, system, n_max):
+        tau, x, sg, y, f, g = _SYSTEMS[system]
+        assert orbit_tail(f, tau, x, g, sg, y, n_max) == whole_orbit_tail(f, tau, x, g, sg, y, n_max)
+
+    @pytest.mark.parametrize("n_max", _N_MAX)
+    @pytest.mark.parametrize("system", ["exchange", "rotations"])
+    def test_heavy_tail_sweep(self, system, n_max):
+        tau, x, sg, y, _, _ = _SYSTEMS[system]
+        levels = [0.04, 0.02, 0.01, 0.005]
+        assert heavy_tail_sweep(levels, tau, x, sg, y, n_max) == whole_heavy_tail_sweep(levels, tau, x, sg, y, n_max)
+
+    def test_exchange_blocks_resume(self, monkeypatch):
+        """A blocked walk over an interval exchange makes n steps per orbit, not a replay per block."""
+        calls = []
+        step = IntervalExchange._step
+        monkeypatch.setattr(IntervalExchange, "_step", staticmethod(lambda *a: calls.append(1) or step(*a)))
+        iet = IntervalExchange(IET.lengths, IET.permutation)
+        n = 3 * _BLOCK + 5
+        f = lambda u: u
+        return_times_average(f, iet, 0.123, f, iet, 0.456, [n])
+        assert len(calls) == 2 * n
+        calls.clear()
+        orbit_tail(f, iet, 0.3, f, iet, 0.8, n)
+        assert len(calls) == 2 * n
+
+    def test_peak_memory(self):
+        """Blocks bound the working set: each statistic's traced peak stays under 8 MB."""
+        tau, x, sg, y, f, g = _SYSTEMS["rotations"]
+        tracemalloc.start()
+        try:
+            return_times_average(f, tau, x, g, sg, y, [2**i for i in range(1, 21)])
+            average_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            heavy_tail_sweep([0.04, 0.02, 0.01, 0.005], tau, 0.15, sg, 0.55, 500_000)
+            sweep_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert average_peak < 8 << 20
+        assert sweep_peak < 8 << 20
 
 
 class TestBlowup:

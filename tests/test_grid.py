@@ -157,6 +157,15 @@ class TestMaximal:
         assert np.all(np.abs(got - expected) <= 1e-12 * expected)
         assert np.all(got >= np.abs(vals) * (1 - 1e-12))  # single-sample averages round
 
+    def test_fine_indicator_bit_identical_to_loop(self):
+        """A J = 13 indicator of a few blocks, as the maximal-function step of the refine workload draws."""
+        g = Grid(13, 64.0)
+        mask = np.zeros(g.n, dtype=bool)
+        for start, width in [(700, 40), (2000, 480), (5100, 33)]:
+            mask[start : start + width] = True
+        f = SampledFunction(g, mask.astype(np.complex128))
+        assert np.array_equal(hl_maximal(f).values.real, loop_maximal(f.values))
+
     def test_constant(self):
         g = Grid(8, 8.0)
         m = hl_maximal(SampledFunction(g, np.full(g.n, -3.0 + 0j)))

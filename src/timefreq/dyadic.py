@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional
 
 __all__ = [
@@ -57,9 +56,6 @@ class Interval:
 
     def contains(self, other: "Interval") -> bool:
         return self.a <= other.a and other.b <= self.b
-
-    def intersects(self, other: "Interval") -> bool:
-        return self.a < other.b and other.a < self.b
 
     def dilate(self, factor: float) -> "Interval":
         """Dilation about the center: factor * length, same center."""
@@ -111,9 +107,6 @@ class DyadicInterval:
 
     def to_interval(self) -> Interval:
         return Interval(self.left, self.right)
-
-    def fractions(self) -> tuple[Fraction, Fraction]:
-        return Fraction(self.m, 1) * Fraction(2) ** self.k, Fraction(self.m + 1, 1) * Fraction(2) ** self.k
 
 
 @dataclass(frozen=True)
@@ -283,19 +276,15 @@ def window_partition(tiles: Iterable[Tile], tree: Tree, level: int) -> dict[int,
     top = tree.top_tile or tree.find_top_tile()
     if top is None:
         raise ValueError("window partition requires a tree with a top tile")
-    w = Fraction(2) ** top.time.k
-    center = (Fraction(top.time.m) + Fraction(1, 2)) * w
-    width = (Fraction(2) ** level) * w
-    base = center - width / 2
+    width = math.ldexp(1.0, top.time.k + level)
+    base = top.time.center - width / 2
 
     groups: dict[int, set[Tile]] = {}
     for s in tiles:
         if s.time.length > top.time.length:
             raise ValueError("window partition requires |I_s| <= |I_T| for every tile")
-        p, q = s.time.fractions()
-        i_first = math.floor((p - base) / width)
-        iq = (q - base) / width
-        i_last = int(iq) - 1 if iq == int(iq) else math.floor(iq)
+        i_first = math.floor((s.time.left - base) / width)
+        i_last = math.ceil((s.time.right - base) / width) - 1
         if i_last - i_first > 1:
             raise ValueError("tile meets more than two adjacent windows")
         if i_first <= 0 <= i_last:
@@ -307,9 +296,9 @@ def window_partition(tiles: Iterable[Tile], tree: Tree, level: int) -> dict[int,
         groups.setdefault(m, set()).add(s)
 
     out: dict[int, Tree] = {}
-    factor = float(Fraction(2) ** level + 2)
+    factor = 2.0**level + 2
     for m, members in groups.items():
-        top_iv = top.time.to_interval().dilate(factor).shift(float(width * m))
+        top_iv = top.time.to_interval().dilate(factor).shift(width * m)
         out[m] = Tree(top_iv, tree.top_freq, frozenset(members), top_tile=None)
     return out
 

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grid import Grid, SampledFunction, dft_values, idft_values, lp_norm, lp_norm_values
+from .grid import Grid, SampledFunction, dft_values, idft_values
 from .wavepackets import Kernel, build_window, gabor_expand
 
 __all__ = [
@@ -26,9 +26,7 @@ __all__ = [
     "return_times_average",
     "convergence_diagnostic",
     "kernel_average",
-    "kernel_average_at",
     "kernel_average_max",
-    "correlation_proxy",
     "BlowupRow",
     "single_scale_blowup",
     "integral_tail",
@@ -206,10 +204,8 @@ def convergence_diagnostic(series: AverageSeries, r: float) -> tuple[float, floa
     from .norms import variational_norm
 
     v = series.values
-    osc = 0.0
-    for i in range(v.size):
-        osc = max(osc, float(np.max(np.abs(v[i:] - v[i]))))
-    return osc, variational_norm(v, r).value
+    osc = np.max([np.max(np.abs(v[i:] - v[i])) for i in range(v.size)], initial=0.0)
+    return float(osc), variational_norm(v, r).value
 
 
 # ---------------------------------------------------------------------------
@@ -242,47 +238,9 @@ def kernel_average(f: SampledFunction, g: SampledFunction, ker: Kernel, x: float
     return SampledFunction(f.grid, _kernel_averages(f, g, ker, x, [k])[0])
 
 
-def kernel_average_at(f: SampledFunction, g: SampledFunction, ker: Kernel, x: float, z: float, k: int) -> complex:
-    """Direct quadrature of the kernel correlation at a single (x, z)."""
-    grid = f.grid
-    fv = np.roll(f.values, -_x_index(grid, x))
-    gv = np.roll(g.values, -_x_index(grid, z))
-    return complex(np.sum(fv * gv * ker.scaled_time(k)) * grid.dx)
-
-
 def kernel_average_max(f: SampledFunction, g: SampledFunction, ker: Kernel, x: float, k_list) -> SampledFunction:
     """Pointwise sup over the scales of ``k_list`` of the absolute kernel correlation; zero for no scales."""
     return SampledFunction(f.grid, np.abs(_kernel_averages(f, g, ker, x, k_list)).max(axis=0, initial=0.0))
-
-
-def correlation_proxy(
-    f: SampledFunction,
-    ker: Kernel,
-    q: float,
-    k_list,
-    x_indices,
-    n_candidates: int = 6,
-    seed: int = 0,
-) -> np.ndarray:
-    """Candidate-search lower proxy for the correlation supremum at chosen x.
-
-    For each x the value is max over a fixed seeded candidate set of unit-L^q
-    functions g of || sup_k |kernel correlation| ||_{L^q_z}.
-    """
-    grid = f.grid
-    rng = np.random.default_rng(seed)
-    cands = [np.ones(grid.n, dtype=np.complex128)]
-    width = max(4, grid.n // 64)
-    bump = np.zeros(grid.n, dtype=np.complex128)
-    bump[: 2 * width] = np.hanning(2 * width)
-    cands.append(bump)
-    for _ in range(max(0, n_candidates - 2)):
-        cands.append(rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n))
-    cands = [SampledFunction(grid, c / max(lp_norm_values(c, grid.dx, q), 1e-300)) for c in cands]
-    out = np.zeros(len(x_indices))
-    for i, xi in enumerate(x_indices):
-        out[i] = max(lp_norm(kernel_average_max(f, g, ker, xi * grid.dx, k_list), q) for g in cands)
-    return out
 
 
 def _pair_average(f: SampledFunction, g: SampledFunction, xi: int, lo: int, hi: int, t: float) -> float:
@@ -302,8 +260,8 @@ def bilinear_max(f: SampledFunction, g: SampledFunction, x: float, t_grid) -> fl
         half = int(round(t / grid.dx))
         if half < 1 or 2 * half > grid.n:
             raise ValueError(f"window t = {t} unusable on this grid")
-        best = max(best, _pair_average(f, g, xi, -half, half, t))
-    return best
+        best = np.maximum(best, _pair_average(f, g, xi, -half, half, t))
+    return float(best)
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +339,8 @@ def integral_tail(f: SampledFunction, g: SampledFunction, x: float, t_list=None)
         if t <= 1.0:
             raise ValueError("tail windows require t > 1")
         lo, hi = int(round(t / grid.dx)), int(round((t + 1.0) / grid.dx))
-        best = max(best, _pair_average(f, g, xi, lo, hi, t))
-    return best
+        best = np.maximum(best, _pair_average(f, g, xi, lo, hi, t))
+    return float(best)
 
 
 def orbit_tail(f_obs: Callable, tau, x: float, g_obs: Callable, sigma, y, n_max: int) -> float:

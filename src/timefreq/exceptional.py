@@ -67,7 +67,7 @@ class ParamLedger:
             raise ParameterError(f"q-range check failed: need 1 < q < 2, got q = {self.q}")
         if not 1.0 < self.p < 2.0:
             raise ParameterError(f"p-range check failed: need 1 < p < 2, got p = {self.p}")
-        if self.eps <= 0:
+        if not self.eps > 0:
             raise ParameterError(f"eps must be positive, got {self.eps}")
         if not 0.0 < self.lam <= 1.0:
             raise ParameterError(f"threshold check failed: need 0 < lam <= 1, got {self.lam}")
@@ -302,16 +302,12 @@ def check_pointwise_bound(
 @dataclass
 class PipelineReport:
     p: float
-    q: float
-    eps: float
     lam: float
-    seed: int
     measure_f: float
     measure_e: float
     measure_estar: float
     level_rows: list = field(default_factory=list)
     pointwise_ratios: list = field(default_factory=list)
-    escape_counts: dict = field(default_factory=dict)
 
     @property
     def estar_ratio(self) -> float:
@@ -362,13 +358,8 @@ def run_pipeline(
     eset = maximal_exceptional_set(f, lam, ledger.b)
     universe = TileUniverse(-1, 1, Interval(0.0, grid.length), Interval(0.0, freq_max))
     tiles = universe.all_tiles()
-    escaping, trapped = split_tiles(tiles, eset)
-    escape_groups = group_by_escape_level(trapped, eset)
-
-    report = PipelineReport(
-        p, q, eps, lam, seed, measure_f, eset.measure, 0.0,
-        escape_counts={k: len(v) for k, v in sorted(escape_groups.items())},
-    )
+    escaping, _ = split_tiles(tiles, eset)
+    report = PipelineReport(p, lam, measure_f, eset.measure, 0.0)
 
     estar = GridSet(grid, eset.mask.copy())
     if escaping:

@@ -73,11 +73,6 @@ class Grid:
         """Sample points n*dx for 0 <= n < 2**j."""
         return np.arange(self.n) * self.dx
 
-    def signed_xs(self) -> np.ndarray:
-        """Sample points wrapped to [-L/2, L/2); useful for functions centered at 0."""
-        x = self.xs()
-        return np.where(x < self.length / 2, x, x - self.length)
-
     def freqs(self) -> np.ndarray:
         """Frequency points j/L for -2^(j-1) <= j < 2^(j-1), ascending."""
         return (np.arange(self.n) - self.n // 2) / self.length

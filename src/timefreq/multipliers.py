@@ -194,6 +194,8 @@ def growth_scan(
         raise ValueError("the scan targets 1 < q < 2")
     if not r > 2:
         raise ValueError("variation exponent must exceed 2")
+    if not np.isfinite(eps):
+        raise ValueError(f"eps must be finite, got {eps}")
     lam_box = grid.freq_halfwidth / 2.0
     rows = []
     for n in n_list:

@@ -141,12 +141,12 @@ class AdaptedBump:
     """Smooth bump supported on an interval with scale-invariant derivative bounds.
 
     Satisfies ||m||_inf <= C and ||m'||_inf <= C / |omega| for the adaptedness
-    constant C; ``variant`` selects among translated/modulated members of the
-    canonical family.
+    constant C that :func:`make_adapted_bump` turns into ``amplitude``;
+    ``variant`` selects among translated/modulated members of the canonical
+    family.
     """
 
     omega: Interval
-    c_const: float
     variant: int
     amplitude: float
 
@@ -172,7 +172,7 @@ def make_adapted_bump(omega: Interval, c_const: float, modulation_index: int = 0
         raise ValueError("modulation index must be >= 0")
     d_rel = _variant_derivative_bound(modulation_index)
     amp = c_const / max(1.0, d_rel)
-    return AdaptedBump(omega, c_const, modulation_index, amp)
+    return AdaptedBump(omega, modulation_index, amp)
 
 
 def adapted_family(omega: Interval, c_const: float, family_size: int = 8) -> list[AdaptedBump]:

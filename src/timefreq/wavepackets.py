@@ -33,7 +33,6 @@ __all__ = [
     "gabor_expand",
     "gabor_reconstruct",
     "model_function",
-    "coeffs_to_csv_rows",
 ]
 
 _QUAD_NODES = 4096
@@ -242,14 +241,6 @@ def gabor_reconstruct(w: Window, coeffs: np.ndarray, k: int) -> SampledFunction:
     recon_hat = np.zeros(w.grid.n, dtype=np.complex128)
     np.add.at(recon_hat, idx.ravel(), (2.0 ** (k / 2.0) * prof * spectra).ravel())
     return idft(SampledFunction(w.grid, recon_hat))
-
-
-def coeffs_to_csv_rows(coeffs: np.ndarray, k: int) -> list[tuple]:
-    """Rows (k, 2m, l2, re, im) of the nonzero coefficients, sorted by (m, l2);
-    doubled indices keep the keys integral."""
-    m, l2 = np.nonzero(coeffs.T)
-    c = coeffs[l2, m]
-    return list(zip([k] * m.size, (2 * m).tolist(), l2.tolist(), c.real.tolist(), c.imag.tolist()))
 
 
 # ---------------------------------------------------------------------------

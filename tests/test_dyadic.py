@@ -1,3 +1,7 @@
+import math
+import re
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -124,7 +128,71 @@ class TestSaturation:
         assert far in saturation(tree, {far})
 
 
+def fraction_window_partition(tiles, tree, level):
+    """Oracle: :func:`window_partition` in exact rational arithmetic."""
+    top = tree.top_tile or tree.find_top_tile()
+    if top is None:
+        raise ValueError("window partition requires a tree with a top tile")
+    w = Fraction(2) ** top.time.k
+    center = (Fraction(top.time.m) + Fraction(1, 2)) * w
+    width = (Fraction(2) ** level) * w
+    base = center - width / 2
+    groups = {}
+    for s in tiles:
+        if s.time.length > top.time.length:
+            raise ValueError("window partition requires |I_s| <= |I_T| for every tile")
+        p = Fraction(s.time.m) * Fraction(2) ** s.time.k
+        q = Fraction(s.time.m + 1) * Fraction(2) ** s.time.k
+        i_first = math.floor((p - base) / width)
+        iq = (q - base) / width
+        i_last = int(iq) - 1 if iq == int(iq) else math.floor(iq)
+        if i_last - i_first > 1:
+            raise ValueError("tile meets more than two adjacent windows")
+        if i_first <= 0 <= i_last:
+            m = 0
+        elif i_first >= 1:
+            m = i_first
+        else:
+            m = i_last
+        groups.setdefault(m, set()).add(s)
+    factor = float(Fraction(2) ** level + 2)
+    return {m: Tree(top.time.to_interval().dilate(factor).shift(float(width * m)), tree.top_freq,
+                    frozenset(members), top_tile=None)
+            for m, members in groups.items()}
+
+
+@st.composite
+def partition_cases(draw):
+    """A top tile at scale -6..8, a dilation level 0..6 and tiles up to six
+    scales finer whose left ends lie up to 40 windows from the top; now and
+    then one tile one or two scales coarser than the top, which must raise."""
+    kt = draw(st.integers(-6, 8))
+    top = T(kt, draw(st.integers(-8, 8)), draw(st.integers(-4, 4)))
+    level = draw(st.integers(0, 6))
+    reach = 40 * 2**level * 64  # 40 windows, in units of 2^(kt - 6)
+    scales = draw(st.lists(st.integers(kt - 6, kt), min_size=1, max_size=12))
+    if draw(st.integers(0, 9)) == 0:
+        scales.append(kt + draw(st.integers(1, 2)))
+    tiles = []
+    for ks in scales:
+        left = top.time.m * 64 + draw(st.integers(-reach, reach))
+        tiles.append(T(ks, left >> (ks - kt + 6), 0))
+    return Tree.with_top_tile(top, {top}, top_freq=top.freq.left), tiles, level
+
+
 class TestWindowPartition:
+    @given(partition_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fraction_oracle(self, case):
+        tree, tiles, level = case
+        try:
+            expected = fraction_window_partition(tiles, tree, level)
+        except ValueError as err:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(err))}$"):
+                window_partition(tiles, tree, level)
+            return
+        assert window_partition(tiles, tree, level) == expected
+
     def _tree(self, kt=1, mt=2, mf=1):
         top = T(kt, mt, mf)
         return top, Tree.with_top_tile(top, {top}, top_freq=top.freq.left)
@@ -200,8 +268,9 @@ class TestDecompose:
         assert by_top[s1].tiles == {s1, sub}   # lower frequency endpoint wins
         assert by_top[s2].tiles == {s2}
         tops = list(by_top)
-        assert not (tops[0].time.to_interval().intersects(tops[1].time.to_interval())
-                    and tops[0].freq.to_interval().intersects(tops[1].freq.to_interval()))
+        a, b = tops
+        assert not (a.time.left < b.time.right and b.time.left < a.time.right
+                    and a.freq.left < b.freq.right and b.freq.left < a.freq.right)
 
     def test_partition_of_tiles(self):
         rng = np.random.default_rng(5)

@@ -63,6 +63,8 @@ class TestParamLedger:
             ParamLedger(1.5, 2.5, 0.01, 0.5)
         with pytest.raises(ParameterError, match="threshold"):
             ParamLedger(1.8, 1.5, 0.01, 1.5)
+        with pytest.raises(ParameterError, match="eps must be positive, got nan"):
+            ParamLedger(1.6, 1.5, math.nan, 0.5)
 
     def test_level_params_helper(self):
         lv = level_params(1.8, 1.5, 0.01, 0.5, 3)

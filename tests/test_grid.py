@@ -33,7 +33,8 @@ class TestDft:
 
     def test_gaussian_pair(self):
         g = Grid(12, 32.0)
-        x = g.signed_xs()
+        xs = g.xs()
+        x = np.where(xs < g.length / 2, xs, xs - g.length)
         f = SampledFunction(g, np.exp(-np.pi * x**2))
         fhat = dft(f)
         xi = g.freqs()

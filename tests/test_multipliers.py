@@ -252,3 +252,7 @@ class TestGrowthScan:
             growth_scan(grid, 2.5, 3.0, 0.01, [2], 1, 0)
         with pytest.raises(ValueError):
             growth_scan(grid, 1.5, 1.5, 0.01, [2], 1, 0)
+        # a NaN or infinite denominator would read as ratio 0.0
+        for eps in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="eps must be finite"):
+                growth_scan(grid, 1.5, 3.0, eps, [2, 4], 1, 0)

@@ -13,7 +13,6 @@ from timefreq.wavepackets import (
     FRAME_CONSTANT,
     build_kernel,
     build_window,
-    coeffs_to_csv_rows,
     gabor_expand,
     gabor_reconstruct,
     model_function,
@@ -47,7 +46,8 @@ class TestWindow:
 
     def test_time_decay_envelope(self, fine):
         g, w, _ = fine
-        x = np.abs(g.signed_xs())
+        xs = g.xs()
+        x = np.minimum(xs, g.length - xs)
         phi = idft(SampledFunction(g, w.phat_profile(g.freqs())))
         c = np.max(np.abs(phi.values) * (1.0 + x) ** 4)
         # fitted once: the envelope constant stays moderate relative to the peak
@@ -134,13 +134,6 @@ class TestGaborFrame:
             abs(c) * (1 + min(m, w0 - m)) ** 3 for (l2, m), c in np.ndenumerate(coeffs)
         )
         assert worst <= 8.0  # fitted envelope constant
-
-    def test_csv_rows(self, coarse):
-        g, w = coarse
-        coeffs = np.zeros((4, 2), dtype=complex)
-        coeffs[3, 0], coeffs[0, 1] = 1 + 2j, 0.5 + 0j
-        rows = coeffs_to_csv_rows(coeffs, 1)
-        assert rows == [(1, 0, 3, 1.0, 2.0), (1, 2, 0, 0.5, 0.0)]
 
 
 def _lattice_indices(w, k, l2):

@@ -159,6 +159,15 @@ def _orbit_blocks(tau, x: float, sigma, y, n: int):
         yield tau.orbit(x, m, start), sigma.orbit(y, m, start), np.arange(start, start + m)
 
 
+def _product(fo, go) -> np.ndarray:
+    """Pointwise product of two observable blocks in double precision: real for real
+    observables, complex128 when either is complex.  A real product equals the real
+    part of the complex128 product bit for bit, whose imaginary part is zero."""
+    if np.iscomplexobj(fo) or np.iscomplexobj(go):
+        return np.asarray(fo, dtype=np.complex128) * np.asarray(go, dtype=np.complex128)
+    return np.multiply(fo, go, dtype=np.float64)
+
+
 def return_times_average(
     f: Callable,
     tau,
@@ -171,11 +180,11 @@ def return_times_average(
     """Averages (1/N) sum_{n<=N} f(tau^n x) g(sigma^n y) at the listed N.
 
     f and g act pointwise.  The orbits are walked in blocks of :data:`_BLOCK`
-    steps; the real and imaginary partial sums accumulate in extended
-    precision, each block's running sum starting from the carry of the block
-    before, so they equal one cumulative sum over the whole orbit bit for bit
-    and the reported averages are exact to double rounding.  Only the sums at
-    the listed N are kept.
+    steps; the partial sums accumulate in extended precision, each block's
+    running sum starting from the carry of the block before, so they equal one
+    cumulative sum over the whole orbit bit for bit and the reported averages are
+    exact to double rounding.  Real observables sum one real row; the imaginary
+    sums then stay at their carry.  Only the sums at the listed N are kept.
     """
     n_list = tuple(sorted(set(int(n) for n in n_list)))
     if not n_list or n_list[0] < 1:
@@ -184,13 +193,15 @@ def return_times_average(
     sums = np.zeros((2, want.size), dtype=np.longdouble)
     carry = np.zeros(2, dtype=np.longdouble)
     for u, v, steps in _orbit_blocks(tau, x, sigma, y, n_list[-1]):
-        w = np.asarray(f(u), dtype=np.complex128) * np.asarray(g(v), dtype=np.complex128)
-        part = np.stack([w.real, w.imag]).astype(np.longdouble)
-        part[:, 0] += carry
+        w = _product(f(u), g(v))
+        part = (np.stack([w.real, w.imag]) if np.iscomplexobj(w) else w[None]).astype(np.longdouble)
+        k = len(part)
+        part[:, 0] += carry[:k]
         np.cumsum(part, axis=1, out=part)
-        carry = part[:, -1].copy()
+        carry[:k] = part[:, -1]
         hit = (want >= steps[0]) & (want <= steps[-1])
-        sums[:, hit] = part[:, want[hit] - steps[0]]
+        sums[:, hit] = carry[:, None]
+        sums[:k, hit] = part[:, want[hit] - steps[0]]
     vals = (sums[0] / want).astype(np.float64) + 1j * (sums[1] / want).astype(np.float64)
     return AverageSeries(n_list, vals)
 
@@ -347,28 +358,33 @@ def orbit_tail(f_obs: Callable, tau, x: float, g_obs: Callable, sigma, y, n_max:
     """sup over n <= n_max of |f(tau^n x) g(sigma^n y)| / n, for pointwise f and g."""
     best = -np.inf
     for u, v, steps in _orbit_blocks(tau, x, sigma, y, n_max):
-        fo = np.asarray(f_obs(u), dtype=np.complex128)
-        go = np.asarray(g_obs(v), dtype=np.complex128)
-        best = np.maximum(best, np.max(np.abs(fo * go) / steps))
+        best = np.maximum(best, np.max(np.abs(_product(f_obs(u), g_obs(v))) / steps))
     return float(best)
 
 
 def _circle_distance(u, center: float) -> np.ndarray:
     """Distance on the unit circle for u and center in [0, 1): no remainder pass, unlike wrapped_distance."""
-    d = np.abs(np.asarray(u, dtype=float) - center)
-    return np.minimum(d, 1.0 - d)
+    d = np.asarray(u, dtype=float) - center
+    np.abs(d, out=d)
+    return np.minimum(d, 1.0 - d, out=d)
 
 
 def _spike(d: np.ndarray, eps: float) -> np.ndarray:
-    """Unnormalized spike |u - c|^(-0.9) of regularization width eps at circle distance d."""
-    return np.maximum(d, eps) ** (-0.9)
+    """Unnormalized spike |u - c|^(-0.9) of regularization width eps at circle distance d.
+
+    With the smallest level as eps, this one power serves every level: a level's
+    spike is ``np.where(d > level, power, cap)``, its cap the level's own power.
+    """
+    s = np.maximum(d, eps)
+    s **= -0.9
+    return s
 
 
-def _spike_norm(center: float, eps: float) -> float:
-    """Integral of the spike at ``center`` over the circle, by the mean of 2^16 samples."""
-    if not 0.0 < eps < 0.5:
-        raise ValueError("sharpness levels are regularization widths in (0, 1/2)")
-    return float(_spike(_circle_distance(np.linspace(0.0, 1.0, 1 << 16, endpoint=False), center), eps).mean())
+def _spike_norms(center: float, levels: np.ndarray, caps: np.ndarray) -> list[float]:
+    """Integrals over the circle of the spikes at ``center``, one per level, by means of 2^16 samples."""
+    d = _circle_distance(np.linspace(0.0, 1.0, 1 << 16, endpoint=False), center)
+    power = _spike(d, levels.min())
+    return [float(np.where(d > eps, power, cap).mean()) for eps, cap in zip(levels, caps)]
 
 
 def heavy_tail_sweep(
@@ -386,20 +402,36 @@ def heavy_tail_sweep(
     adapted placement that drives the known failure for integrable pairs.  The
     hit contributes eps^(-1.8) / (hit_time * norms), which dominates the
     statistic and grows as the levels sharpen.  The hit time is the first
-    orbit's closest approach to 1/2 among the first few steps.
+    orbit's closest approach to 1/2 among the first few steps.  Every level must
+    lie in (0, 1/2), with eps^(-1.8) finite.
 
     Each value equals :func:`orbit_tail` of that level's spike pair; the
-    orbits and their circle distances are built once, block by block, for all
-    levels.
+    orbits, their circle distances and one spike power (at the smallest level)
+    are built once, block by block, for all levels.
     """
+    levels = np.array(sharpness_levels, dtype=float)
+    for eps in levels.tolist():
+        if not 0.0 < eps < 0.5:
+            raise ValueError(f"sharpness levels are regularization widths in (0, 1/2), got {eps:g}")
+        try:
+            eps ** -1.8
+        except OverflowError:
+            raise ValueError(f"sharpness level {eps:g} is too sharp: its spike product eps^(-1.8) "
+                             "overflows a double") from None
+    if not levels.size:
+        return []
+    eps_min = levels.min()
+    caps = _spike(levels, eps_min)
     probe = min(8, n_max)
     n_star = int(np.argmin(_circle_distance(tau.orbit(x, probe), 0.5))) + 1
     center_f = float(tau.orbit(x, 1, start=n_star)[0])
     center_g = float(sigma.orbit(y, 1, start=n_star)[0])
-    levels = [(eps, _spike_norm(center_f, eps), _spike_norm(center_g, eps)) for eps in sharpness_levels]
-    best = np.full(len(levels), -np.inf)
+    norm_f, norm_g = _spike_norms(center_f, levels, caps), _spike_norms(center_g, levels, caps)
+    best = np.full(levels.size, -np.inf)
     for u, v, steps in _orbit_blocks(tau, x, sigma, y, n_max):
         df, dg = _circle_distance(u, center_f), _circle_distance(v, center_g)
-        for i, (eps, norm_f, norm_g) in enumerate(levels):
-            best[i] = np.maximum(best[i], np.max(_spike(df, eps) / norm_f * (_spike(dg, eps) / norm_g) / steps))
+        sf, sg = _spike(df, eps_min), _spike(dg, eps_min)
+        for i, (eps, cap) in enumerate(zip(levels, caps)):
+            best[i] = np.maximum(best[i], np.max(np.where(df > eps, sf, cap) / norm_f[i]
+                                                 * (np.where(dg > eps, sg, cap) / norm_g[i]) / steps))
     return best.tolist()

@@ -320,6 +320,70 @@ def test_non_finite_floats_diagnosed(tmp_path, capsys, argv, flag):
     assert not out.exists()
 
 
+def expression_trig_poly(c):
+    """rtt-sim's observable as one expression over fresh temporaries, the oracle of the in-place form."""
+    def fn(u):
+        t = 2 * np.pi * np.asarray(u, dtype=float)
+        c1, s1 = np.cos(t), np.sin(t)
+        c2, s2 = 2 * c1 * c1 - 1, 2 * s1 * c1
+        c3, s3 = c1 * (4 * c1 * c1 - 3), s1 * (3 - 4 * s1 * s1)
+        return c[0] + c[1] * c1 + c[2] * s1 + c[3] * c2 + c[4] * s2 + c[5] * c3 + c[6] * s3
+    return fn
+
+
+@pytest.mark.parametrize("n", [None, 1, (1 << 14) - 1, 1 << 14])
+def test_in_place_trig_poly_bit_identical(n):
+    """The in-place observable equals the expression bit for bit, on a 0-d input (n None) too."""
+    rng = np.random.default_rng(n)
+    u = np.asarray(rng.random()) if n is None else rng.random(n)
+    for _ in range(5):
+        c = rng.standard_normal(7) * np.exp(-np.arange(7))
+        got = cli._trig_poly(c)(u)
+        assert np.shape(got) == u.shape
+        assert np.array_equal(got, expression_trig_poly(c)(u))
+
+
+_LIST_CASES = [
+    (["frame-check", "--k-list", "0,,1"], "--k-list", "invalid int value in '0,,1'"),
+    (["tree-bound", "--l-list", "0,one"], "--l-list", "invalid int value in '0,one'"),
+    (["mm-scan", "--N", "2,4.5"], "--N", "invalid int value in '2,4.5'"),
+    (["blowup", "--J-list", "8,x"], "--J-list", "invalid int value in '8,x'"),
+    (["tails", "--sharpness", ",,"], "--sharpness", "invalid float value: ''"),
+]
+
+
+@pytest.mark.parametrize("argv,flag,message", _LIST_CASES, ids=[flag for _, flag, _ in _LIST_CASES])
+def test_list_option_entries_diagnosed(tmp_path, capsys, argv, flag, message):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    errors = error_lines(capsys)
+    assert len(errors) == 1 and f"error: argument {flag}: {message}" in errors[0]
+    assert not out.exists()
+
+
+def test_list_option_config_values_checked(tmp_path, capsys):
+    """A --config list value goes through the option's type: non-finite sharpness levels are refused."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sharpness": "0.02,nan"}))
+    with pytest.raises(SystemExit) as exc:
+        run(["--config", str(cfg), "tails", "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    errors = error_lines(capsys)
+    assert len(errors) == 1 and "config key 'sharpness'" in errors[0] and "must be a finite number" in errors[0]
+
+
+def test_overflowing_sharpness_refused(tmp_path, capsys):
+    """A level whose spike product overflows is one error line, with no overflow warning (the suite
+    turns RuntimeWarnings into errors)."""
+    out = tmp_path / "x.csv"
+    assert run(["tails", "--J", "8", "--n-max", "50", "--sharpness", "0.02,1e-300", "--out", str(out)]) == 2
+    errors = error_lines(capsys)
+    assert len(errors) == 1 and "sharpness level 1e-300 is too sharp" in errors[0]
+    assert not out.exists()
+
+
 def direct_trig_poly(c):
     """rtt-sim's observable with one cos and one sin call per harmonic, the oracle of the angle forms."""
     def fn(u):
@@ -359,18 +423,18 @@ _ONE = _valid_or_not(["1"], ["-1", "0"])
 _EXPONENT = _valid_or_not(["1.5", "1.6", "3"], ["-1", "0", "0.5", "1", "2"] + _NON_FINITE)
 # option strategies of each subcommand, beside --out; tree-select's TILES is the fuzz tile file
 _FUZZ_OPTIONS = {
-    "frame-check": {"--J": _J, "--L": _L, "--num-sets": _ONE, "--k-list": _small_list(range(-3, 4))},
+    "frame-check": {"--J": _J, "--L": _L, "--num-sets": _ONE, "--k-list": _small_list([*range(-3, 4), "", "x", "1.5"])},
     "tree-select": {"--J": _J, "--L": _L, "--family-size": _ONE, "--tiles": st.just("TILES")},
-    "tree-bound": {"--J": _J, "--L": _L, "--trials": _ONE, "--l-list": _small_list(range(-1, 3)),
+    "tree-bound": {"--J": _J, "--L": _L, "--trials": _ONE, "--l-list": _small_list([*range(-1, 3), "", "x", "0.5"]),
                    "--r": _EXPONENT, "--t": _EXPONENT},
-    "mm-scan": {"--J": _J, "--L": _L, "--trials": _ONE, "--N": _small_list([-2, 0, 1, 2, 4]),
+    "mm-scan": {"--J": _J, "--L": _L, "--trials": _ONE, "--N": _small_list([-2, 0, 1, 2, 4, "", "x", "2.5"]),
                 "--q": _EXPONENT, "--r": _EXPONENT, "--eps": st.sampled_from(["-0.01", "0", "0.01"] + _NON_FINITE)},
     "exceptional": {"--J": _J, "--L": _L, "--runs": _ONE, "--p": _EXPONENT, "--q": _EXPONENT,
                     "--lam": _valid_or_not(["0.25", "0.5", "1"], ["-0.5", "0", "2"] + _NON_FINITE)},
     "rtt-sim": {"--log2-n-max": st.sampled_from(["-1", "0", "1", "6"]), "--r": _EXPONENT},
-    "blowup": {"--p": _EXPONENT, "--q": _EXPONENT, "--J-list": _small_list([-1, 0, 2, 4, 5, 6, 8, 9], 2)},
+    "blowup": {"--p": _EXPONENT, "--q": _EXPONENT, "--J-list": _small_list([-1, 0, 2, 4, 5, 6, 8, 9, "", "x", "8.0"], 2)},
     "tails": {"--J": _J, "--L": _L, "--n-max": st.sampled_from(["-1", "0", "1", "50"]),
-              "--sharpness": _small_list([-0.1, 0, 0.02, 0.5])},
+              "--sharpness": _small_list([-0.1, 0, 0.02, 0.5, "", "x", "1e-300", *_NON_FINITE])},
 }
 # the options that set a run's size are always given, so no draw runs at a default size
 _FUZZ_SIZES = {"--num-sets", "--family-size", "--trials", "--runs", "--log2-n-max", "--n-max", "--J-list"}

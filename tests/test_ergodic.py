@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from timefreq import Grid, SampledFunction, hl_maximal, lp_norm
+from timefreq.cli import _trig_poly
 from timefreq.ergodic import (
     CircleRotation,
     IntervalExchange,
@@ -316,6 +318,22 @@ class TestTails:
         f.values[64 + round(3.5 / g.dx)] = np.nan
         assert math.isnan(integral_tail(f, f, 64 * g.dx, t_list=[2.0, 3.0]))
 
+    def test_spike_sweep_empty_levels(self):
+        assert heavy_tail_sweep([], CircleRotation(GOLDEN), 0.15, CircleRotation(SQRT2M1), 0.55, 100) == []
+
+    @pytest.mark.parametrize("eps,message", [
+        (0.0, "(0, 1/2), got 0"), (0.5, "(0, 1/2), got 0.5"), (-0.1, "(0, 1/2), got -0.1"),
+        (math.nan, "(0, 1/2), got nan"), (1e-300, "level 1e-300 is too sharp"),
+    ], ids=["zero", "half", "negative", "nan", "overflow"])
+    def test_spike_sweep_bad_level(self, eps, message):
+        """A bad level raises before any orbit is built; the overflow check warns of nothing."""
+        class NoOrbits:
+            def orbit(self, *args):
+                raise AssertionError("orbit built before the levels were checked")
+
+        with pytest.raises(ValueError, match=re.escape(message)):
+            heavy_tail_sweep([0.02, eps], NoOrbits(), 0.15, NoOrbits(), 0.55, 100)
+
     def test_spike_sweep_monotone(self):
         tau, sg = CircleRotation(GOLDEN), CircleRotation(SQRT2M1)
         for (x, y) in [(0.15, 0.55), (0.9, 0.3)]:
@@ -369,6 +387,10 @@ _SYSTEMS = {
               lambda p: np.cos(2 * np.pi * p[:, 0]) + 1j * np.sin(2 * np.pi * p[:, 1]),
               lambda u: np.exp(-u) + 0.1),
     "exchange": (IET, 0.123, IET, 0.456, lambda u: np.cos(2 * np.pi * u) - 0.2j, lambda u: u - 0.5),
+    # real observables: rtt-sim's trigonometric polynomials, summed on the real path
+    "real": (CircleRotation(GOLDEN), 0.2, CircleRotation(SQRT2M1), 0.7,
+             _trig_poly(np.array([0.3, 1.0, -0.5, 0.25, 0.1, -0.05, 0.02])),
+             _trig_poly(np.array([-0.7, 0.2, 0.6, -0.1, 0.05, 0.03, -0.01]))),
 }
 _N_MAX = [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5]
 
@@ -398,6 +420,29 @@ class TestBlockedStatistics:
         tau, x, sg, y, _, _ = _SYSTEMS[system]
         levels = [0.04, 0.02, 0.01, 0.005]
         assert heavy_tail_sweep(levels, tau, x, sg, y, n_max) == whole_heavy_tail_sweep(levels, tau, x, sg, y, n_max)
+
+    @pytest.mark.parametrize("levels", [[0.01, 0.04, 0.005, 0.02], [0.02, 0.005, 0.02, 0.005], [0.01], [0.3]])
+    def test_heavy_tail_sweep_level_lists(self, levels):
+        """Unsorted, duplicated and single levels: each value is its level's own whole-orbit tail."""
+        tau, x, sg, y, _, _ = _SYSTEMS["rotations"]
+        n_max = _BLOCK + 1
+        assert heavy_tail_sweep(levels, tau, x, sg, y, n_max) == whole_heavy_tail_sweep(levels, tau, x, sg, y, n_max)
+
+    def test_return_times_average_mixed_blocks(self):
+        """An observable that is complex only on the blocks that meet a short arc: the imaginary
+        sums carry across its real blocks."""
+        tau, x, sg, y, _, g = _SYSTEMS["rotations"]
+        kinds = []
+
+        def f(u):
+            w = np.where(np.abs(u - 0.3) < 2e-5, u + 0.5j, u)
+            kinds.append(bool(np.any(w.imag)))
+            return w if kinds[-1] else w.real
+
+        n_list = [1, _BLOCK, 2 * _BLOCK + 7, 4 * _BLOCK, 6 * _BLOCK - 1]
+        got = return_times_average(f, tau, x, g, sg, y, n_list)
+        assert True in kinds[:-1] and False in kinds[:-1]  # the oracle's call is the last
+        assert np.array_equal(got.values, whole_return_times_average(f, tau, x, g, sg, y, n_list))
 
     def test_exchange_blocks_resume(self, monkeypatch):
         """A blocked walk over an interval exchange makes n steps per orbit, not a replay per block."""

@@ -16,6 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .grid import Grid, SampledFunction, dft_values, idft_values
+from .norms import variational_norm
 from .wavepackets import Kernel, build_window, gabor_expand
 
 __all__ = [
@@ -212,8 +213,6 @@ def convergence_diagnostic(series: AverageSeries, r: float) -> tuple[float, floa
     Oscillation is the diameter max |A_i - A_j| over the listed times; the
     variation is the exact r-variation norm of the series.
     """
-    from .norms import variational_norm
-
     v = series.values
     osc = np.max([np.max(np.abs(v[i:] - v[i])) for i in range(v.size)], initial=0.0)
     return float(osc), variational_norm(v, r).value
@@ -301,6 +300,8 @@ def single_scale_blowup(p: float, q: float, j_list: Sequence[int]) -> list[Blowu
     8 grid cells.  Finer grids only extend the candidate family, so in the
     unbounded regime the reported values grow with j.  Both exponents must be
     positive and every j at least 6, so that 8 cells fit in the widest spike.
+    The normalisation at the narrowest spikes must be a normal double: the
+    numerator is at most one, so every value is then finite.
     """
     for name, value in (("p", p), ("q", q)):
         if not value > 0:
@@ -308,15 +309,17 @@ def single_scale_blowup(p: float, q: float, j_list: Sequence[int]) -> list[Blowu
     if min(j_list, default=6) < 6:
         raise ValueError(f"blowup needs every --J-list entry >= 6, got {min(j_list)}: "
                          f"its spikes reach down to 8 cells of width 8/2^J inside width 1")
+    grids = [Grid(j, 8.0) for j in j_list]  # a J above MAX_J is refused before any work
+    d = 0.25 ** ((max(j_list, default=6) - 6) // 2)  # the narrowest spike width
+    if (d ** (1.0 / p) * d ** (1.0 / q)) ** 2 < np.finfo(float).tiny:
+        name, value = ("p", p) if p <= q else ("q", q)
+        raise ValueError(f"exponent {name} = {value:g} is too small for J = {max(j_list)}: "
+                         f"(|F|^(1/p) |G|^(1/q))^2 underflows at spike width {d:g}; raise --{name}")
     rows = []
-    for j in j_list:
-        grid = Grid(j, 8.0)
+    for j, grid in zip(j_list, grids):
         window = build_window(grid)
-        deltas = []
-        d = 1.0
-        while d >= 8 * grid.dx - 1e-12:
-            deltas.append(d)
-            d /= 4.0
+        # widths 1, 1/4, 1/16, ... down to the last one of at least 8 cells of width 8/2^j
+        deltas = [0.25**i for i in range((j - 6) // 2 + 1)]
         center = 4.0
         spikes = {d: SampledFunction.indicator(grid, [(center, center + d)]) for d in deltas}
         tables = {d: np.abs(gabor_expand(window, ind, 0).ravel()) for d, ind in spikes.items()}

@@ -59,10 +59,9 @@ class MultiplierFamily:
     """Per-scale lists of (interval, bump, coefficient) triples.
 
     Intervals at scale k are the covering intervals of the frequency set;
-    each carries an adapted bump scaled by a complex coefficient of modulus
-    at most one, so the family's adaptedness constant stays comparable
-    across set sizes.  Any callable of the frequencies can stand in for an
-    :class:`AdaptedBump`.
+    each carries an :class:`AdaptedBump` scaled by a complex coefficient of
+    modulus at most one, so the family's adaptedness constant stays
+    comparable across set sizes.
     """
 
     grid: Grid
@@ -73,13 +72,12 @@ class MultiplierFamily:
         return sorted(self.scales)
 
     def total_multiplier(self, k: int) -> np.ndarray:
-        """Scale-k multiplier on the grid: its adapted bumps come from one
-        :func:`bump_values` call and are added in list order, exactly the per-bump sum."""
-        xi = self.grid.freqs()
-        rows = iter(bump_values([b for _, b, _ in self.scales[k] if isinstance(b, AdaptedBump)], xi))
+        """Scale-k multiplier on the grid: its bumps come from one :func:`bump_values`
+        call and are added in list order, exactly the per-bump sum."""
+        rows = bump_values([b for _, b, _ in self.scales[k]], self.grid.freqs())
         out = np.zeros(self.grid.n, dtype=np.complex128)
-        for _, bump, coeff in self.scales[k]:
-            out += coeff * (next(rows) if isinstance(bump, AdaptedBump) else bump(xi))
+        for row, (_, _, coeff) in zip(rows, self.scales[k]):
+            out += coeff * row
         return out
 
     def value_at(self, k: int, lam: float) -> complex:
@@ -134,25 +132,21 @@ def scale_variation(fam: MultiplierFamily, freqs: FrequencySet, r: float) -> flo
     For each frequency the sequence collects, scale by scale, the value at
     that frequency of the multiplier on the covering interval; the variation
     runs over the scales the family defines.
-    The (scale, frequency) table takes one :func:`bump_values` call for all adapted bumps
-    (any other bump: one call on the frequencies it covers), then one exact variation per
-    column; it matches ``value_at`` up to rounding.
+    The (scale, frequency) table takes one :func:`bump_values` call, then one exact
+    variation per column; it matches ``value_at`` up to rounding.
     """
     ks = fam.scale_list()
     lams = np.asarray(freqs.lambdas, dtype=float)
     table = np.zeros((len(ks), lams.size), dtype=np.complex128)
-    adapted = []  # (row, column, bump, coefficient) per frequency an adapted bump covers
+    covered = []  # (row, column, bump, coefficient) per frequency a bump covers
     for row, k in enumerate(ks):
         free = np.ones(lams.size, dtype=bool)  # the first covering interval wins
         for iv, bump, coeff in fam.scales[k]:
             cols = np.flatnonzero(free & (iv.left <= lams) & (lams < iv.right))
             free[cols] = False
-            if isinstance(bump, AdaptedBump):
-                adapted += [(row, col, bump, coeff) for col in cols]
-            elif cols.size:
-                table[row, cols] = coeff * bump(lams[cols])
-    if adapted:
-        rows, cols, bumps, coeffs = zip(*adapted)
+            covered += [(row, col, bump, coeff) for col in cols]
+    if covered:
+        rows, cols, bumps, coeffs = zip(*covered)
         table[rows, cols] = np.array(coeffs) * bump_values(bumps, lams[list(cols)][:, None])[:, 0]
     return float(variational_norm_field(table, r).max())
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from .dyadic import Interval, Tile
 from .grid import Grid, SampledFunction, _fft, _ifft, dft, idft_values, wrapped_distance
+from .wavepackets import smooth_step
 
 __all__ = [
     "VariationResult",
@@ -121,8 +122,6 @@ _POSITIONS = ((0.0, 1.0), (0.0, 0.5), (0.5, 1.0), (0.25, 0.75))
 
 def _base_profile(t: np.ndarray) -> np.ndarray:
     # smooth bump on [0, 1] with value 1 at the center, flat zeros at the ends
-    from .wavepackets import smooth_step
-
     return smooth_step(2.0 * t) * smooth_step(2.0 * (1.0 - t))
 
 

@@ -46,15 +46,15 @@ DEFAULT_ORDER = 15
 FRAME_CONSTANT = 1.0
 
 
-def smooth_step(t, order: float = DEFAULT_ORDER) -> np.ndarray:
-    """Monotone step, 0 for t <= 0 and 1 for t >= 1, flat to ``order`` at both ends.
+def smooth_step(t) -> np.ndarray:
+    """Monotone step, 0 for t <= 0 and 1 for t >= 1, flat to ``DEFAULT_ORDER`` at both ends.
 
     Bernstein form of the regularized incomplete beta I_t(m+1, m+1): a sum of
     nonnegative terms, so the endpoint values 0 and 1 are exact in floating
     point and the first m derivatives vanish there.  An odd order keeps the
     square root of the derived partition bump smooth at its support edges.
     """
-    m = max(1, int(round(order)))
+    m = DEFAULT_ORDER
     t = np.atleast_1d(np.asarray(t, dtype=float))
     out = np.where(t >= 1.0, 1.0, 0.0)
     inside = (t > 0) & (t < 1)
@@ -66,7 +66,7 @@ def smooth_step(t, order: float = DEFAULT_ORDER) -> np.ndarray:
     return out
 
 
-def partition_bump(xi, order: float = DEFAULT_ORDER) -> np.ndarray:
+def partition_bump(xi) -> np.ndarray:
     """Smooth bump b on [0, 1] with sum_l b(xi - l/2) = 1 everywhere.
 
     Rises as a smooth step on [0, 1/2] and falls as its exact complement on
@@ -77,8 +77,8 @@ def partition_bump(xi, order: float = DEFAULT_ORDER) -> np.ndarray:
     out = np.zeros_like(xi)
     lo = (xi >= 0.0) & (xi <= 0.5)
     hi = (xi > 0.5) & (xi <= 1.0)
-    out[lo] = smooth_step(2.0 * xi[lo], order)
-    out[hi] = 1.0 - smooth_step(2.0 * xi[hi] - 1.0, order)
+    out[lo] = smooth_step(2.0 * xi[lo])
+    out[hi] = 1.0 - smooth_step(2.0 * xi[hi] - 1.0)
     return out
 
 
@@ -88,11 +88,8 @@ class Window:
 
     grid: Grid
 
-    def bump(self, xi) -> np.ndarray:
-        return partition_bump(xi)
-
     def phat_profile(self, xi) -> np.ndarray:
-        return np.sqrt(self.bump(xi))
+        return np.sqrt(partition_bump(xi))
 
     def frame_deviation(self) -> float:
         """max over grid frequencies of |sum_l |phat(xi - l/2)|^2 - C|.
@@ -101,7 +98,7 @@ class Window:
         """
         if self.grid.length < 2:
             raise ValueError(f"the frame deviation needs box length L >= 2, got L = {self.grid.length:g}")
-        b = self.bump(self.grid.freqs())
+        b = partition_bump(self.grid.freqs())
         shift = round(0.5 / self.grid.dxi)
         total = np.zeros_like(b)
         for l in range(self.grid.n // shift):
@@ -247,31 +244,29 @@ def gabor_reconstruct(w: Window, coeffs: np.ndarray, k: int) -> SampledFunction:
 # kernel
 
 
-def _default_eta_profile(order: float = DEFAULT_ORDER):
-    def profile(xi):
-        return partition_bump(np.asarray(xi, dtype=float) + 0.5, order)
-
-    return profile
+def _eta(xi) -> np.ndarray:
+    """The kernel profile: the partition bump moved onto [-1/2, 1/2]."""
+    return partition_bump(xi + 0.5)
 
 
 @dataclass
 class Kernel:
     """Positive averaging kernel K = |inverse transform of eta|^2.
 
-    eta is smooth, supported in [-1/2, 1/2] with nonzero integral, so the
-    transform of K is the autocorrelation eta * eta~, supported in [-1, 1],
-    and K(0) = (integral of eta)^2 > 0.
+    eta is the one fixed profile :func:`_eta`, the partition bump of order
+    ``DEFAULT_ORDER`` on [-1/2, 1/2]: smooth, supported there, with nonzero
+    integral.  So the transform of K is the autocorrelation eta * eta~,
+    supported in [-1, 1], and K(0) = (integral of eta)^2 > 0.
     """
 
     grid: Grid
-    eta_profile: object = field(repr=False)
     _ktime_cache: dict = field(default_factory=dict, init=False, repr=False)
     _autocorrelation: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @property
     def K(self) -> SampledFunction:
         """Samples of K on the grid."""
-        eta = np.asarray(self.eta_profile(self.grid.freqs()), dtype=np.complex128)
+        eta = np.asarray(_eta(self.grid.freqs()), dtype=np.complex128)
         return SampledFunction(self.grid, np.abs(idft_values(eta, self.grid.dx)) ** 2)
 
     def khat(self, xi) -> np.ndarray:
@@ -281,14 +276,14 @@ class Kernel:
         chunk = 1 << 12
         for i in range(0, xi.size, chunk):
             block = xi[i : i + chunk]
-            shifted = self.eta_profile(_NODES[None, :-1] - block[:, None])
+            shifted = _eta(_NODES[None, :-1] - block[:, None])
             out[i : i + chunk] = (shifted * self._node_eta[None, :]).sum(axis=1) / _QUAD_NODES
         return out
 
     @functools.cached_property
     def _node_eta(self) -> np.ndarray:
         """eta at the quadrature nodes."""
-        return np.asarray(self.eta_profile(_NODES[:-1]), dtype=float)
+        return _eta(_NODES[:-1])
 
     def khat_progression(self, xi: np.ndarray, step: float) -> np.ndarray:
         """:meth:`khat` at an arithmetic progression ``xi`` with spacing ``step``.
@@ -301,7 +296,7 @@ class Kernel:
         autocorrelation of the node samples, kept for every later call.  Lags
         where the moved samples miss the nodes give exact zeros.  The result
         is the quadrature up to summation order (about 1e-16 absolute), with
-        the same exact zeros, provided eta vanishes outside [-1/2, 1/2].  When
+        the same exact zeros, since eta vanishes outside [-1/2, 1/2].  When
         step * N is not an integer, this falls back to :meth:`khat`.
         """
         xi = np.asarray(xi, dtype=float)
@@ -325,60 +320,38 @@ class Kernel:
         if frac == 0.0 and self._autocorrelation is not None:
             return self._autocorrelation
         # node N moved down by frac / N can still lie inside [-1/2, 1/2]
-        a = np.asarray(self.eta_profile(_NODES - frac / _QUAD_NODES), dtype=float)
+        a = _eta(_NODES - frac / _QUAD_NODES)
         corr = np.correlate(a, self._node_eta, "full") / _QUAD_NODES
         if frac == 0.0:
             self._autocorrelation = corr
         return corr
 
     def khat_lattice(self, k: int) -> np.ndarray:
-        """khat on the extended scale-k lattice i * 2^k / L, |i| <= n - 1.
+        """khat(2^k xi_j) over the frequency axis.
 
         Read from the autocorrelation of the quadrature nodes (see
         :meth:`khat_progression`) when 2^k * 4096 / L is an integer, so the
         lattice costs no quadrature; otherwise evaluated by :meth:`khat`.
         """
-        n = self.grid.n
         step = math.ldexp(1.0, k) * self.grid.dxi
-        return self.khat_progression(step * np.arange(-(n - 1), n), step)
-
-    def khat_grid(self, k: int) -> np.ndarray:
-        """khat(2^k xi_j) over the frequency axis."""
-        return self.khat_lattice(k)[(self.grid.n - 1) + np.arange(self.grid.n) - self.grid.n // 2]
+        return self.khat_progression(step * (np.arange(self.grid.n) - self.grid.n // 2), step)
 
     def scaled_time(self, k: int) -> np.ndarray:
         """Samples of 2^-k K(2^-k y): the inverse transform of khat(2^k xi)."""
         if k not in self._ktime_cache:
-            self._ktime_cache[k] = idft_values(self.khat_grid(k), self.grid.dx)
+            self._ktime_cache[k] = idft_values(self.khat_lattice(k), self.grid.dx)
         return self._ktime_cache[k]
 
 
-def build_kernel(grid: Grid, eta_choice="smooth") -> Kernel:
-    """Build the kernel from a named eta profile or a custom callable.
+def build_kernel(grid: Grid) -> Kernel:
+    """Build the averaging kernel on ``grid``; see :class:`Kernel`.
 
-    ``eta_choice`` is "smooth" (default), "sharp", or a callable profile on
-    the frequency axis.  The profile must be supported in [-1/2, 1/2] and have
-    nonzero integral; violations raise ValueError.
+    The kernel transform is supported in [-1, 1], which the frequency box must
+    contain.
     """
-    if eta_choice == "smooth":
-        profile = _default_eta_profile(DEFAULT_ORDER)
-    elif eta_choice == "sharp":
-        profile = _default_eta_profile(5)
-    elif callable(eta_choice):
-        profile = eta_choice
-    else:
-        raise ValueError(f"unknown eta choice: {eta_choice!r}")
-
-    probe = np.linspace(-4.0, 4.0, 8193)
-    vals = np.asarray(profile(probe), dtype=float)
-    outside = np.abs(probe) > 0.5 + 1e-12
-    if np.any(np.abs(vals[outside]) >= 1e-12):
-        raise ValueError("eta must be supported in [-1/2, 1/2]")
-    if abs(np.trapezoid(vals, probe)) < 1e-8:
-        raise ValueError("eta must have nonzero integral")
     if grid.freq_halfwidth < 1.0:
         raise ValueError("frequency box must contain the kernel support [-1, 1]")
-    return Kernel(grid, profile)
+    return Kernel(grid)
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +404,6 @@ class ModelFunction:
 
 def model_function(w: Window, ker: Kernel, s: Tile) -> ModelFunction:
     """Model function of a tile; see :class:`ModelFunction`."""
-    if w.grid is not ker.grid and (w.grid.j != ker.grid.j or w.grid.length != ker.grid.length):
+    if w.grid != ker.grid:
         raise ValueError("window and kernel must share a grid")
     return ModelFunction(s, w, ker, tile_packet_hat(w, s))

@@ -289,6 +289,22 @@ def test_blowup_exponents_must_be_positive(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
+# (|F|^(1/p) |G|^(1/q))^2 at the narrowest spikes: 2^-1206 at --p 0.01 (a division by zero),
+# 2^-1049 at --p 0.0115 (a subnormal, so the proxy overflowed to inf)
+@pytest.mark.parametrize("argv,message", [
+    (["--p", "0.01"], "exponent p = 0.01 is too small for J = 12"),
+    (["--q", "0.011"], "exponent q = 0.011 is too small for J = 12"),
+    (["--p", "0.02", "--J-list", "18"], "exponent p = 0.02 is too small for J = 18"),
+    (["--p", "0.0115"], "exponent p = 0.0115 is too small for J = 12"),
+])
+def test_blowup_underflowing_exponents_refused(tmp_path, capsys, argv, message):
+    out = tmp_path / "x.csv"
+    assert run(["blowup", *argv, "--out", str(out)]) == 2
+    errors = error_lines(capsys)
+    assert len(errors) == 1 and message in errors[0] and f"raise {argv[0]}" in errors[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("sub,func", [("tails", "cmd_tails"), ("exceptional", "cmd_exceptional")])
 def test_out_of_memory_diagnosed(tmp_path, capsys, monkeypatch, sub, func):
     def exhausted(args):
@@ -421,6 +437,8 @@ _J = _valid_or_not(["7", "8", "9"], ["-1", "0", "1", "4", "6"])
 _L = _valid_or_not(["4", "8", "16"], ["-2", "0", "0.5", "1", "2", "3"] + _NON_FINITE)
 _ONE = _valid_or_not(["1"], ["-1", "0"])
 _EXPONENT = _valid_or_not(["1.5", "1.6", "3"], ["-1", "0", "0.5", "1", "2"] + _NON_FINITE)
+# blowup's normalisation underflows at small exponents: at its J-list sizes 0.001 does, 0.01 not
+_BLOWUP_EXPONENT = _valid_or_not(["1.5", "1.6", "3"], ["-1", "0", "0.001", "0.01", "0.5", "1", "2"] + _NON_FINITE)
 # option strategies of each subcommand, beside --out; tree-select's TILES is the fuzz tile file
 _FUZZ_OPTIONS = {
     "frame-check": {"--J": _J, "--L": _L, "--num-sets": _ONE, "--k-list": _small_list([*range(-3, 4), "", "x", "1.5"])},
@@ -432,7 +450,7 @@ _FUZZ_OPTIONS = {
     "exceptional": {"--J": _J, "--L": _L, "--runs": _ONE, "--p": _EXPONENT, "--q": _EXPONENT,
                     "--lam": _valid_or_not(["0.25", "0.5", "1"], ["-0.5", "0", "2"] + _NON_FINITE)},
     "rtt-sim": {"--log2-n-max": st.sampled_from(["-1", "0", "1", "6"]), "--r": _EXPONENT},
-    "blowup": {"--p": _EXPONENT, "--q": _EXPONENT, "--J-list": _small_list([-1, 0, 2, 4, 5, 6, 8, 9, "", "x", "8.0"], 2)},
+    "blowup": {"--p": _BLOWUP_EXPONENT, "--q": _BLOWUP_EXPONENT, "--J-list": _small_list([-1, 0, 2, 4, 5, 6, 8, 9, "", "x", "8.0"], 2)},
     "tails": {"--J": _J, "--L": _L, "--n-max": st.sampled_from(["-1", "0", "1", "50"]),
               "--sharpness": _small_list([-0.1, 0, 0.02, 0.5, "", "x", "1e-300", *_NON_FINITE])},
 }

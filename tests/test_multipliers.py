@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from timefreq import Grid, SampledFunction, dft, lp_norm
-from timefreq.dyadic import DyadicInterval
+from timefreq.dyadic import DyadicInterval, Interval
 from timefreq.multipliers import (
     FrequencySet,
     MultiplierFamily,
@@ -17,23 +17,16 @@ from timefreq.multipliers import (
     scale_variation,
     sup_over_scales,
 )
-from timefreq.norms import make_adapted_bump, variational_norm
+from timefreq.norms import AdaptedBump, make_adapted_bump, variational_norm
 
 
-class _ConstBump:
-    """Test helper: multiplier equal to a constant on its interval."""
+def centred_bump(lam, k, value):
+    """Bump on the length-2^k interval centred at a dyadic ``lam``, equal to ``value`` there.
 
-    def __init__(self, interval, value=1.0):
-        self.interval = interval
-        self.value = value
-
-    def __call__(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        inside = (xi >= self.interval.a) & (xi < self.interval.b)
-        return np.where(inside, self.value, 0.0).astype(np.complex128)
-
-    def samples(self, grid):
-        return self(grid.freqs())
+    At the centre t = 1/2 exactly, where the base profile is exactly one.
+    """
+    half = math.ldexp(1.0, k - 1)
+    return AdaptedBump(Interval(lam - half, lam + half), 0, value)
 
 
 class TestCoveringIntervals:
@@ -149,12 +142,14 @@ class TestSupOverScales:
 
 class TestScaleVariation:
     def test_constant_multipliers(self, grid):
-        freqs = FrequencySet((0.4, 2.3))
+        # one frequency per covering interval at every scale, each bump centred on it
+        freqs = FrequencySet((0.5, 6.5))
         per_scale = {}
         for k in (0, 1, 2):
-            per_scale[k] = [(iv, _ConstBump(iv.to_interval()), 1.0 + 0j)
-                            for iv in covering_intervals(freqs, k)]
+            per_scale[k] = [(iv, centred_bump(lam, k, 1.0), 1.0 + 0j)
+                            for iv, lam in zip(covering_intervals(freqs, k), freqs.lambdas)]
         fam = MultiplierFamily(grid, freqs, per_scale)
+        assert all(fam.value_at(k, lam) == 1.0 for k in per_scale for lam in freqs.lambdas)
         assert scale_variation(fam, freqs, 3.0) == pytest.approx(1.0)
 
     def test_single_scale(self, grid):
@@ -165,10 +160,10 @@ class TestScaleVariation:
         assert scale_variation(fam, freqs, 3.0) == pytest.approx(expected)
 
     def test_two_scales_jump(self, grid):
-        freqs = FrequencySet((0.4,))
+        freqs = FrequencySet((0.5,))
         per_scale = {
-            0: [(DyadicInterval(0, 0), _ConstBump(DyadicInterval(0, 0).to_interval(), 0.0), 1.0)],
-            1: [(DyadicInterval(1, 0), _ConstBump(DyadicInterval(1, 0).to_interval(), 1.0), 1.0)],
+            0: [(DyadicInterval(0, 0), centred_bump(0.5, 0, 0.0), 1.0)],
+            1: [(DyadicInterval(1, 0), centred_bump(0.5, 1, 1.0), 1.0)],
         }
         fam = MultiplierFamily(grid, freqs, per_scale)
         assert scale_variation(fam, freqs, 3.0) == pytest.approx(2.0)
@@ -183,8 +178,9 @@ def loop_scale_variation(fam, freqs, r):
 
 @st.composite
 def families(draw):
-    """Random families on a J=9 grid; some entries hold a constant bump instead, and
-    some scales repeat an interval, where the first entry covering a frequency counts."""
+    """Random families on a J=9 grid; some entries hold a bump of another variant with a
+    signed amplitude, and some scales repeat an interval, where the first entry covering
+    a frequency counts."""
     g = Grid(9, 8.0)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(1, 16))
@@ -195,7 +191,7 @@ def families(draw):
         for entries in fam.scales.values():
             for i, (iv, bump, coeff) in enumerate(entries):
                 if rng.random() < 0.3:
-                    entries[i] = (iv, _ConstBump(iv.to_interval(), rng.uniform(-1, 1)), coeff)
+                    entries[i] = (iv, AdaptedBump(iv.to_interval(), int(rng.integers(8)), rng.uniform(-1, 1)), coeff)
     if draw(st.booleans()):
         for entries in fam.scales.values():
             iv, bump, _ = entries[int(rng.integers(len(entries)))]

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 from timefreq import Grid, SampledFunction, dft, idft, lp_norm
 from timefreq.dyadic import DyadicInterval, Tile
+from timefreq.grid import idft_values
 from timefreq.norms import interval_weight
 from timefreq.wavepackets import (
     FRAME_CONSTANT,
+    _eta,
     build_kernel,
     build_window,
     gabor_expand,
@@ -256,17 +258,16 @@ class TestKernel:
         quad_val = float(ker.khat(np.array([0.0]))[0])
         assert abs(grid_val - quad_val) <= 1e-8
 
-    def test_bad_eta_rejected(self, fine):
-        g, _, _ = fine
-        with pytest.raises(ValueError):
-            build_kernel(g, lambda xi: np.exp(-np.asarray(xi) ** 2))  # support too wide
-        with pytest.raises(ValueError):
-            build_kernel(g, "boxcar")
+    def test_eta_support_and_integral(self):
+        xi = np.linspace(-4.0, 4.0, 8193)
+        vals = _eta(xi)
+        assert np.all(vals[np.abs(xi) > 0.5] == 0.0)
+        # the half-shifts of the partition bump sum to one, so its integral is 1/2
+        assert np.sum(vals) * (xi[1] - xi[0]) == pytest.approx(0.5, abs=1e-12)
 
-    def test_sharp_choice(self):
-        g = Grid(10, 16.0)
-        ker = build_kernel(g, "sharp")
-        assert np.min(ker.K.values.real) >= -1e-12
+    def test_small_frequency_box_rejected(self):
+        with pytest.raises(ValueError, match=r"must contain the kernel support \[-1, 1\]"):
+            build_kernel(Grid(6, 64.0))  # the box is [-1/2, 1/2)
 
 
 def assert_same_as_quadrature(fast, slow):
@@ -283,7 +284,7 @@ def kernel_cases(draw):
     k = draw(st.integers(max(-3, log_len + 1 - j), min(3, log_len)))
     length = 2.0 ** log_len
     g = Grid(j, length)
-    return g, build_kernel(g, draw(st.sampled_from(["smooth", "sharp"]))), k
+    return g, build_kernel(g), k
 
 
 class TestKernelCorrelation:
@@ -291,10 +292,7 @@ class TestKernelCorrelation:
     @settings(max_examples=25, deadline=None)
     def test_lattice_matches_quadrature(self, case):
         g, ker, k = case
-        pts = math.ldexp(1.0, k) * np.arange(-(g.n - 1), g.n) * g.dxi
-        slow = ker.khat(pts)
-        assert_same_as_quadrature(ker.khat_lattice(k), slow)
-        assert_same_as_quadrature(ker.khat_grid(k), slow[g.n // 2 - 1 : g.n // 2 - 1 + g.n])
+        assert_same_as_quadrature(ker.khat_lattice(k), ker.khat(math.ldexp(1.0, k) * g.freqs()))
 
     # where = +-1 is the edge of the frequency box, so thetas past it are drawn too
     @given(kernel_cases(), st.floats(-3.0, 3.0), st.booleans())
@@ -338,10 +336,28 @@ class TestKernelCorrelation:
         g = Grid(6, 8.0)
         ker = build_kernel(g)
         k = -10  # 2^k * 4096 / L = 1/2
-        pts = math.ldexp(1.0, k) * np.arange(-(g.n - 1), g.n) * g.dxi
-        assert np.array_equal(ker.khat_lattice(k), ker.khat(pts))
+        assert np.array_equal(ker.khat_lattice(k), ker.khat(math.ldexp(1.0, k) * g.freqs()))
         xi = 0.3 + math.ldexp(1.0, k) * np.arange(5) / 3
         assert np.array_equal(ker.khat_progression(xi, math.ldexp(1.0, k) / 3), ker.khat(xi))
+
+
+def extended_lattice_slice(ker, k):
+    """khat on the grid points read as a slice of the extended lattice i 2^k / L, |i| <= n - 1."""
+    n = ker.grid.n
+    step = math.ldexp(1.0, k) * ker.grid.dxi
+    return ker.khat_progression(step * np.arange(-(n - 1), n), step)[(n - 1) + np.arange(n) - n // 2]
+
+
+# (J, L, k): the correlation path, and at J, L = 6, 8 with k = -10, -11 the quadrature fallback
+@pytest.mark.parametrize("j,length,k", [
+    *((j, length, k) for j, length in ((9, 8.0), (11, 32.0), (12, 64.0), (6, 1.0)) for k in range(-2, 2)),
+    (6, 8.0, -10), (6, 8.0, -11),
+])
+def test_khat_lattice_bit_identical_to_extended_slice(j, length, k):
+    ker = build_kernel(Grid(j, length))
+    want = extended_lattice_slice(ker, k)
+    assert np.array_equal(ker.khat_lattice(k), want)
+    assert np.array_equal(ker.scaled_time(k), idft_values(want, ker.grid.dx))
 
 
 def random_tile(g, rng, freq_max=8.0):
@@ -352,6 +368,14 @@ def random_tile(g, rng, freq_max=8.0):
 
 
 class TestModelFunction:
+    def test_window_and_kernel_share_a_grid(self):
+        w = build_window(Grid(9, 8.0))
+        s = Tile(DyadicInterval(0, 0), DyadicInterval(0, 0))
+        # equal but distinct Grid objects are one grid
+        assert model_function(w, build_kernel(Grid(9, 8.0)), s).kernel.grid == w.grid
+        with pytest.raises(ValueError, match="must share a grid"):
+            model_function(w, build_kernel(Grid(9, 16.0)), s)
+
     def test_theta_support(self, fine):
         g, w, ker = fine
         s = Tile(DyadicInterval(0, 30), DyadicInterval(0, 3))

@@ -267,27 +267,25 @@ def _list_of(item):
     return entries
 
 
-def _count(text: str) -> int:
-    """argparse type of a count option: an integer >= 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+def _int_from(low: int, cap: int | None):
+    """argparse type of an integer option of at least ``low`` and at most ``cap`` (None: no cap),
+    checked before anything is allocated."""
+    def value(text: str) -> int:
+        v = int(text)
+        if v < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {v}")
+        if cap is not None and v > cap:
+            raise argparse.ArgumentTypeError(f"must be at most {cap}, got {v}")
+        return v
+    value.__name__ = "int"  # the type argparse and _list_of name in "invalid int value"
     return value
 
+
+_count = _int_from(1, None)
 
 # Largest orbit lengths, a bound on time: a run at the cap takes under 1 s on a
 # 2-core host; memory stays near 38 MB at any length, as the orbits go in blocks.
 MAX_LOG2_N = 22
-
-
-def _count_up_to(cap: int):
-    """argparse type of a count option between 1 and ``cap``, checked before anything is allocated."""
-    def count(text: str) -> int:
-        value = _count(text)
-        if value > cap:
-            raise argparse.ArgumentTypeError(f"must be at most {cap}, got {value}")
-        return value
-    return count
 
 
 def _subcommand(sub, name: str, func, help: str, columns: list[str], grid=None, seed: bool = True):
@@ -328,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = _subcommand(sub, "tree-bound", cmd_tree_bound, "tree variation norm vs its size bound",
                      ["trial", "level", "r", "t", "lhs", "rhs_scale", "ratio"], grid=(10, 16.0))
-    sp.add_argument("--l-list", type=_list_of(int), default="0,1,2")
+    sp.add_argument("--l-list", type=_list_of(_int_from(0, None)), default="0,1,2")
     sp.add_argument("--r", type=_finite, default=3.0)
     sp.add_argument("--t", type=_finite, default=2.0)
     sp.add_argument("--trials", type=_count, default=5)
@@ -339,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q", type=_finite, default=1.5)
     sp.add_argument("--r", type=_finite, default=3.0)
     sp.add_argument("--eps", type=_finite, default=0.01)
-    sp.add_argument("--N", type=_list_of(int), default="2,4,8,16,32")
+    sp.add_argument("--N", type=_list_of(_count), default="2,4,8,16,32")
     sp.add_argument("--trials", type=_count, default=50)
 
     sp = _subcommand(sub, "exceptional", cmd_exceptional, "exceptional-set pipeline report",
@@ -358,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--beta", type=_finite, default=math.sqrt(2) - 1)
     sp.add_argument("--x", type=_finite, default=0.2)
     sp.add_argument("--y", type=_finite, default=0.7)
-    sp.add_argument("--log2-n-max", type=_count_up_to(MAX_LOG2_N), default=17,
+    sp.add_argument("--log2-n-max", type=_int_from(1, MAX_LOG2_N), default=17,
                     help=f"averages at N = 2, 4, ..., 2^this (at most {MAX_LOG2_N})")
     sp.add_argument("--r", type=_finite, default=3.0)
 
@@ -372,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
                      ["statistic", "sharpness", "value"], grid=(10, 16.0))
     sp.add_argument("--x", type=_finite, default=0.15)
     sp.add_argument("--y", type=_finite, default=0.55)
-    sp.add_argument("--n-max", type=_count_up_to(1 << MAX_LOG2_N), default=20000,
+    sp.add_argument("--n-max", type=_int_from(1, 1 << MAX_LOG2_N), default=20000,
                     help=f"orbit steps of the tail statistics (at most {1 << MAX_LOG2_N})")
     sp.add_argument("--sharpness", type=_list_of(_finite), default="0.04,0.02,0.01,0.005")
 

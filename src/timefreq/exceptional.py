@@ -268,7 +268,8 @@ def check_pointwise_bound(
     returned pair is (array of certified lower bounds of their norms, one per
     point, beta^(1/q - 1/r + eps) (gamma + sigma)).  Model functions are linear
     in the packet, so each scale's packets are summed and transformed back once;
-    the family at x is the :meth:`ModelFunction.theta_slice` of the sums.
+    the family at x is the :meth:`ModelFunction.theta_slice` of the sums.  Points
+    are searched in stacked blocks (see the byte budget below), each getting the bound it gets alone.
     """
     xs = np.asarray(x_indices, dtype=int).reshape(-1)
     rhs = params.beta ** (1.0 / q - 1.0 / r + eps) * (params.gamma + params.sigma)
@@ -284,9 +285,10 @@ def check_pointwise_bound(
     summed = idft_values(np.array([packets[k] for k in scales]), g.dx)
     kt = np.array([kernel.scaled_time(k) for k in scales])
     rows = np.arange(len(scales))[:, None]
-    # blocks of points searched together, each stacked complex array under 128 KiB: glibc serves
-    # larger ones with mmap, and freeing them raises its mmap threshold, which fragments the heap
-    block = max(1, (2**17 - 1) // ((len(scales) + 1) * g.n * 16))
+    # blocks of points searched together, each stacked complex array at most 192 KiB (6 points of
+    # 3 scales at J = 9): larger blocks search faster, but once glibc has raised its mmap threshold
+    # the search's arrays come from the heap, whose high-water mark (peak RSS) grows with the block
+    block = max(1, 3 * 2**16 // ((len(scales) + 1) * g.n * 16))
     for i in range(0, xs.size, block):
         # row k of point x is np.roll(summed[k], -x)
         rolled = summed[rows, (np.arange(g.n) + xs[i : i + block, None, None]) % g.n]

@@ -71,14 +71,20 @@ class MultiplierFamily:
     def scale_list(self) -> list[int]:
         return sorted(self.scales)
 
-    def total_multiplier(self, k: int) -> np.ndarray:
-        """Scale-k multiplier on the grid: its bumps come from one :func:`bump_values`
-        call and are added in list order, exactly the per-bump sum."""
-        rows = bump_values([b for _, b, _ in self.scales[k]], self.grid.freqs())
-        out = np.zeros(self.grid.n, dtype=np.complex128)
-        for row, (_, _, coeff) in zip(rows, self.scales[k]):
-            out += coeff * row
+    def scale_multipliers(self, ks) -> np.ndarray:
+        """Row i is the scale-``ks[i]`` multiplier on the grid: all the scales' bumps come from one
+        :func:`bump_values` call, and each scale's are added in list order, exactly the per-bump sum."""
+        entries = [self.scales[k] for k in ks]
+        rows = iter(bump_values([b for entry in entries for _, b, _ in entry], self.grid.freqs()))
+        out = np.zeros((len(entries), self.grid.n), dtype=np.complex128)
+        for total, entry in zip(out, entries):
+            for _, _, coeff in entry:
+                total += coeff * next(rows)
         return out
+
+    def total_multiplier(self, k: int) -> np.ndarray:
+        """Scale-k multiplier on the grid, the one-scale :meth:`scale_multipliers`."""
+        return self.scale_multipliers([k])[0]
 
     def value_at(self, k: int, lam: float) -> complex:
         """Value at lam of the scale-k multiplier on the interval containing lam."""
@@ -118,10 +124,11 @@ def apply_scale(fam: MultiplierFamily, f: SampledFunction, k: int) -> SampledFun
 def sup_over_scales(fam: MultiplierFamily, f: SampledFunction) -> SampledFunction:
     """Pointwise sup over scales of |scale projection of f|.
 
-    One forward transform of f and one stacked inverse transform of all the
-    scales' products; each row equals :func:`apply_scale` exactly.
+    One :meth:`~MultiplierFamily.scale_multipliers` call for all the scales,
+    one forward transform of f and one stacked inverse transform of the
+    products; each row equals :func:`apply_scale` exactly.
     """
-    mults = np.array([fam.total_multiplier(k) for k in fam.scale_list()]).reshape(-1, f.grid.n)
+    mults = fam.scale_multipliers(fam.scale_list())
     fields = idft_values(mults * dft(f).values, f.grid.dx)
     return SampledFunction(f.grid, np.abs(fields).max(axis=0, initial=0.0))
 
@@ -181,7 +188,8 @@ def growth_scan(
 
     over families of scales 0..5 with adaptedness constant C = 1, and fits
     the log-log slope of the unnormalized numerator against N; the slope is
-    NaN when ``n_list`` holds fewer than two distinct N.
+    NaN when ``n_list`` holds fewer than two distinct N.  An eps whose normaliser
+    leaves the normal doubles at the largest N is refused before any trial.
     Deterministic given the seed; trials are seeded independently.
     """
     if not 1 < q < 2:
@@ -190,6 +198,10 @@ def growth_scan(
         raise ValueError("variation exponent must exceed 2")
     if not np.isfinite(eps):
         raise ValueError(f"eps must be finite, got {eps}")
+    with np.errstate(over="ignore", under="ignore"):  # the normaliser is most extreme at the largest N
+        extreme = np.float_power(max(n_list), 1.0 / q - 1.0 / r + eps)
+    if not np.finfo(float).tiny <= extreme < math.inf:
+        raise ValueError(f"eps = {eps:g} puts N^(1/q - 1/r + eps) outside the normal doubles at N = {max(n_list)}")
     lam_box = grid.freq_halfwidth / 2.0
     rows = []
     for n in n_list:

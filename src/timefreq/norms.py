@@ -191,8 +191,9 @@ def bump_values(bumps: Sequence[AdaptedBump], xi) -> np.ndarray:
     a, w, mod, amp = np.array(params, dtype=float).reshape(-1, 4).T[..., None]
     t = (np.asarray(xi, dtype=float) - a) / w
     inside = (t > 0.0) & (t < 1.0)
-    out = np.zeros(t.shape, dtype=np.complex128)
     rows, tv = np.nonzero(inside)[0], t[inside]
+    del t  # free the full float table before the complex one: the profile needs only tv
+    out = np.zeros(inside.shape, dtype=np.complex128)
     out[inside] = amp[rows, 0] * _base_profile(tv) * np.exp(2j * np.pi * mod[rows, 0] * tv)
     return out
 
@@ -215,20 +216,24 @@ def _lp_rows(a: np.ndarray, dx: float, q: float) -> np.ndarray:
     return np.array([float(s) ** (1.0 / q) for s in np.sum(a**q, axis=-1) * dx])
 
 
-def _search_starts(ms: np.ndarray, search_budget: int) -> list[np.ndarray]:
-    """Matched and bump starts per nonzero multiplier, then the spike and the constant, in FFT order."""
+def _search_starts(ms: np.ndarray, search_budget: int, rng: np.random.Generator):
+    """Matched and bump starts per nonzero multiplier, the spike, the constant, then random ones from
+    ``rng``, in FFT order; each is built when the search takes it."""
     n = ms.shape[-1]
-    starts = []
     for m in ms[: max(1, search_budget // 6)]:
         a = np.abs(m)
         if a.max() > 0:
             peak = int(np.argmax(a))
             bump = np.zeros(n, dtype=np.complex128)
             bump[max(0, peak - 4) : min(n, peak + 5)] = 1.0
-            starts += [np.conj(m) / a.max(), bump]
+            yield np.fft.ifftshift(np.conj(m) / a.max())
+            yield np.fft.ifftshift(bump)
     flat = np.zeros(n, dtype=np.complex128)
     flat[n // 2] = 1.0
-    return [np.fft.ifftshift(c) for c in starts + [flat, np.ones(n, dtype=np.complex128)]]
+    yield np.fft.ifftshift(flat)
+    yield np.ones(n, dtype=np.complex128)
+    while True:
+        yield np.fft.ifftshift(rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
 
 def maximal_multiplier_lower(
@@ -249,6 +254,7 @@ def maximal_multiplier_lower(
     family, a fresh start or an ascent step, so a stack's families run in
     lockstep, each with its own starts, ascent and random stream, and get the
     bounds they get alone.  Spectra are searched in FFT order, unshifted once.
+    Pass buffers are allocated once per call, and the ascent makes no stacked copies.
     """
     if not 1 <= q:
         raise ValueError("q must be >= 1")
@@ -259,12 +265,12 @@ def maximal_multiplier_lower(
     count, m = ms.shape[:2]
     if m == 0:  # an empty family has norm 0
         return 0.0 if single else np.zeros(count)
-    starts = [_search_starts(family, search_budget) for family in ms]
-    rngs = [np.random.default_rng(seed) for _ in range(count)]
+    starts = [_search_starts(family, search_budget, np.random.default_rng(seed)) for family in ms]
     ms = np.fft.ifftshift(ms, axes=-1)
     conj = np.conj(ms)
     dual = q / (q - 1.0) if q > 1 else 2.0
     buf = np.empty((count, m + 1, n), dtype=np.complex128)  # rows :m hold the fields T_{m_k} g, row m holds g
+    a = np.empty(buf.shape)
     ghat = np.empty((count, n), dtype=np.complex128)
     climbs = np.zeros(count, dtype=int)  # ascent steps left after the last evaluation
     best = np.zeros(count)
@@ -272,22 +278,19 @@ def maximal_multiplier_lower(
         up = np.flatnonzero(climbs)
         if up.size:  # power-type ascent on the frozen-argmax linearization
             frozen = argmax[up, None, :]
-            u = _dual_map(np.take_along_axis(buf[up, :m], frozen, axis=1)[:, 0], q)
-            masked = u[:, None, :] * (frozen == np.arange(m)[:, None]).astype(np.complex128)
-            what = (conj[up] * _fft(masked, dx)).sum(axis=1)
+            u = _dual_map(buf[up[:, None], argmax[up], np.arange(n)], q)
+            spectra = _fft(u[:, None, :] * (frozen == np.arange(m)[:, None]), dx)
+            what = np.multiply(conj[up], spectra, out=spectra).sum(axis=1)
             live = what.any(axis=-1)
             climbs[up[~live]] = 0
             ghat[up[live]] = _fft(_dual_map(_ifft(what[live], dx), dual), dx)
         for p in np.flatnonzero(climbs == 0):
-            if starts[p]:
-                ghat[p] = starts[p].pop(0)
-            else:
-                ghat[p] = np.fft.ifftshift(rngs[p].standard_normal(n) + 1j * rngs[p].standard_normal(n))
+            ghat[p] = next(starts[p])
         np.multiply(ms, ghat[:, None, :], out=buf[:, :m])
         buf[:, m] = ghat
         np.fft.ifft(buf, axis=-1, out=buf)
         buf /= dx
-        a = np.abs(buf)
+        np.abs(buf, out=a)
         argmax = a[:, :m].argmax(axis=1)
         gq = _lp_rows(a[:, m], dx, q)
         found = gq != 0.0
@@ -308,13 +311,15 @@ def per_tile_sizes(
 ) -> dict[Tile, float]:
     """Size of each singleton {s}, in input order: the collection size is their maximum.
 
-    Per distinct omega_s, one profile call and one inverse FFT serve its bump family and one
-    matrix product its tiles' weighted L^2 norms; exact up to rounding (1e-12 relative).
+    Per distinct omega_s, one profile call and one inverse FFT serve its bump family and one matrix
+    product its tiles' weighted L^2 norms, with one squared weight per distinct I_s; exact up to rounding.
     """
     sizes = dict.fromkeys(tiles)
     grid = f.grid
     fhat = dft(f).values
     xs, xi, fh_half = grid.xs(), grid.freqs(), grid.freq_halfwidth
+    weights2 = {t: interval_weight(t.to_interval(), xs, 10.0, period=grid.length) ** 2
+                for t in {s.time for s in sizes}}
     by_freq: dict = {}
     for s in sizes:
         by_freq.setdefault(s.freq, []).append(s)
@@ -323,9 +328,7 @@ def per_tile_sizes(
         omega10 = Interval(max(omega10.a, -fh_half), min(omega10.b, fh_half))
         bumps = bump_values(adapted_family(omega10, 1.0, family_size), xi)
         power = np.abs(idft_values(bumps * fhat, grid.dx)) ** 2
-        weights = np.stack([interval_weight(s.time.to_interval(), xs, 10.0, period=grid.length)
-                            for s in group])
-        norms = np.sqrt((power @ (weights**2).T * grid.dx).max(axis=0))
+        norms = np.sqrt((power @ np.stack([weights2[s.time] for s in group]).T * grid.dx).max(axis=0))
         for s, norm in zip(group, norms):
             sizes[s] = 1.0 / math.sqrt(s.time.length) * float(norm)
     return sizes

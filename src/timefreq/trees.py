@@ -12,7 +12,7 @@ keeps every emitted level convex.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional
 
 import numpy as np
@@ -217,9 +217,9 @@ def tail_variation(tree: Tree, coeffs: dict[Tile, complex], level: int, r: float
     """V^r over the tree's scales k of the field sum_s a_s tail_s(x, top frequency), s of scale k.
 
     Tail pieces are taken at ``level``; tiles that ``coeffs`` lacks or maps to
-    zero add nothing.  A tile's x-slice is built once and kept in
-    ``slice_cache`` under (tile, top frequency), so trees sharing a cache
-    build one model function per key.  The tree must have a tile.
+    zero add nothing.  ``slice_cache`` keeps a tile's x-slice under (tile, top frequency) and, above
+    level 0 (where the tail is the whole slice), its :func:`tree_decompose` cutoff under (time interval,
+    level), so trees sharing a cache build each once.  The tree must have a tile.
     """
     cache = {} if slice_cache is None else slice_cache
     scales = tree.scales()
@@ -232,7 +232,12 @@ def tail_variation(tree: Tree, coeffs: dict[Tile, complex], level: int, r: float
             key = (s, tree.top_freq)
             if key not in cache:
                 cache[key] = model_function(window, kernel, s).x_slice(tree.top_freq)
-            fields[i] += a * tree_decompose(s, tree, level, window.grid).tail_slice(cache[key])
+            tail = cache[key]
+            if level != 0:
+                if (s.time, level) not in cache:
+                    cache[s.time, level] = tree_decompose(s, tree, level, window.grid)
+                tail = replace(cache[s.time, level], tile=s, top_freq=tree.top_freq).tail_slice(tail)
+            fields[i] += a * tail
     return variational_norm_field(fields, r)
 
 

@@ -379,6 +379,36 @@ def test_list_option_entries_diagnosed(tmp_path, capsys, argv, flag, message):
     assert not out.exists()
 
 
+_RANGE_CASES = [
+    (["mm-scan", "--N", "-3"], "--N", "must be at least 1, got -3"),
+    (["mm-scan", "--N", "2,0"], "--N", "must be at least 1, got 0"),
+    (["tree-bound", "--l-list", "0,-1"], "--l-list", "must be at least 0, got -1"),
+]
+
+
+@pytest.mark.parametrize("argv,flag,message", _RANGE_CASES, ids=[" ".join(argv) for argv, _, _ in _RANGE_CASES])
+def test_list_entries_out_of_range_name_the_option(tmp_path, capsys, argv, flag, message):
+    """An integer list entry below its bound is refused by the parser, which names the option."""
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    errors = error_lines(capsys)
+    assert len(errors) == 1 and f"error: argument {flag}: {message}" in errors[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("eps,n_list", [("1e300", "2"), ("-1100", "2,4")])
+def test_mm_scan_eps_outside_normaliser_range_refused(tmp_path, capsys, eps, n_list):
+    """An eps whose normaliser N^(1/q - 1/r + eps) overflows (a traceback) or underflows to zero (every
+    max_ratio 0) at the largest N is one error line naming eps, before any trial."""
+    out = tmp_path / "x.csv"
+    assert run(["mm-scan", "--J", "8", f"--eps={eps}", "--N", n_list, "--trials", "1", "--out", str(out)]) == 2
+    errors = error_lines(capsys)
+    assert len(errors) == 1 and f"error: eps = {float(eps):g} puts N^(1/q - 1/r + eps) outside" in errors[0]
+    assert not out.exists()
+
+
 def test_list_option_config_values_checked(tmp_path, capsys):
     """A --config list value goes through the option's type: non-finite sharpness levels are refused."""
     cfg = tmp_path / "cfg.json"
@@ -446,7 +476,8 @@ _FUZZ_OPTIONS = {
     "tree-bound": {"--J": _J, "--L": _L, "--trials": _ONE, "--l-list": _small_list([*range(-1, 3), "", "x", "0.5"]),
                    "--r": _EXPONENT, "--t": _EXPONENT},
     "mm-scan": {"--J": _J, "--L": _L, "--trials": _ONE, "--N": _small_list([-2, 0, 1, 2, 4, "", "x", "2.5"]),
-                "--q": _EXPONENT, "--r": _EXPONENT, "--eps": st.sampled_from(["-0.01", "0", "0.01"] + _NON_FINITE)},
+                "--q": _EXPONENT, "--r": _EXPONENT,
+                "--eps": st.sampled_from(["-0.01", "0", "0.01", "1e300", "-1100"] + _NON_FINITE)},
     "exceptional": {"--J": _J, "--L": _L, "--runs": _ONE, "--p": _EXPONENT, "--q": _EXPONENT,
                     "--lam": _valid_or_not(["0.25", "0.5", "1"], ["-0.5", "0", "2"] + _NON_FINITE)},
     "rtt-sim": {"--log2-n-max": st.sampled_from(["-1", "0", "1", "6"]), "--r": _EXPONENT},

@@ -22,7 +22,7 @@ from timefreq.exceptional import (
     split_tiles,
     variation_exceptional_set,
 )
-from timefreq.norms import variational_norm
+from timefreq.norms import maximal_multiplier_lower, variational_norm
 from timefreq.trees import tree_decompose
 from timefreq.wavepackets import build_kernel, build_window, model_function
 
@@ -302,16 +302,25 @@ class TestPointwiseBound:
         assert 0.0 < lhs and rhs > 0.0
         assert lhs / rhs < 10.0  # calibration ratio stays moderate
 
-    def test_points_together_match_points_alone(self, setup):
-        # 3 scales at J = 9 make blocks of 3 points, so 7 points run as blocks of 3, 3 and 1
+    def test_points_together_match_points_alone(self, setup, monkeypatch):
+        # 3 scales at J = 9 make blocks of 6 points, so 13 points run as blocks of 6, 6 and 1
         g, w, ker = setup
         rng = np.random.default_rng(4)
         tiles = [Tile(DyadicInterval(-1, 5), DyadicInterval(1, 3)), Tile(DyadicInterval(0, 2), DyadicInterval(0, 1)),
                  Tile(DyadicInterval(0, 6), DyadicInterval(0, -3)), Tile(DyadicInterval(1, 1), DyadicInterval(-1, 0))]
         coeffs = {s: complex(rng.standard_normal(), rng.standard_normal()) for s in tiles}
         params = level_params(1.6, 1.5, 0.01, 0.5, 2)
-        xs = [0, 77, 200, 263, 301, 450, 511]
-        lhs, rhs = check_pointwise_bound(xs, coeffs, params, 1.5, 3.0, 0.01, w, ker, search_budget=30, seed=3)
+        xs = [0, 40, 77, 120, 200, 263, 301, 350, 400, 450, 470, 490, 511]
+        blocks = []
+
+        def counted(ms, *args, **kwargs):
+            blocks.append(len(ms))
+            return maximal_multiplier_lower(ms, *args, **kwargs)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(exceptional_mod, "maximal_multiplier_lower", counted)
+            lhs, rhs = check_pointwise_bound(xs, coeffs, params, 1.5, 3.0, 0.01, w, ker, search_budget=30, seed=3)
+        assert blocks == [6, 6, 1]
         alone = [check_pointwise_bound([x], coeffs, params, 1.5, 3.0, 0.01, w, ker, search_budget=30, seed=3)
                  for x in xs]
         assert lhs.tolist() == [one[0][0] for one in alone]
@@ -370,9 +379,9 @@ def pointwise_cases(draw):
 class TestPointwiseOracle:
     @settings(max_examples=40, deadline=None)
     @given(pointwise_cases())
-    # one scale at J = 10 makes blocks of 3 points: 8 points cross two block boundaries
+    # one scale at J = 10 makes blocks of 6 points: 13 points cross two block boundaries
     @example((10, 8.0, [Tile(DyadicInterval(0, 3), DyadicInterval(0, 2))], [False], 5,
-              [384, 400, 417, 430, 455, 470, 490, 511]))
+              [384, 390, 400, 408, 417, 430, 441, 455, 470, 482, 490, 500, 511]))
     def test_multipliers_match_per_tile_loop(self, case):
         j, length, tiles, zeros, seed, x_indices = case
         w, ker = _window_kernel(j, length)
@@ -391,6 +400,9 @@ class TestPointwiseOracle:
             check_pointwise_bound(x_indices, coeffs, params, 1.5, 3.0, 0.01, w, ker)
         families = np.concatenate(captured)
         assert len(families) == len(x_indices)
+        # a block stacks at most 192 KiB of fields, scales + 1 rows per point: 6 points of one scale at J = 10
+        block = max(1, 3 * 2**16 // ((families.shape[1] + 1) * w.grid.n * 16))
+        assert [len(c) for c in captured] == [min(block, len(x_indices) - i) for i in range(0, len(x_indices), block)]
         for got, x_index in zip(families, x_indices):
             want = loop_pointwise_multipliers(x_index, coeffs, w, ker)
             assert got.shape == (len(want), w.grid.n)

@@ -210,12 +210,16 @@ class TestFastPathOracles:
     @given(families())
     @settings(max_examples=40, deadline=None)
     def test_total_multiplier_bit_identical_to_per_bump_sum(self, case):
+        """Each scale alone, and all the scales from one bump evaluation, equal the per-bump sums."""
         fam, _ = case
+        wants = []
         for k in fam.scale_list():
             want = np.zeros(fam.grid.n, dtype=np.complex128)
             for _, bump, coeff in fam.scales[k]:
                 want += coeff * bump.samples(fam.grid)
             assert np.array_equal(fam.total_multiplier(k), want)
+            wants.append(want)
+        assert np.array_equal(fam.scale_multipliers(fam.scale_list()), np.array(wants))
 
 
 class TestGrowthScan:

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from timefreq import Grid, SampledFunction, trees
+from timefreq import Grid, SampledFunction, norms, trees
 from timefreq.dyadic import DyadicInterval, Interval, Tile, TileUniverse
-from timefreq.grid import dft, idft, lp_norm_values
+from timefreq.grid import dft, idft, idft_values, lp_norm_values
 from timefreq.norms import (
     _POSITIONS,
     _base_profile,
@@ -356,7 +356,44 @@ def size_cases(draw):
     return f, universe, draw(st.sampled_from([4, 6, 8])), rng
 
 
+def group_weight_sizes(tiles, f, family_size):
+    """Oracle for per_tile_sizes bit for bit: its arithmetic with each tile's weight built in each group."""
+    grid, fhat, out = f.grid, dft(f).values, {}
+    for freq in dict.fromkeys(s.freq for s in tiles):
+        group = [s for s in tiles if s.freq == freq]
+        omega10 = freq.to_interval().dilate(10.0)
+        omega10 = Interval(max(omega10.a, -grid.freq_halfwidth), min(omega10.b, grid.freq_halfwidth))
+        power = np.abs(idft_values(bump_values(adapted_family(omega10, 1.0, family_size), grid.freqs()) * fhat,
+                                   grid.dx)) ** 2
+        weights = np.stack([interval_weight(s.time.to_interval(), grid.xs(), 10.0, period=grid.length)
+                            for s in group])
+        for s, norm in zip(group, np.sqrt((power @ (weights**2).T * grid.dx).max(axis=0))):
+            out[s] = 1.0 / math.sqrt(s.time.length) * float(norm)
+    return out
+
+
 class TestPerTileSizes:
+    def test_time_intervals_shared_across_frequency_groups(self, monkeypatch):
+        """Three time intervals in each of three frequency groups: one weight per interval, sizes equal to
+        the per-group weights bit for bit and to the per-tile loop within 1e-12."""
+        g = Grid(9, 8.0)
+        rng = np.random.default_rng(3)
+        f = SampledFunction(g, rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n))
+        tiles = [Tile(DyadicInterval(k, mt), DyadicInterval(-k, mf))
+                 for mf in (-3, 0, 5) for k, mt in [(0, 2), (-1, 7), (0, 5)]]
+        weighed = []
+
+        def counted(interval, *args, **kwargs):
+            weighed.append(interval)
+            return interval_weight(interval, *args, **kwargs)
+
+        monkeypatch.setattr(norms, "interval_weight", counted)
+        got = per_tile_sizes(tiles, f, 6)
+        assert len(weighed) == len(set(weighed)) == 3
+        assert got == group_weight_sizes(tiles, f, 6) and list(got) == tiles
+        want = loop_tile_sizes(tiles, f, 6)
+        assert all(got[s] == pytest.approx(want[s], rel=1e-12, abs=0.0) for s in tiles)
+
     @given(size_cases())
     @settings(max_examples=25, deadline=None)
     def test_matches_per_tile_loop(self, case):

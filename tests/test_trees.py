@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from timefreq import Grid, SampledFunction
+from timefreq import Grid, SampledFunction, trees
 from timefreq.dyadic import DyadicInterval, Interval, Tile, TileUniverse, Tree, is_convex
-from timefreq.norms import interval_weight, tile_size
+from timefreq.norms import interval_weight, tile_size, variational_norm_field
 from timefreq.trees import (
     ZERO_SIZE_LEVEL,
     select_forests,
+    tail_variation,
     tree_coefficients,
     tree_decompose,
     tree_variation_report,
@@ -228,6 +229,43 @@ class TestTreeVariationReport:
             tree_variation_report(tree, f, 0, 2.0, 2.0, w, ker)
         with pytest.raises(ValueError):
             tree_variation_report(tree, f, 0, 3.0, 1.0, w, ker)
+
+
+def loop_tail_variation(tree, coeffs, level, r, window, kernel):
+    """Oracle for tail_variation: a fresh model function and tree_decompose per tile."""
+    fields = np.zeros((len(tree.scales()), window.grid.n), dtype=np.complex128)
+    for i, k in enumerate(tree.scales()):
+        for s in tree.tiles_at_scale(k):
+            if coeffs.get(s, 0.0) != 0.0:
+                phi = model_function(window, kernel, s).x_slice(tree.top_freq)
+                fields[i] += coeffs[s] * tree_decompose(s, tree, level, window.grid).tail_slice(phi)
+    return variational_norm_field(fields, r)
+
+
+def test_tail_variation_shared_cache_bit_identical_to_per_tile_loop(setup9, monkeypatch):
+    """One cache across trees and levels: every result equals the per-tile loop bit for bit, and each
+    (time interval, level > 0) cutoff is built once though trees repeat intervals and top frequencies."""
+    g, w, ker = setup9
+    tiles5 = [Tile(DyadicInterval(0, 3), DyadicInterval(0, 5)), Tile(DyadicInterval(-1, 6), DyadicInterval(1, 2)),
+              Tile(DyadicInterval(-2, 13), DyadicInterval(2, 1))]
+    tree_list = [left_aligned_tree(mt=3), left_aligned_tree(mt=3, sub_offset=1),
+                 Tree.with_top_tile(tiles5[0], tiles5, top_freq=5.0)]
+    rng = np.random.default_rng(7)
+    coeffs = {s: complex(rng.standard_normal(), rng.standard_normal()) for t in tree_list for s in t.tiles}
+    coeffs[Tile(DyadicInterval(-1, 7), DyadicInterval(1, 2))] = 0.0
+    calls = []
+
+    def counted(s, tree, level, grid):
+        calls.append((s.time, level))
+        return tree_decompose(s, tree, level, grid)
+
+    monkeypatch.setattr(trees, "tree_decompose", counted)
+    cache = {}
+    for level in (1, 0, 2, 1):
+        for tree in tree_list:
+            got = tail_variation(tree, coeffs, level, 3.0, w, ker, cache)
+            assert np.array_equal(got, loop_tail_variation(tree, coeffs, level, 3.0, w, ker))
+    assert len(calls) == len(set(calls)) == 2 * len({s.time for t in tree_list for s in t.tiles if coeffs[s] != 0.0})
 
 
 def loop_tree_coefficients(tree, f, window):

@@ -12,7 +12,6 @@ from .dyadic import (
     TileUniverse,
     Tree,
     decay_level,
-    decompose_top_trees,
     is_convex,
     saturation,
     tile_le,
@@ -29,12 +28,9 @@ from .wavepackets import (
     gabor_expand,
     gabor_reconstruct,
     model_function,
-    tile_packet,
-    wave_packet,
 )
 from .norms import (
     AdaptedBump,
-    VariationResult,
     interval_weight,
     make_adapted_bump,
     maximal_multiplier_lower,
@@ -51,7 +47,6 @@ from .trees import (
 from .multipliers import (
     FrequencySet,
     MultiplierFamily,
-    apply_scale,
     covering_intervals,
     growth_scan,
     scale_variation,
@@ -62,8 +57,6 @@ from .exceptional import (
     ParamLedger,
     ParameterError,
     check_pointwise_bound,
-    group_by_escape_level,
-    level_params,
     maximal_exceptional_set,
     overlap_exceptional_set,
     run_pipeline,
@@ -75,11 +68,8 @@ from .ergodic import (
     CircleRotation,
     IntervalExchange,
     TorusProduct,
-    bilinear_max,
     convergence_diagnostic,
     integral_tail,
-    kernel_average,
-    kernel_average_max,
     orbit_tail,
     return_times_average,
     single_scale_blowup,

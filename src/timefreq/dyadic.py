@@ -26,7 +26,6 @@ __all__ = [
     "saturation",
     "window_partition",
     "decay_level",
-    "decompose_top_trees",
     "tiles_to_text",
     "tiles_from_text",
 ]
@@ -196,10 +195,10 @@ class Tree:
     """Collection of tiles hanging below a top (I_T, xi_T).
 
     A proper tree satisfies I_s subseteq I_T and xi_T in omega_s for every
-    member; :meth:`is_proper` checks this.  Trees produced by the greedy
-    forest selection use a wider frequency-association rule and may fail the
-    xi_T membership for outlying tiles, so properness is not enforced at
-    construction.
+    member; the test oracle ``is_proper`` (``tests/test_dyadic.py``) checks
+    this.  Trees produced by the greedy forest selection use a wider
+    frequency-association rule and may fail the xi_T membership for outlying
+    tiles, so properness is not enforced at construction.
     """
 
     top_interval: Interval
@@ -211,12 +210,6 @@ class Tree:
     def with_top_tile(cls, top: Tile, tiles: Iterable[Tile], top_freq: Optional[float] = None) -> "Tree":
         xi = top.freq.center if top_freq is None else top_freq
         return cls(top.time.to_interval(), xi, frozenset(tiles), top_tile=top)
-
-    def is_proper(self) -> bool:
-        return all(
-            self.top_interval.contains(s.time.to_interval()) and s.freq.contains_point(self.top_freq)
-            for s in self.tiles
-        )
 
     def scales(self) -> list[int]:
         return sorted({s.scale for s in self.tiles})
@@ -310,23 +303,6 @@ def decay_level(l: int, m: int) -> int:
     if abs(m) <= 1:
         return l
     return l + (abs(m) - 1).bit_length()
-
-
-def decompose_top_trees(tree: Tree) -> list[Tree]:
-    """Split a tree into trees with pairwise disjoint top tiles.
-
-    A tile lying under several maximal tiles is assigned to the maximal tile
-    with the lowest frequency-interval left endpoint, ties broken by leftmost
-    time interval.  The output tile sets partition the input.
-    """
-    tiles = sorted(tree.tiles, key=Tile.sort_key)
-    maximal = [t for t in tiles if not any(u != t and tile_le(t, u) for u in tiles)]
-    maximal.sort(key=lambda t: (t.freq.left, t.time.left, t.sort_key()))
-    groups: dict[Tile, set[Tile]] = {t: set() for t in maximal}
-    for s in tiles:
-        tops = [t for t in maximal if tile_le(s, t)]
-        groups[tops[0]].add(s)
-    return [Tree.with_top_tile(t, members) for t, members in groups.items() if members]
 
 
 def tiles_to_text(tiles: Iterable[Tile]) -> str:

@@ -1,7 +1,6 @@
 """Concrete dynamical systems with drift-free orbits, return-times averages
-and their convergence diagnostics, kernel correlation averages, the bilinear
-maximal function, the single-scale threshold experiment, and tail-operator
-statistics with a heavy-tail stress demo.
+and their convergence diagnostics, the single-scale threshold experiment,
+and tail-operator statistics with a heavy-tail stress demo.
 
 Rotation-like systems run on 64-bit fixed-point fractions: one step is a
 wrapping integer add, so orbits of any length carry no floating-point drift
@@ -15,9 +14,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grid import Grid, SampledFunction, dft_values, idft_values
+from .grid import Grid, SampledFunction
 from .norms import variational_norm
-from .wavepackets import Kernel, build_window, gabor_expand
+from .wavepackets import build_window, gabor_expand
 
 __all__ = [
     "CircleRotation",
@@ -26,8 +25,6 @@ __all__ = [
     "AverageSeries",
     "return_times_average",
     "convergence_diagnostic",
-    "kernel_average",
-    "kernel_average_max",
     "BlowupRow",
     "single_scale_blowup",
     "integral_tail",
@@ -215,11 +212,11 @@ def convergence_diagnostic(series: AverageSeries, r: float) -> tuple[float, floa
     """
     v = series.values
     osc = np.max([np.max(np.abs(v[i:] - v[i])) for i in range(v.size)], initial=0.0)
-    return float(osc), variational_norm(v, r).value
+    return float(osc), variational_norm(v, r)
 
 
 # ---------------------------------------------------------------------------
-# kernel averages
+# pair averages
 
 
 def _x_index(grid: Grid, x: float) -> int:
@@ -230,48 +227,12 @@ def _x_index(grid: Grid, x: float) -> int:
     return int(j) % grid.n
 
 
-def _kernel_averages(f: SampledFunction, g: SampledFunction, ker: Kernel, x: float, k_list) -> np.ndarray:
-    """:func:`kernel_average` values at every scale of ``k_list``, one row per scale.
-
-    One transform of g and one stacked transform of the scales' kernel-weighted
-    copies of f, then one stacked inverse transform.
-    """
-    grid = f.grid
-    kt = np.array([ker.scaled_time(k) for k in k_list]).reshape(-1, grid.n)
-    hhat = dft_values(np.roll(f.values, -_x_index(grid, x)) * kt, grid.dx)
-    rev = hhat[:, (grid.n - np.arange(grid.n)) % grid.n]
-    return idft_values(dft_values(g.values, grid.dx) * rev, grid.dx)
-
-
-def kernel_average(f: SampledFunction, g: SampledFunction, ker: Kernel, x: float, k: int) -> SampledFunction:
-    """z -> (1/2^k) integral f(x+y) g(z+y) K(y/2^k) dy by FFT correlation."""
-    return SampledFunction(f.grid, _kernel_averages(f, g, ker, x, [k])[0])
-
-
-def kernel_average_max(f: SampledFunction, g: SampledFunction, ker: Kernel, x: float, k_list) -> SampledFunction:
-    """Pointwise sup over the scales of ``k_list`` of the absolute kernel correlation; zero for no scales."""
-    return SampledFunction(f.grid, np.abs(_kernel_averages(f, g, ker, x, k_list)).max(axis=0, initial=0.0))
-
-
 def _pair_average(f: SampledFunction, g: SampledFunction, xi: int, lo: int, hi: int, t: float) -> float:
     """|(1/2t) sum of f(x + y) g(x - y) dy| over the offsets y = o dx, lo <= o < hi, at x = xi dx."""
     grid = f.grid
     offs = np.arange(lo, hi)
     vals = f.values[(xi + offs) % grid.n] * g.values[(xi - offs) % grid.n]
     return abs(np.sum(vals) * grid.dx / (2.0 * t))
-
-
-def bilinear_max(f: SampledFunction, g: SampledFunction, x: float, t_grid) -> float:
-    """sup over t of |(1/2t) integral_{-t}^{t} f(x+y) g(x-y) dy| at one point."""
-    grid = f.grid
-    xi = _x_index(grid, x)
-    best = 0.0
-    for t in t_grid:
-        half = int(round(t / grid.dx))
-        if half < 1 or 2 * half > grid.n:
-            raise ValueError(f"window t = {t} unusable on this grid")
-        best = np.maximum(best, _pair_average(f, g, xi, -half, half, t))
-    return float(best)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dyadic import Interval, Tile, TileUniverse, Tree, is_convex, saturation, window_partition, decay_level
+from .dyadic import Interval, Tile, TileUniverse, Tree, saturation, window_partition, decay_level
 from .grid import Grid, SampledFunction, dft_values, hl_maximal, idft_values, lp_norm, random_indicator
 from .norms import maximal_multiplier_lower
 from .trees import select_forests, tail_variation, tree_coefficients
@@ -21,11 +21,9 @@ __all__ = [
     "ParameterError",
     "ParamLedger",
     "LevelParams",
-    "level_params",
     "GridSet",
     "maximal_exceptional_set",
     "split_tiles",
-    "group_by_escape_level",
     "overlap_exceptional_set",
     "variation_exceptional_set",
     "check_pointwise_bound",
@@ -103,11 +101,6 @@ class ParamLedger:
         return LevelParams(n, sigma, beta, gamma)
 
 
-def level_params(p: float, q: float, eps: float, lam: float, n: int) -> LevelParams:
-    """Per-level parameters, validating the ledger checks on the way."""
-    return ParamLedger(p, q, eps, lam).level(n)
-
-
 @dataclass
 class GridSet:
     """Boolean mask over grid samples with its measure."""
@@ -160,31 +153,6 @@ def split_tiles(tiles: Iterable[Tile], eset: GridSet) -> tuple[set[Tile], set[Ti
         else:
             escaping.add(s)
     return escaping, trapped
-
-
-def group_by_escape_level(trapped: Iterable[Tile], eset: GridSet, validate_convex: bool = False) -> dict[int, set[Tile]]:
-    """Group trapped tiles by the first dilation exponent reaching the complement.
-
-    Tile s lands in group kappa when 2^kappa I_s meets the complement but
-    2^(kappa-1) I_s does not.  When the complement is empty the group index
-    is capped at the dilation covering the whole box.
-    """
-    grid = eset.grid
-    out: dict[int, set[Tile]] = {}
-    for s in trapped:
-        cap = max(1, math.ceil(math.log2(2.0 * grid.length / s.time.length)) + 1)
-        kappa = cap
-        for j in range(1, cap + 1):
-            lo, hi = _tile_indices(grid, s.time.to_interval().dilate(math.ldexp(1.0, j)))
-            if not np.all(eset.mask[lo:hi]):
-                kappa = j
-                break
-        out.setdefault(kappa, set()).add(s)
-    if validate_convex:
-        for kappa, group in out.items():
-            if not is_convex(group):
-                raise RuntimeError(f"escape group {kappa} lost convexity")
-    return out
 
 
 def overlap_exceptional_set(trees: Sequence[Tree], beta: float, grid: Grid) -> GridSet:
@@ -268,7 +236,8 @@ def check_pointwise_bound(
     returned pair is (array of certified lower bounds of their norms, one per
     point, beta^(1/q - 1/r + eps) (gamma + sigma)).  Model functions are linear
     in the packet, so each scale's packets are summed and transformed back once;
-    the family at x is the :meth:`ModelFunction.theta_slice` of the sums.  Points
+    the family at x is the theta-slice of the sums, which the per-tile oracle
+    ``theta_slice`` of ``tests/test_wavepackets.py`` computes tile by tile.  Points
     are searched in stacked blocks (see the byte budget below), each getting the bound it gets alone.
     """
     xs = np.asarray(x_indices, dtype=int).reshape(-1)

@@ -82,10 +82,6 @@ class Grid:
         """Half-width of the frequency box: frequencies live in [-fh, fh)."""
         return (self.n // 2) / self.length
 
-    def wrapped_dist(self, x, center: float) -> np.ndarray:
-        """Minimal periodic distance |x - center| on the length-L torus."""
-        return wrapped_distance(x, center, self.length)
-
     def index_range(self, a: float, b: float) -> tuple[int, int]:
         """Sample index range [lo, hi) covering the interval [a, b) inside the box."""
         lo = int(math.ceil(round(a / self.dx, 9)))
@@ -118,9 +114,6 @@ class SampledFunction:
             lo, hi = grid.index_range(a, b)
             mask[lo:hi] = True
         return cls(grid, mask.astype(np.complex128))
-
-    def __add__(self, other):
-        return SampledFunction(self.grid, self.values + other.values)
 
     def __sub__(self, other):
         return SampledFunction(self.grid, self.values - other.values)

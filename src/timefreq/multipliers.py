@@ -11,14 +11,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dyadic import DyadicInterval
-from .grid import Grid, SampledFunction, dft, idft, idft_values, lp_norm
-from .norms import AdaptedBump, bump_values, make_adapted_bump, variational_norm_field
+from .grid import Grid, SampledFunction, dft, idft_values, lp_norm
+from .norms import AdaptedBump, bump_values, make_adapted_bump, variational_norm
 
 __all__ = [
     "FrequencySet",
     "MultiplierFamily",
     "covering_intervals",
-    "apply_scale",
     "sup_over_scales",
     "scale_variation",
     "ScanRow",
@@ -86,13 +85,6 @@ class MultiplierFamily:
         """Scale-k multiplier on the grid, the one-scale :meth:`scale_multipliers`."""
         return self.scale_multipliers([k])[0]
 
-    def value_at(self, k: int, lam: float) -> complex:
-        """Value at lam of the scale-k multiplier on the interval containing lam."""
-        for iv, bump, coeff in self.scales[k]:
-            if iv.contains_point(lam):
-                return complex(coeff * bump(np.array([lam]))[0])
-        return 0.0 + 0.0j
-
 
 def random_family(
     grid: Grid,
@@ -113,20 +105,13 @@ def random_family(
     return MultiplierFamily(grid, freqs, per_scale)
 
 
-def apply_scale(fam: MultiplierFamily, f: SampledFunction, k: int) -> SampledFunction:
-    """Fourier multiplier sum of scale k applied to f."""
-    if k not in fam.scales:
-        raise ValueError(f"family has no scale {k}")
-    fhat = dft(f)
-    return idft(SampledFunction(f.grid, fam.total_multiplier(k) * fhat.values))
-
-
 def sup_over_scales(fam: MultiplierFamily, f: SampledFunction) -> SampledFunction:
     """Pointwise sup over scales of |scale projection of f|.
 
     One :meth:`~MultiplierFamily.scale_multipliers` call for all the scales,
     one forward transform of f and one stacked inverse transform of the
-    products; each row equals :func:`apply_scale` exactly.
+    products; each row equals the per-scale oracle ``apply_scale`` of
+    ``tests/test_multipliers.py`` exactly.
     """
     mults = fam.scale_multipliers(fam.scale_list())
     fields = idft_values(mults * dft(f).values, f.grid.dx)
@@ -140,7 +125,8 @@ def scale_variation(fam: MultiplierFamily, freqs: FrequencySet, r: float) -> flo
     that frequency of the multiplier on the covering interval; the variation
     runs over the scales the family defines.
     The (scale, frequency) table takes one :func:`bump_values` call, then one exact
-    variation per column; it matches ``value_at`` up to rounding.
+    variation per column; it matches the point-by-point oracle ``value_at`` of
+    ``tests/test_multipliers.py`` up to rounding.
     """
     ks = fam.scale_list()
     lams = np.asarray(freqs.lambdas, dtype=float)
@@ -155,7 +141,7 @@ def scale_variation(fam: MultiplierFamily, freqs: FrequencySet, r: float) -> flo
     if covered:
         rows, cols, bumps, coeffs = zip(*covered)
         table[rows, cols] = np.array(coeffs) * bump_values(bumps, lams[list(cols)][:, None])[:, 0]
-    return float(variational_norm_field(table, r).max())
+    return float(variational_norm(table, r).max())
 
 
 @dataclass(frozen=True)
@@ -189,7 +175,8 @@ def growth_scan(
     over families of scales 0..5 with adaptedness constant C = 1, and fits
     the log-log slope of the unnormalized numerator against N; the slope is
     NaN when ``n_list`` holds fewer than two distinct N.  An eps whose normaliser
-    leaves the normal doubles at the largest N is refused before any trial.
+    leaves the normal doubles at the largest N is refused before any trial, and
+    one that puts a trial's nonzero ratio outside them when that trial runs.
     Deterministic given the seed; trials are seeded independently.
     """
     if not 1 < q < 2:
@@ -220,7 +207,10 @@ def growth_scan(
             num = lp_norm(sup_over_scales(fam, f), q)
             vstar = scale_variation(fam, freqs, r)
             den = n ** (1.0 / q - 1.0 / r + eps) * (1.0 + vstar) * lp_norm(f, q)
-            ratio = num / den if den > 0 else 0.0
+            ratio = num / den if den > 0 else math.inf
+            if num > 0 and not np.finfo(float).tiny <= ratio < math.inf:
+                raise ValueError(f"eps = {eps:g} puts N^(1/q - 1/r + eps) outside the range that keeps the scan "
+                                 f"ratio {ratio:g} a normal double at N = {n}")
             max_ratio = max(max_ratio, ratio)
             max_num = max(max_num, num)
         rows.append((n, trials, max_ratio, max_num))

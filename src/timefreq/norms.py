@@ -17,9 +17,7 @@ from .grid import Grid, SampledFunction, _fft, _ifft, dft, idft_values, wrapped_
 from .wavepackets import smooth_step
 
 __all__ = [
-    "VariationResult",
     "variational_norm",
-    "variational_norm_field",
     "interval_weight",
     "AdaptedBump",
     "make_adapted_bump",
@@ -31,73 +29,29 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class VariationResult:
-    """Value of an r-variational norm together with the attaining subsequence."""
-
-    value: float
-    sup_part: float
-    variation_part: float
-    best_subsequence: tuple[int, ...]
-
-
-def variational_norm(x: Sequence, r: float) -> VariationResult:
-    """Exact r-variation norm: sup_k |x_k| plus the best increment sum.
+def variational_norm(values, r: float) -> float | np.ndarray:
+    """Exact r-variation norm along axis 0: sup_k |x_k| plus the best increment sum.
 
     The variation part is the maximum over all increasing index subsequences
     of (sum |x_{k_m} - x_{k_{m-1}}|^r)^(1/r), computed by an O(n^2) dynamic
     program over the last index; the increment power only depends on the last
-    element, so the program is exact.
-    """
-    if not r >= 1:
-        raise ValueError(f"variational norm requires r >= 1, got {r}")
-    v = np.asarray(x, dtype=np.complex128)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("expected a nonempty one-dimensional sequence")
-    n = v.size
-    sup_part = float(np.max(np.abs(v)))
-    best = np.zeros(n)
-    prev = np.full(n, -1, dtype=int)
-    for j in range(1, n):
-        incr = np.abs(v[j] - v[:j]) ** r
-        cand = best[:j] + incr
-        i = int(np.argmax(cand))
-        if cand[i] > 0.0:
-            best[j] = cand[i]
-            prev[j] = i
-    j_end = int(np.argmax(best))
-    variation = float(best[j_end] ** (1.0 / r)) if best[j_end] > 0 else 0.0
-    path = []
-    j = j_end
-    if best[j_end] > 0:
-        while j >= 0:
-            path.append(j)
-            j = prev[j]
-        path.reverse()
-    else:
-        path = [int(np.argmax(np.abs(v)))]
-    return VariationResult(sup_part + variation, sup_part, variation, tuple(path))
-
-
-def variational_norm_field(values: np.ndarray, r: float) -> np.ndarray:
-    """r-variation norm applied along axis 0 of a (scales, points) array.
-
-    Same dynamic program as :func:`variational_norm`, vectorized over the
-    second axis; returns a length-``points`` array of norms.
+    element, so the program is exact.  A 1-D sequence gives a float, a
+    ``(scales, points)`` array one norm per point, the program vectorised over
+    the points.
     """
     if not r >= 1:
         raise ValueError(f"variational norm requires r >= 1, got {r}")
     v = np.asarray(values, dtype=np.complex128)
-    if v.ndim != 2 or v.shape[0] == 0:
-        raise ValueError("expected a (scales, points) array with at least one scale")
-    k, n = v.shape
+    if v.ndim not in (1, 2) or v.shape[0] == 0:
+        raise ValueError("expected a nonempty sequence or a (scales, points) array with at least one scale")
+    single = v.ndim == 1
+    v = v.reshape(v.shape[0], -1)
     sup_part = np.max(np.abs(v), axis=0)
-    best = np.zeros((k, n))
-    for j in range(1, k):
-        cand = best[:j] + np.abs(v[j][None, :] - v[:j]) ** r
-        best[j] = np.maximum(cand.max(axis=0), 0.0)
-    variation = best.max(axis=0) ** (1.0 / r)
-    return sup_part + variation
+    best = np.zeros(v.shape)
+    for j in range(1, v.shape[0]):
+        best[j] = (best[:j] + np.abs(v[j] - v[:j]) ** r).max(axis=0)
+    norms = sup_part + best.max(axis=0) ** (1.0 / r)
+    return float(norms[0]) if single else norms
 
 
 def interval_weight(interval: Interval, x, power: float = 1.0, period: Optional[float] = None) -> np.ndarray:

@@ -18,8 +18,8 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .dyadic import Forest, Tile, Tree, is_convex, tiles_to_text
-from .grid import Grid, SampledFunction, dft_values, lp_norm_values
-from .norms import per_tile_sizes, tile_size, variational_norm_field
+from .grid import Grid, SampledFunction, dft_values, lp_norm_values, wrapped_distance
+from .norms import per_tile_sizes, tile_size, variational_norm
 from .wavepackets import Kernel, Window, model_function, smooth_step, tile_packet_hat
 
 __all__ = [
@@ -196,7 +196,7 @@ def tree_decompose(s: Tile, tree: Tree, level: int, grid: Grid) -> TreePieces:
     if level < 0:
         raise ValueError("decomposition level must be >= 0")
     width = math.ldexp(s.time.length, level)
-    cutoff = time_cutoff(grid.wrapped_dist(grid.xs(), s.time.center) / width)
+    cutoff = time_cutoff(wrapped_distance(grid.xs(), s.time.center, grid.length) / width)
     integral = float(np.sum(cutoff) * grid.dx)
     return TreePieces(s, tree.top_freq, level, grid, cutoff, integral)
 
@@ -238,7 +238,7 @@ def tail_variation(tree: Tree, coeffs: dict[Tile, complex], level: int, r: float
                     cache[s.time, level] = tree_decompose(s, tree, level, window.grid)
                 tail = replace(cache[s.time, level], tile=s, top_freq=tree.top_freq).tail_slice(tail)
             fields[i] += a * tail
-    return variational_norm_field(fields, r)
+    return variational_norm(fields, r)
 
 
 @dataclass(frozen=True)

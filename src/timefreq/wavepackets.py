@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dyadic import Interval, Tile
-from .grid import Grid, SampledFunction, dft, dft_values, idft, idft_values
+from .grid import Grid, SampledFunction, dft, idft, idft_values
 
 __all__ = [
     "Window",
@@ -28,8 +28,6 @@ __all__ = [
     "ModelFunction",
     "build_window",
     "build_kernel",
-    "wave_packet",
-    "tile_packet",
     "gabor_expand",
     "gabor_reconstruct",
     "model_function",
@@ -135,40 +133,9 @@ def build_window(grid: Grid) -> Window:
     return Window(grid)
 
 
-def wave_packet(w: Window, k: int, m: int, l: float) -> SampledFunction:
-    """L^2-normalized wave packet 2^(-k/2) phi(2^-k x - m) e^(2 pi i 2^-k x l).
-
-    ``l`` is a half-integer modulation index.  The nominal time-frequency
-    rectangle [m 2^k, (m+1) 2^k] x [l 2^-k, (l+1) 2^-k] must fit in the box.
-    """
-    if abs(2 * l - round(2 * l)) > 1e-12:
-        raise ValueError(f"modulation index must be a half-integer, got {l}")
-    g = w.grid
-    scale = math.ldexp(1.0, k)
-    if m * scale < 0 or (m + 1) * scale > g.length:
-        raise ValueError("packet time interval falls outside the box")
-    fh = g.freq_halfwidth
-    if l * 2.0**-k < -fh or (l + 1) * 2.0**-k > fh:
-        raise ValueError("packet frequency interval falls outside the box")
-    u = math.ldexp(1.0, k) * g.freqs() - l
-    vals = 2.0 ** (k / 2.0) * w.phat_profile(u) * np.exp(-2j * np.pi * m * u)
-    return idft(SampledFunction(g, vals))
-
-
 TILE_PROFILE_POWER = 4
 # integral of sin(pi u)^(2p) over [0, 1] is binom(2p, p) / 4^p
 _TILE_PROFILE_NORM = math.comb(2 * TILE_PROFILE_POWER, TILE_PROFILE_POWER) / 4.0**TILE_PROFILE_POWER
-
-
-def tile_packet(w: Window, s: Tile) -> SampledFunction:
-    """Unit-norm packet attached to a tile.
-
-    The transform is a sine-power bump filling omega_s, so it vanishes
-    exactly at the endpoints of omega_s (and at every multiple of |omega_s|)
-    and the time side concentrates at I_s with clean polynomial tails.
-    """
-    vals = tile_packet_hat(w, s)
-    return idft(SampledFunction(w.grid, vals))
 
 
 def _tile_profile(u) -> np.ndarray:
@@ -394,12 +361,6 @@ class ModelFunction:
         step = math.ldexp(1.0, self.tile.scale)
         kv = self.kernel.khat_progression(step * (theta - g.freqs()), -step * g.dxi)
         return idft_values(self.packet_hat * kv, g.dx)
-
-    def theta_slice(self, x_index: int) -> np.ndarray:
-        """phi_s(x, theta) over all grid thetas at one grid x (FFT path)."""
-        g = self.window.grid
-        shifted = np.roll(idft_values(self.packet_hat, g.dx), -x_index)
-        return dft_values(shifted * self.kernel.scaled_time(self.tile.scale), g.dx)
 
 
 def model_function(w: Window, ker: Kernel, s: Tile) -> ModelFunction:

@@ -100,14 +100,14 @@ def test_criterion_2_variation_exactness():
     for n in range(1, 11):
         seqs, expect = oracle_variation_table(n, 3.0)
         for row, e in zip(seqs, expect):
-            if abs(variational_norm(row.astype(float), 3.0).value - e) > 1e-12:
+            if abs(variational_norm(row.astype(float), 3.0) - e) > 1e-12:
                 mismatches += 1
             checked += 1
     rng = np.random.default_rng(55)
     for _ in range(100):
         seq = rng.standard_normal(12)
         for r in (1.5, 2.0, 3.0):
-            got = variational_norm(seq, r).value
+            got = variational_norm(seq, r)
             best = 0.0
             for size in range(2, 13):
                 for idx in itertools.combinations(range(12), size):

@@ -398,10 +398,12 @@ def test_list_entries_out_of_range_name_the_option(tmp_path, capsys, argv, flag,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("eps,n_list", [("1e300", "2"), ("-1100", "2,4")])
+@pytest.mark.parametrize("eps,n_list", [("1e300", "2"), ("-1100", "2,4"), ("204", "2,32"), ("203.2", "2,32")])
 def test_mm_scan_eps_outside_normaliser_range_refused(tmp_path, capsys, eps, n_list):
     """An eps whose normaliser N^(1/q - 1/r + eps) overflows (a traceback) or underflows to zero (every
-    max_ratio 0) at the largest N is one error line naming eps, before any trial."""
+    max_ratio 0) at the largest N is one error line naming eps, before any trial; so is one that leaves
+    the normaliser normal but puts a trial's ratio out of the normal doubles (204: max_ratio 0 at N = 32,
+    203.2: the subnormal 2.1e-308)."""
     out = tmp_path / "x.csv"
     assert run(["mm-scan", "--J", "8", f"--eps={eps}", "--N", n_list, "--trials", "1", "--out", str(out)]) == 2
     errors = error_lines(capsys)
@@ -477,7 +479,7 @@ _FUZZ_OPTIONS = {
                    "--r": _EXPONENT, "--t": _EXPONENT},
     "mm-scan": {"--J": _J, "--L": _L, "--trials": _ONE, "--N": _small_list([-2, 0, 1, 2, 4, "", "x", "2.5"]),
                 "--q": _EXPONENT, "--r": _EXPONENT,
-                "--eps": st.sampled_from(["-0.01", "0", "0.01", "1e300", "-1100"] + _NON_FINITE)},
+                "--eps": st.sampled_from(["-0.01", "0", "0.01", "1e300", "-1100", "204"] + _NON_FINITE)},
     "exceptional": {"--J": _J, "--L": _L, "--runs": _ONE, "--p": _EXPONENT, "--q": _EXPONENT,
                     "--lam": _valid_or_not(["0.25", "0.5", "1"], ["-0.5", "0", "2"] + _NON_FINITE)},
     "rtt-sim": {"--log2-n-max": st.sampled_from(["-1", "0", "1", "6"]), "--r": _EXPONENT},

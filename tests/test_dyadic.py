@@ -14,7 +14,6 @@ from timefreq.dyadic import (
     TileUniverse,
     Tree,
     decay_level,
-    decompose_top_trees,
     is_convex,
     saturation,
     tile_le,
@@ -26,6 +25,12 @@ from timefreq.dyadic import (
 
 def T(kt, mt, mf):
     return Tile(DyadicInterval(kt, mt), DyadicInterval(-kt, mf))
+
+
+def is_proper(tree):
+    """Oracle: I_s inside I_T and xi_T in omega_s for every tile s of the tree."""
+    return all(tree.top_interval.contains(s.time.to_interval()) and s.freq.contains_point(tree.top_freq)
+               for s in tree.tiles)
 
 
 tiles_strategy = st.builds(
@@ -227,7 +232,7 @@ class TestWindowPartition:
         sat = saturation(tree, uni.all_tiles())
         for level in (0, 1):
             for m, wtree in window_partition(sat, tree, level).items():
-                assert wtree.is_proper()
+                assert is_proper(wtree)
 
     def test_oversized_tile_rejected(self):
         top, tree = self._tree(kt=0, mt=4, mf=1)
@@ -246,48 +251,6 @@ class TestDecayLevel:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             decay_level(-1, 0)
-
-
-class TestDecompose:
-    def test_tree_with_top_tile_stays_whole(self):
-        top = T(1, 0, 0)
-        members = {top, T(0, 0, 0), T(0, 1, 1)}
-        members = {s for s in members if tile_le(s, top)}
-        tree = Tree.with_top_tile(top, members)
-        out = decompose_top_trees(tree)
-        assert len(out) == 1 and out[0].tiles == members
-
-    def test_two_maximal_tiles(self):
-        s1 = T(1, 0, 0)      # [0,2) x [0,1/2)
-        s2 = T(1, 0, 1)      # [0,2) x [1/2,1)
-        sub = T(0, 0, 0)     # [0,1) x [0,1): below both
-        tree = Tree(Interval(0.0, 2.0), 0.3, frozenset({s1, s2, sub}))
-        out = decompose_top_trees(tree)
-        assert len(out) == 2
-        by_top = {t.top_tile: t for t in out}
-        assert by_top[s1].tiles == {s1, sub}   # lower frequency endpoint wins
-        assert by_top[s2].tiles == {s2}
-        tops = list(by_top)
-        a, b = tops
-        assert not (a.time.left < b.time.right and b.time.left < a.time.right
-                    and a.freq.left < b.freq.right and b.freq.left < a.freq.right)
-
-    def test_partition_of_tiles(self):
-        rng = np.random.default_rng(5)
-        uni = TileUniverse(-1, 1, Interval(0, 4), Interval(0, 4))
-        allt = uni.all_tiles()
-        for _ in range(10):
-            sub = frozenset(s for s in allt if rng.random() < 0.3 and s.freq.contains_point(1.25))
-            if not sub:
-                continue
-            tree = Tree(Interval(0.0, 4.0), 1.25, sub)
-            out = decompose_top_trees(tree)
-            rebuilt = set()
-            for t in out:
-                assert not (rebuilt & t.tiles)
-                assert all(tile_le(s, t.top_tile) for s in t.tiles)
-                rebuilt |= t.tiles
-            assert rebuilt == set(sub)
 
 
 class TestSerialization:

@@ -4,8 +4,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from timefreq import Grid, SampledFunction, hl_maximal, lp_norm
 from timefreq.cli import _trig_poly
@@ -13,27 +11,15 @@ from timefreq.ergodic import (
     CircleRotation,
     IntervalExchange,
     TorusProduct,
-    bilinear_max,
     convergence_diagnostic,
     heavy_tail_sweep,
     integral_tail,
-    kernel_average,
-    kernel_average_max,
     orbit_tail,
     return_times_average,
     single_scale_blowup,
 )
-from timefreq.ergodic import _BLOCK
-from timefreq.grid import dft_values, idft_values
+from timefreq.ergodic import _BLOCK, _pair_average, _x_index
 from timefreq.wavepackets import build_kernel
-
-
-def single_scale_average(f, g, ker, x, k):
-    """Oracle: one scale's kernel correlation by 1-D transforms."""
-    grid = f.grid
-    h = np.roll(f.values, -int(round(x / grid.dx))) * ker.scaled_time(k)
-    rev = dft_values(h, grid.dx)[(grid.n - np.arange(grid.n)) % grid.n]
-    return idft_values(dft_values(g.values, grid.dx) * rev, grid.dx)
 
 
 def kernel_average_at(f, g, ker, x, z, k):
@@ -44,12 +30,10 @@ def kernel_average_at(f, g, ker, x, z, k):
     return complex(np.sum(fv * gv * ker.scaled_time(k)) * grid.dx)
 
 
-def loop_kernel_average_max(f, g, ker, x, k_list):
-    """Oracle: the pointwise maximum over a loop of single-scale correlations."""
-    out = np.zeros(f.grid.n)
-    for k in k_list:
-        np.maximum(out, np.abs(single_scale_average(f, g, ker, x, k)), out=out)
-    return out
+def symmetric_window_max(f, g, x, t_grid):
+    """sup over t of |(1/2t) integral_{-t}^{t} f(x+y) g(x-y) dy|, by the window sums of integral_tail."""
+    half = [round(t / f.grid.dx) for t in t_grid]
+    return float(np.max([_pair_average(f, g, _x_index(f.grid, x), -h, h, t) for h, t in zip(half, t_grid)]))
 
 
 GOLDEN = (math.sqrt(5) - 1) / 2
@@ -182,24 +166,12 @@ class TestKernelAverage:
         ones = SampledFunction(g, np.ones(g.n, dtype=complex))
         mass = float(ker.khat(np.array([0.0]))[0])  # the kernel integral
         for k in (-1, 0, 2):
-            vals = kernel_average(ones, ones, ker, 1.0, k).values
-            assert np.allclose(vals.real, mass, atol=1e-8)
+            for z in (0.0, 1.0, 5.5):
+                assert kernel_average_at(ones, ones, ker, 1.0, z, k) == pytest.approx(mass, abs=1e-8)
         # the grid Riemann sum of K agrees with the quadrature integral
         # loosely at this coarse frequency resolution (tightly at L = 64,
         # covered in the kernel tests)
         assert lp_norm(ker.K, 1) == pytest.approx(mass, rel=0.05)
-
-    def test_fft_matches_direct(self, corr_setup):
-        g, ker = corr_setup
-        rng = np.random.default_rng(12)
-        f = SampledFunction(g, rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n))
-        h = SampledFunction(g, rng.standard_normal(g.n))
-        x = 16 * g.dx
-        for k in (0, 1):
-            vals = kernel_average(f, h, ker, x, k).values
-            for zi in (3, 100, 400):
-                direct = kernel_average_at(f, h, ker, x, zi * g.dx, k)
-                assert abs(vals[zi] - direct) <= 1e-8
 
     def test_reduces_to_bilinear_quadrature(self, corr_setup):
         # matched-kernel consistency: reflecting g turns the correlation at
@@ -217,36 +189,12 @@ class TestKernelAverage:
         direct = np.sum(f.values[(xin + offs) % g.n] * h.values[(xin - offs) % g.n] * kk) * g.dx
         assert abs(lhs - direct) <= 1e-8
 
-    @given(st.integers(6, 10), st.sampled_from([2.0, 4.0, 8.0]), st.floats(0.0, 1.0),
-           st.lists(st.integers(-2, 3), max_size=4), st.integers(0, 2**32 - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_max_matches_per_scale_loop(self, j, length, where, k_list, seed):
-        g = Grid(j, length)
-        ker = build_kernel(g)
-        rng = np.random.default_rng(seed)
-        f = SampledFunction(g, rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n))
-        h = SampledFunction(g, rng.standard_normal(g.n))
-        x = int(where * (g.n - 1)) * g.dx
-        expected = loop_kernel_average_max(f, h, ker, x, k_list)
-        assert np.array_equal(kernel_average_max(f, h, ker, x, k_list).values, expected)
-        for k in k_list:
-            assert np.array_equal(kernel_average(f, h, ker, x, k).values, single_scale_average(f, h, ker, x, k))
-
-    def test_max_dominates_scales(self, corr_setup):
-        g, ker = corr_setup
-        rng = np.random.default_rng(5)
-        f = SampledFunction(g, rng.standard_normal(g.n))
-        h = SampledFunction(g, rng.standard_normal(g.n))
-        sup = kernel_average_max(f, h, ker, 0.5, [0, 1, 2]).values.real
-        for k in (0, 1, 2):
-            assert np.all(sup >= np.abs(kernel_average(f, h, ker, 0.5, k).values) - 1e-12)
-
 
 class TestBilinearMax:
     def test_constants(self, corr_setup):
         g, _ = corr_setup
         ones = SampledFunction(g, np.ones(g.n, dtype=complex))
-        assert bilinear_max(ones, ones, 2.0, [0.5, 1.0, 2.0]) == pytest.approx(1.0, rel=1e-12)
+        assert symmetric_window_max(ones, ones, 2.0, [0.5, 1.0, 2.0]) == pytest.approx(1.0, rel=1e-12)
 
     def test_bounded_by_maximal_function(self, corr_setup):
         g, _ = corr_setup
@@ -257,7 +205,7 @@ class TestBilinearMax:
         ginf = np.max(np.abs(h.values))
         ts = [g.dx * 2**i for i in range(2, 8)]
         for xin in (10, 200, 377):
-            val = bilinear_max(f, h, xin * g.dx, ts)
+            val = symmetric_window_max(f, h, xin * g.dx, ts)
             assert val <= m[xin] * ginf + 1e-10
 
     def test_matches_exhaustive_t(self):
@@ -268,7 +216,7 @@ class TestBilinearMax:
         all_t = [m * g.dx for m in range(1, g.n // 2 + 1)]
         sparse = [g.dx * 2**i for i in range(0, 5)]
         x = 3.0
-        assert bilinear_max(f, h, x, sparse) <= bilinear_max(f, h, x, all_t) + 1e-15
+        assert symmetric_window_max(f, h, x, sparse) <= symmetric_window_max(f, h, x, all_t) + 1e-15
         best = 0.0
         xi = round(x / g.dx)
         for t in all_t:
@@ -276,14 +224,14 @@ class TestBilinearMax:
             offs = np.arange(-half, half)
             vals = f.values[(xi + offs) % g.n] * h.values[(xi - offs) % g.n]
             best = max(best, abs(np.sum(vals) * g.dx / (2 * t)))
-        assert bilinear_max(f, h, x, all_t) == pytest.approx(best, rel=1e-12)
+        assert symmetric_window_max(f, h, x, all_t) == pytest.approx(best, rel=1e-12)
 
     def test_nan_sample_kept(self, corr_setup):
         # the NaN lies only in the second window, after a finite maximum of 1
         g, _ = corr_setup
         f = SampledFunction(g, np.ones(g.n, dtype=complex))
         f.values[128 + 40] = np.nan
-        assert math.isnan(bilinear_max(f, f, 128 * g.dx, [0.5, 1.0]))
+        assert math.isnan(symmetric_window_max(f, f, 128 * g.dx, [0.5, 1.0]))
 
 
 class TestTails:

@@ -13,9 +13,8 @@ from timefreq.exceptional import (
     GridSet,
     ParamLedger,
     ParameterError,
+    _tile_indices,
     check_pointwise_bound,
-    group_by_escape_level,
-    level_params,
     maximal_exceptional_set,
     overlap_exceptional_set,
     run_pipeline,
@@ -25,6 +24,29 @@ from timefreq.exceptional import (
 from timefreq.norms import maximal_multiplier_lower, variational_norm
 from timefreq.trees import tree_decompose
 from timefreq.wavepackets import build_kernel, build_window, model_function
+
+from test_wavepackets import theta_slice
+
+
+def group_by_escape_level(trapped, eset):
+    """Oracle: trapped tiles grouped by the first dilation exponent reaching the complement.
+
+    Tile s lands in group kappa when 2^kappa I_s meets the complement but
+    2^(kappa-1) I_s does not.  When the complement is empty the group index
+    is capped at the dilation covering the whole box.
+    """
+    grid = eset.grid
+    out = {}
+    for s in trapped:
+        cap = max(1, math.ceil(math.log2(2.0 * grid.length / s.time.length)) + 1)
+        kappa = cap
+        for j in range(1, cap + 1):
+            lo, hi = _tile_indices(grid, s.time.to_interval().dilate(math.ldexp(1.0, j)))
+            if not np.all(eset.mask[lo:hi]):
+                kappa = j
+                break
+        out.setdefault(kappa, set()).add(s)
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +89,7 @@ class TestParamLedger:
             ParamLedger(1.6, 1.5, math.nan, 0.5)
 
     def test_level_params_helper(self):
-        lv = level_params(1.8, 1.5, 0.01, 0.5, 3)
+        lv = ParamLedger(1.8, 1.5, 0.01, 0.5).level(3)
         assert lv.n == 3 and lv.sigma == 0.125
 
     def test_checks_hold_for_every_accepted_input(self):
@@ -154,7 +176,7 @@ class TestSplits:
         es = GridSet(g, mask)
         tiles = self._tiles()
         esc, trap = split_tiles(tiles, es)
-        groups = group_by_escape_level(trap, es, validate_convex=False)
+        groups = group_by_escape_level(trap, es)
         assert set().union(*groups.values()) == trap
         for s in trap:
             if s.time.to_interval().dilate(2.0).a < g.length / 16:
@@ -169,7 +191,7 @@ class TestSplits:
         assert is_convex(tiles)
         esc, trap = split_tiles(tiles, es)
         assert is_convex(esc)
-        groups = group_by_escape_level(trap, es, validate_convex=True)
+        groups = group_by_escape_level(trap, es)
         for group in groups.values():
             assert is_convex(group)
 
@@ -272,7 +294,7 @@ class TestVariationSet:
                 pieces = tree_decompose(s, tree, 0, g)
                 fields[i] += coeffs[s] * pieces.tail_slice(model_function(w, ker, s).x_slice(tree.top_freq))
         for xin in rng.integers(0, g.n, 50):
-            vr = variational_norm(fields[:, xin], 3.0).value
+            vr = variational_norm(fields[:, xin], 3.0)
             assert (vr > gamma) == bool(es.mask[xin])
 
     def test_threshold_monotone(self, setup):
@@ -287,14 +309,14 @@ class TestVariationSet:
 class TestPointwiseBound:
     def test_zero_coefficients(self, setup):
         g, w, ker = setup
-        params = level_params(1.6, 1.5, 0.01, 0.5, 4)
+        params = ParamLedger(1.6, 1.5, 0.01, 0.5).level(4)
         (lhs,), rhs = check_pointwise_bound([10], {}, params, 1.5, 3.0, 0.01, w, ker)
         assert lhs == 0.0 and rhs > 0.0
 
     def test_single_tile_calibration(self, setup):
         g, w, ker = setup
         s = Tile(DyadicInterval(0, 3), DyadicInterval(0, 2))
-        params = level_params(1.6, 1.5, 0.01, 0.5, 2)
+        params = ParamLedger(1.6, 1.5, 0.01, 0.5).level(2)
         coeffs = {s: params.sigma * math.sqrt(s.time.length)}
         xin = round(s.time.center / g.dx)
         (lhs,), rhs = check_pointwise_bound([xin], coeffs, params, 1.5, 3.0, 0.01, w, ker,
@@ -309,7 +331,7 @@ class TestPointwiseBound:
         tiles = [Tile(DyadicInterval(-1, 5), DyadicInterval(1, 3)), Tile(DyadicInterval(0, 2), DyadicInterval(0, 1)),
                  Tile(DyadicInterval(0, 6), DyadicInterval(0, -3)), Tile(DyadicInterval(1, 1), DyadicInterval(-1, 0))]
         coeffs = {s: complex(rng.standard_normal(), rng.standard_normal()) for s in tiles}
-        params = level_params(1.6, 1.5, 0.01, 0.5, 2)
+        params = ParamLedger(1.6, 1.5, 0.01, 0.5).level(2)
         xs = [0, 40, 77, 120, 200, 263, 301, 350, 400, 450, 470, 490, 511]
         blocks = []
 
@@ -334,7 +356,7 @@ def loop_pointwise_multipliers(x_index, coeffs, w, ker):
     for s, a in coeffs.items():
         if a == 0.0:
             continue
-        vals = a * model_function(w, ker, s).theta_slice(x_index)
+        vals = a * theta_slice(model_function(w, ker, s), x_index)
         if s.scale in by_scale:
             by_scale[s.scale] += vals
         else:
@@ -394,7 +416,7 @@ class TestPointwiseOracle:
             captured.append(np.array(ms))
             return 0.0
 
-        params = level_params(1.6, 1.5, 0.01, 0.5, 2)
+        params = ParamLedger(1.6, 1.5, 0.01, 0.5).level(2)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(exceptional_mod, "maximal_multiplier_lower", capture)
             check_pointwise_bound(x_indices, coeffs, params, 1.5, 3.0, 0.01, w, ker)

@@ -205,5 +205,5 @@ class TestMaximal:
         f, h = random_function(g, rng), random_function(g, rng)
         mf, mh = hl_maximal(f).values.real, hl_maximal(h).values.real
         assert np.all(mf >= np.abs(f.values) - 1e-12)
-        msum = hl_maximal(f + h).values.real
+        msum = hl_maximal(SampledFunction(g, f.values + h.values)).values.real
         assert np.all(msum <= mf + mh + 1e-12)

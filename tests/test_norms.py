@@ -21,9 +21,8 @@ from timefreq.norms import (
     per_tile_sizes,
     tile_size,
     variational_norm,
-    variational_norm_field,
 )
-from timefreq.wavepackets import build_window, tile_packet
+from timefreq.wavepackets import build_window, tile_packet_hat
 
 
 def oracle_variation(seq, r):
@@ -41,42 +40,60 @@ def oracle_variation(seq, r):
 
 class TestVariationalNorm:
     def test_constant_sequence(self):
-        res = variational_norm([3.0, 3.0, 3.0], 2.0)
-        assert res.value == 3.0 and res.variation_part == 0.0
-        assert len(res.best_subsequence) == 1
+        # no variation: the norm is the sup part exactly
+        assert variational_norm([3.0, 3.0, 3.0], 2.0) == 3.0
 
     def test_single_jump(self):
         for r in (1.0, 2.0, 3.0, 7.5):
-            assert variational_norm([0.0, 1.0], r).value == pytest.approx(2.0)
+            assert variational_norm([0.0, 1.0], r) == pytest.approx(2.0)
 
     def test_up_down(self):
-        res = variational_norm([0.0, 1.0, 0.0], 2.0)
-        assert res.value == pytest.approx(1.0 + math.sqrt(2.0), abs=1e-12)
-        assert res.best_subsequence == (0, 1, 2)
+        assert variational_norm([0.0, 1.0, 0.0], 2.0) == pytest.approx(1.0 + math.sqrt(2.0), abs=1e-12)
 
     def test_rejects_r_below_one(self):
         with pytest.raises(ValueError):
             variational_norm([1.0, 2.0], 0.9)
 
+    @pytest.mark.parametrize("values,r", [
+        ([1.0, 2.0], math.nan),  # r NaN
+        ([], 2.0),  # empty sequence
+        (np.zeros((0, 3)), 2.0),  # no scales
+        (np.zeros((2, 3, 4)), 2.0),  # 3-D
+        (1.0, 2.0),  # scalar
+    ])
+    def test_rejects_bad_input(self, values, r):
+        with pytest.raises(ValueError):
+            variational_norm(values, r)
+
+    @given(st.lists(st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+                    min_size=1, max_size=12),
+           st.sampled_from([1.0, 1.5, 2.0, 3.0, 4.5]))
+    @settings(max_examples=100, deadline=None)
+    def test_sequence_equals_one_column(self, seq, r):
+        got = variational_norm(seq, r)
+        assert type(got) is float
+        column = variational_norm(np.array(seq)[:, None], r)
+        assert column.shape == (1,) and got == column[0]
+
     @pytest.mark.parametrize("n", range(1, 7))
     def test_exhaustive_small(self, n):
         for seq in itertools.product((-1, 0, 1), repeat=n):
-            got = variational_norm(np.array(seq, dtype=float), 3.0).value
+            got = variational_norm(np.array(seq, dtype=float), 3.0)
             assert got == pytest.approx(oracle_variation(seq, 3.0), abs=1e-12)
 
     @given(st.lists(st.floats(min_value=-5, max_value=5), min_size=1, max_size=8),
            st.sampled_from([1.5, 2.0, 3.0]))
     @settings(max_examples=150, deadline=None)
     def test_matches_oracle_random(self, seq, r):
-        got = variational_norm(seq, r).value
+        got = variational_norm(seq, r)
         assert got == pytest.approx(oracle_variation(seq, r), abs=1e-10)
 
     @given(st.lists(st.floats(min_value=-3, max_value=3), min_size=2, max_size=10))
     @settings(max_examples=100, deadline=None)
     def test_monotone_in_r_and_dominates_sup(self, seq):
-        v2 = variational_norm(seq, 2.0).value
-        v3 = variational_norm(seq, 3.0).value
-        v5 = variational_norm(seq, 5.0).value
+        v2 = variational_norm(seq, 2.0)
+        v3 = variational_norm(seq, 3.0)
+        v5 = variational_norm(seq, 5.0)
         assert v2 >= v3 - 1e-12 >= v5 - 2e-12
         assert v3 >= max(abs(v) for v in seq) - 1e-12
 
@@ -85,16 +102,17 @@ class TestVariationalNorm:
         for _ in range(50):
             a = rng.standard_normal(9)
             b = rng.standard_normal(9)
-            va = variational_norm(a, 3.0).value
-            vb = variational_norm(b, 3.0).value
-            assert variational_norm(a + b, 3.0).value <= va + vb + 1e-10
+            va = variational_norm(a, 3.0)
+            vb = variational_norm(b, 3.0)
+            assert variational_norm(a + b, 3.0) <= va + vb + 1e-10
 
     def test_field_matches_scalar(self):
         rng = np.random.default_rng(9)
         vals = rng.standard_normal((6, 40)) + 1j * rng.standard_normal((6, 40))
-        field = variational_norm_field(vals, 3.0)
+        field = variational_norm(vals, 3.0)
+        assert field.shape == (40,)
         for i in (0, 7, 39):
-            assert field[i] == pytest.approx(variational_norm(vals[:, i], 3.0).value, abs=1e-12)
+            assert field[i] == pytest.approx(variational_norm(vals[:, i], 3.0), abs=1e-12)
 
     @given(st.integers(1, 7), st.integers(1, 12), st.integers(0, 2**32 - 1),
            st.sampled_from([1.0, 2.0, 3.0, 4.5]), st.booleans())
@@ -104,9 +122,9 @@ class TestVariationalNorm:
         vals = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
         if quantized:  # ties and repeated values
             vals = np.round(vals)
-        field = variational_norm_field(vals, r)
+        field = variational_norm(vals, r)
         for i in range(n):
-            scalar = variational_norm(vals[:, i], r).value
+            scalar = variational_norm(vals[:, i], r)
             assert field[i] == pytest.approx(scalar, rel=1e-12, abs=1e-15)
 
 
@@ -480,7 +498,7 @@ class TestTileSize:
 
         g, w = size_setup
         s = Tile(DyadicInterval(0, 3), DyadicInterval(0, 2))
-        f = tile_packet(w, s)
+        f = SampledFunction(g, idft_values(tile_packet_hat(w, s), g.dx))
         got = tile_size([s], f, 8)
         omega10 = s.freq.to_interval().dilate(10.0)
         omega10 = Interval(max(omega10.a, -g.freq_halfwidth), min(omega10.b, g.freq_halfwidth))

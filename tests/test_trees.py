@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from timefreq import Grid, SampledFunction, trees
 from timefreq.dyadic import DyadicInterval, Interval, Tile, TileUniverse, Tree, is_convex
-from timefreq.norms import interval_weight, tile_size, variational_norm_field
+from timefreq.grid import idft_values, wrapped_distance
+from timefreq.norms import interval_weight, tile_size, variational_norm
 from timefreq.trees import (
     ZERO_SIZE_LEVEL,
     select_forests,
@@ -17,7 +18,7 @@ from timefreq.trees import (
     tree_decompose,
     tree_variation_report,
 )
-from timefreq.wavepackets import ModelFunction, build_kernel, build_window, model_function, tile_packet
+from timefreq.wavepackets import ModelFunction, build_kernel, build_window, model_function, tile_packet_hat
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +83,7 @@ class TestSelectForests:
     def test_packet_input_selects_its_tile_first(self, setup9, universe9):
         g, w, _ = setup9
         s0 = Tile(DyadicInterval(0, 3), DyadicInterval(0, 2))
-        f = tile_packet(w, s0)
+        f = SampledFunction(g, idft_values(tile_packet_hat(w, s0), g.dx))
         dec = select_forests(universe9.all_tiles(), f, family_size=6)
         first = dec.levels[0]
         assert any(s0 in tree.tiles for tree in first.trees)
@@ -137,7 +138,7 @@ class TestTreeDecompose:
         for level in (1, 2, 3):
             pieces = tree_decompose(s, tree, level, g)
             loc = pieces.local_slice(model_function(w, ker, s).x_slice(tree.top_freq))
-            dist = g.wrapped_dist(g.xs(), s.time.center)
+            dist = wrapped_distance(g.xs(), s.time.center, g.length)
             outside = dist > math.ldexp(s.time.length, level - 1) + g.dx
             assert np.max(np.abs(loc[outside])) == 0.0
 
@@ -239,7 +240,7 @@ def loop_tail_variation(tree, coeffs, level, r, window, kernel):
             if coeffs.get(s, 0.0) != 0.0:
                 phi = model_function(window, kernel, s).x_slice(tree.top_freq)
                 fields[i] += coeffs[s] * tree_decompose(s, tree, level, window.grid).tail_slice(phi)
-    return variational_norm_field(fields, r)
+    return variational_norm(fields, r)
 
 
 def test_tail_variation_shared_cache_bit_identical_to_per_tile_loop(setup9, monkeypatch):
@@ -272,8 +273,8 @@ def loop_tree_coefficients(tree, f, window):
     """Oracle: each <f, packet_s> as a time-domain sum against the inverse-transformed packet."""
     out = {}
     for s in sorted(tree.tiles, key=Tile.sort_key):
-        pk = tile_packet(window, s)
-        out[s] = complex(np.sum(f.values * np.conj(pk.values)) * f.grid.dx)
+        pk = idft_values(tile_packet_hat(window, s), f.grid.dx)
+        out[s] = complex(np.sum(f.values * np.conj(pk)) * f.grid.dx)
     return out
 
 

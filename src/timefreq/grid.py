@@ -154,12 +154,19 @@ def idft(fhat: SampledFunction) -> SampledFunction:
 
 def dft_values(values: np.ndarray, dx: float) -> np.ndarray:
     """:func:`dft` of raw samples along the last axis; a stack of rows takes one FFT."""
-    return np.fft.fftshift(_fft(values, dx), axes=-1)
+    return _swap_halves(_fft(values, dx))
 
 
 def idft_values(values: np.ndarray, dx: float) -> np.ndarray:
     """:func:`idft` of raw spectra, row by row along the last axis."""
-    return _ifft(np.fft.ifftshift(values, axes=-1), dx)
+    return _ifft(_swap_halves(values), dx)
+
+
+def _swap_halves(values: np.ndarray) -> np.ndarray:
+    """The two halves of the last axis swapped: for the even lengths of a grid, both
+    ``np.fft.fftshift`` and ``np.fft.ifftshift``, as two slices instead of a roll."""
+    half = values.shape[-1] // 2
+    return np.concatenate((values[..., half:], values[..., :half]), axis=-1)
 
 
 def _fft(values: np.ndarray, dx: float) -> np.ndarray:

@@ -13,7 +13,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .dyadic import Interval, Tile
-from .grid import Grid, SampledFunction, _fft, _ifft, dft, idft_values, wrapped_distance
+from .grid import Grid, SampledFunction, _fft, _ifft, _swap_halves, dft, idft_values, wrapped_distance
 from .wavepackets import smooth_step
 
 __all__ = [
@@ -75,8 +75,9 @@ _POSITIONS = ((0.0, 1.0), (0.0, 0.5), (0.5, 1.0), (0.25, 0.75))
 
 
 def _base_profile(t: np.ndarray) -> np.ndarray:
-    # smooth bump on [0, 1] with value 1 at the center, flat zeros at the ends
-    return smooth_step(2.0 * t) * smooth_step(2.0 * (1.0 - t))
+    # smooth bump on [0, 1] with value 1 at the center, flat zeros at the ends; one step call for both sides
+    rise, fall = np.split(smooth_step(np.concatenate([2.0 * t, 2.0 * (1.0 - t)])), 2)
+    return rise * fall
 
 
 @functools.cache
@@ -156,9 +157,8 @@ def bump_values(bumps: Sequence[AdaptedBump], xi) -> np.ndarray:
 # maximal multiplier norm, lower estimation
 
 
-def _dual_map(v: np.ndarray, p: float) -> np.ndarray:
-    """Duality map |v / max|v||^(p-1) sign(v) of each row; a zero row maps to zero."""
-    a = np.abs(v)
+def _dual_map(v: np.ndarray, a: np.ndarray, p: float) -> np.ndarray:
+    """Duality map |v / max|v||^(p-1) sign(v) of each row, given a = |v|; a zero row maps to zero."""
     with np.errstate(invalid="ignore", divide="ignore"):
         scaled = np.where(a > 0, (a / a.max(axis=-1, keepdims=True)) ** (p - 1.0), 0.0)
         phase = np.where(a > 0, v / a, 0.0)
@@ -180,14 +180,14 @@ def _search_starts(ms: np.ndarray, search_budget: int, rng: np.random.Generator)
             peak = int(np.argmax(a))
             bump = np.zeros(n, dtype=np.complex128)
             bump[max(0, peak - 4) : min(n, peak + 5)] = 1.0
-            yield np.fft.ifftshift(np.conj(m) / a.max())
-            yield np.fft.ifftshift(bump)
+            yield _swap_halves(np.conj(m) / a.max())
+            yield _swap_halves(bump)
     flat = np.zeros(n, dtype=np.complex128)
-    flat[n // 2] = 1.0
-    yield np.fft.ifftshift(flat)
+    flat[0] = 1.0  # the spike at frequency 0
+    yield flat
     yield np.ones(n, dtype=np.complex128)
     while True:
-        yield np.fft.ifftshift(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        yield _swap_halves(rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
 
 def maximal_multiplier_lower(
@@ -209,6 +209,11 @@ def maximal_multiplier_lower(
     lockstep, each with its own starts, ascent and random stream, and get the
     bounds they get alone.  Spectra are searched in FFT order, unshifted once.
     Pass buffers are allocated once per call, and the ascent makes no stacked copies.
+    A pass divides the fields by dx on their real view (an exact scaling, dx
+    being a power of two) and takes the largest field at each point by a
+    running comparison whose strict ``>`` keeps the first index on ties, as
+    ``argmax`` does; that maximum is both the bound's sup and the ascent's
+    |field|.  A NaN in a multiplier makes its family's bound 0.
     """
     if not 1 <= q:
         raise ValueError("q must be >= 1")
@@ -220,11 +225,14 @@ def maximal_multiplier_lower(
     if m == 0:  # an empty family has norm 0
         return 0.0 if single else np.zeros(count)
     starts = [_search_starts(family, search_budget, np.random.default_rng(seed)) for family in ms]
-    ms = np.fft.ifftshift(ms, axes=-1)
+    ms = _swap_halves(ms)
     conj = np.conj(ms)
     dual = q / (q - 1.0) if q > 1 else 2.0
     buf = np.empty((count, m + 1, n), dtype=np.complex128)  # rows :m hold the fields T_{m_k} g, row m holds g
+    parts = buf.view(float)  # real and imaginary parts: dividing them by dx = L / 2^J is an exact scaling
     a = np.empty(buf.shape)
+    argmax = np.empty((count, n), dtype=np.intp)  # the first largest field at each point
+    top = np.empty((count, n))  # and its size
     ghat = np.empty((count, n), dtype=np.complex128)
     climbs = np.zeros(count, dtype=int)  # ascent steps left after the last evaluation
     best = np.zeros(count)
@@ -232,23 +240,28 @@ def maximal_multiplier_lower(
         up = np.flatnonzero(climbs)
         if up.size:  # power-type ascent on the frozen-argmax linearization
             frozen = argmax[up, None, :]
-            u = _dual_map(buf[up[:, None], argmax[up], np.arange(n)], q)
+            u = _dual_map(buf[up[:, None], argmax[up], np.arange(n)], top[up], q)
             spectra = _fft(u[:, None, :] * (frozen == np.arange(m)[:, None]), dx)
             what = np.multiply(conj[up], spectra, out=spectra).sum(axis=1)
             live = what.any(axis=-1)
             climbs[up[~live]] = 0
-            ghat[up[live]] = _fft(_dual_map(_ifft(what[live], dx), dual), dx)
+            v = _ifft(what[live], dx)
+            ghat[up[live]] = _fft(_dual_map(v, np.abs(v), dual), dx)
         for p in np.flatnonzero(climbs == 0):
             ghat[p] = next(starts[p])
         np.multiply(ms, ghat[:, None, :], out=buf[:, :m])
         buf[:, m] = ghat
         np.fft.ifft(buf, axis=-1, out=buf)
-        buf /= dx
+        parts /= dx
         np.abs(buf, out=a)
-        argmax = a[:, :m].argmax(axis=1)
+        argmax.fill(0)
+        top[:] = a[:, 0]
+        for k in range(1, m):  # a strict > keeps the first index on ties, as argmax does
+            argmax[a[:, k] > top] = k
+            np.maximum(top, a[:, k], out=top)
         gq = _lp_rows(a[:, m], dx, q)
         found = gq != 0.0
-        val = np.divide(_lp_rows(a[:, :m].max(axis=1), dx, q), gq, out=np.zeros(count), where=found)
+        val = np.divide(_lp_rows(top, dx, q), gq, out=np.zeros(count), where=found)
         best = np.where(val > best, val, best)
         climbs = np.where(found, np.where(climbs > 0, climbs - 1, 3), 0)
     return float(best[0]) if single else best

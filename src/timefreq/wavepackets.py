@@ -44,6 +44,17 @@ DEFAULT_ORDER = 15
 FRAME_CONSTANT = 1.0
 
 
+# the Bernstein terms C(2m+1, k) t^k (1-t)^(2m+1-k) of the step, k = m+1..2m+1, one row each
+_STEP_K = range(DEFAULT_ORDER + 1, 2 * DEFAULT_ORDER + 2)
+_STEP_POWERS = np.array([[float(k)] for k in _STEP_K])
+_STEP_COEFFS = np.array([[float(math.comb(2 * DEFAULT_ORDER + 1, k))] for k in _STEP_K])
+# the complementary powers 2m+1-k above 2; the last three rows take s * s, s and no factor
+_STEP_CO_POWERS = (2 * DEFAULT_ORDER + 1 - _STEP_POWERS)[:-3]
+# floats in one stacked block: as many rows of at most this many points as fit.  Short inputs take
+# all rows in one block; long ones take fewer rows, each long enough that per-call overhead is small
+_STEP_STACK = 1 << 14
+
+
 def smooth_step(t) -> np.ndarray:
     """Monotone step, 0 for t <= 0 and 1 for t >= 1, flat to ``DEFAULT_ORDER`` at both ends.
 
@@ -51,15 +62,36 @@ def smooth_step(t) -> np.ndarray:
     nonnegative terms, so the endpoint values 0 and 1 are exact in floating
     point and the first m derivatives vanish there.  An odd order keeps the
     square root of the derived partition bump smooth at its support edges.
+    In floating point it is monotone only up to 3 ulps, with descents for t in about [0.945, 1).
+
+    The terms are stacked, all m+1 rows at once for short inputs, so a call
+    costs a few array operations however short its input, and each value is
+    bit-identical to adding the terms ``(C * t**k) * (1-t)**j`` one by one in
+    k order: the powers j = 2, 1, 0 are ``s * s``, ``s`` and no factor, as
+    numpy's ``**`` gives them, and the rows are added one at a time, as a
+    reduction may reorder the sum.
     """
-    m = DEFAULT_ORDER
     t = np.atleast_1d(np.asarray(t, dtype=float))
     out = np.where(t >= 1.0, 1.0, 0.0)
     inside = (t > 0) & (t < 1)
     ti = t[inside]
     acc = np.zeros_like(ti)
-    for k in range(m + 1, 2 * m + 2):
-        acc += math.comb(2 * m + 1, k) * ti**k * (1.0 - ti) ** (2 * m + 1 - k)
+    rows = _STEP_STACK // max(1, min(ti.size, _STEP_STACK))  # stacked rows per block
+    last = len(_STEP_CO_POWERS)  # the row of j = 2; j = 1 and 0 follow
+    for i in range(0, ti.size, _STEP_STACK):
+        tb, total = ti[i : i + _STEP_STACK], acc[i : i + _STEP_STACK]
+        s = 1.0 - tb
+        for r in range(0, len(_STEP_POWERS), rows):
+            terms = np.power(tb, _STEP_POWERS[r : r + rows])
+            np.multiply(_STEP_COEFFS[r : r + rows], terms, out=terms)
+            if r < last:
+                terms[: last - r] *= np.power(s, _STEP_CO_POWERS[r : r + rows])
+            if r <= last < r + rows:
+                terms[last - r] *= s * s
+            if r <= last + 1 < r + rows:
+                terms[last + 1 - r] *= s
+            for term in terms:
+                total += term
     out[inside] = acc
     return out
 
@@ -69,14 +101,15 @@ def partition_bump(xi) -> np.ndarray:
 
     Rises as a smooth step on [0, 1/2] and falls as its exact complement on
     [1/2, 1], so overlapping half-integer shifts cancel to one in floating
-    point as well.
+    point as well.  Both sides take one :func:`smooth_step` call.
     """
     xi = np.asarray(xi, dtype=float)
     out = np.zeros_like(xi)
     lo = (xi >= 0.0) & (xi <= 0.5)
     hi = (xi > 0.5) & (xi <= 1.0)
-    out[lo] = smooth_step(2.0 * xi[lo])
-    out[hi] = 1.0 - smooth_step(2.0 * xi[hi] - 1.0)
+    rise, fall = np.split(smooth_step(np.concatenate([2.0 * xi[lo], 2.0 * xi[hi] - 1.0])), [np.count_nonzero(lo)])
+    out[lo] = rise
+    out[hi] = 1.0 - fall
     return out
 
 

@@ -307,6 +307,32 @@ class TestMaximalMultiplierLower:
         for family, value in zip(stack, got):
             assert value == loop_maximal_multiplier_lower(list(family), g, q, budget, seed % 7)
 
+    @pytest.mark.parametrize("q", [1.0, 1.5, 2.0])
+    def test_ties_match_loop(self, q):
+        # a repeated multiplier ties with its copy at every point, where the first index must win as in
+        # argmax (a last-index rule moves the copy's term in the ascent's sum over scales); an all-zero
+        # multiplier ties with the other fields wherever they vanish
+        g = Grid(6, 8.0)
+        rng = np.random.default_rng(3)
+        a, b, c = rng.standard_normal((3, g.n)) + 1j * rng.standard_normal((3, g.n))
+        zero = np.zeros(g.n, dtype=complex)
+        for family in ([a, b, c, a], [a, a], [zero, a], [zero, zero], [a, zero, b, a]):
+            assert maximal_multiplier_lower(family, g, q, 40, 2) == loop_maximal_multiplier_lower(family, g, q, 40, 2)
+
+    def test_nan_multiplier_gives_zero(self):
+        # a NaN entry spreads through every field of its multiplier, so no evaluation is a number
+        g = Grid(6, 8.0)
+        rng = np.random.default_rng(3)
+        fam = rng.standard_normal((3, g.n)) + 1j * rng.standard_normal((3, g.n))
+        for row, col in [(0, 5), (1, 0), (2, 63)]:
+            bad = fam.copy()
+            bad[row, col] = np.nan
+            for q in (1.0, 1.5, 2.0):
+                assert maximal_multiplier_lower(bad, g, q, 30, 1) == 0.0
+        bad = np.stack([fam, fam])
+        bad[1, 0, 9] = np.nan
+        assert maximal_multiplier_lower(bad, g, 1.5, 30, 1).tolist() == [maximal_multiplier_lower(fam, g, 1.5, 30, 1), 0.0]
+
     def test_identity_family(self):
         g = Grid(8, 8.0)
         val = maximal_multiplier_lower([np.ones(g.n, dtype=complex)], g, 1.5, 20, 0)

@@ -11,6 +11,8 @@ from timefreq.dyadic import DyadicInterval, Tile
 from timefreq.grid import dft_values, idft_values
 from timefreq.norms import interval_weight
 from timefreq.wavepackets import (
+    _STEP_STACK,
+    DEFAULT_ORDER,
     FRAME_CONSTANT,
     _eta,
     build_kernel,
@@ -18,6 +20,7 @@ from timefreq.wavepackets import (
     gabor_expand,
     gabor_reconstruct,
     model_function,
+    smooth_step,
     tile_packet_hat,
 )
 
@@ -32,6 +35,46 @@ def fine():
 def coarse():
     g = Grid(12, 16.0)
     return g, build_window(g)
+
+
+def loop_smooth_step(t):
+    """Oracle for smooth_step: the Bernstein terms one loop pass each, added in k order."""
+    m = DEFAULT_ORDER
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    out = np.where(t >= 1.0, 1.0, 0.0)
+    inside = (t > 0) & (t < 1)
+    ti = t[inside]
+    acc = np.zeros_like(ti)
+    for k in range(m + 1, 2 * m + 2):
+        acc += math.comb(2 * m + 1, k) * ti**k * (1.0 - ti) ** (2 * m + 1 - k)
+    out[inside] = acc
+    return out
+
+
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+class TestSmoothStep:
+    def test_bit_identical_to_loop_on_a_million_points(self):
+        rng = np.random.default_rng(0)
+        near = np.linspace(0.94, 0.96, 20001)  # where the step starts to descend by a few ulps here and there
+        t = np.concatenate([rng.uniform(-0.25, 1.25, 10**6), near,
+                            [0.0, -0.0, 1.0, 0.5, 5e-324, np.nextafter(1.0, 0.0), 1e-300, 2.0]])
+        assert same_bits(smooth_step(t), loop_smooth_step(t))
+        assert np.diff(smooth_step(near).view(np.int64)).min() >= -3  # monotone up to 3 ulps
+
+    def test_bit_identical_at_short_lengths_and_block_edges(self):
+        # every count of stacked rows, from all 16 down to 1, on both sides of its length edge
+        t = np.random.default_rng(1).uniform(0.0, 1.0, 2 * _STEP_STACK + 1)
+        edges = [_STEP_STACK // rows + d for rows in range(1, 17) for d in (0, 1)]
+        for size in [*range(1, 71), *edges, 2 * _STEP_STACK + 1]:
+            assert same_bits(smooth_step(t[:size]), loop_smooth_step(t[:size])), size
+
+    def test_each_point_equals_its_one_point_call(self):
+        # a sum reordered by input length or position would differ here
+        t = np.random.default_rng(2).uniform(0.0, 1.0, _STEP_STACK + 300)
+        assert same_bits(smooth_step(t), [smooth_step(x)[0] for x in t])
 
 
 class TestWindow:

@@ -66,8 +66,6 @@ from .exceptional import (
 from .ergodic import (
     AverageSeries,
     CircleRotation,
-    IntervalExchange,
-    TorusProduct,
     convergence_diagnostic,
     integral_tail,
     orbit_tail,

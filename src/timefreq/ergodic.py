@@ -1,10 +1,10 @@
-"""Concrete dynamical systems with drift-free orbits, return-times averages
-and their convergence diagnostics, the single-scale threshold experiment,
-and tail-operator statistics with a heavy-tail stress demo.
+"""Circle rotations with drift-free orbits, return-times averages and their
+convergence diagnostics, the single-scale threshold experiment, and
+tail-operator statistics with a heavy-tail stress demo.
 
-Rotation-like systems run on 64-bit fixed-point fractions: one step is a
-wrapping integer add, so orbits of any length carry no floating-point drift
-and the maps are exactly measure preserving on the sample lattice.
+Rotations run on 64-bit fixed-point fractions: one step is a wrapping
+integer add, so orbits of any length carry no floating-point drift and the
+maps are exactly measure preserving on the sample lattice.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ from .wavepackets import build_window, gabor_expand
 
 __all__ = [
     "CircleRotation",
-    "TorusProduct",
-    "IntervalExchange",
     "AverageSeries",
     "return_times_average",
     "convergence_diagnostic",
@@ -57,83 +55,6 @@ class CircleRotation:
         step = _to_fixed(self.alpha)
         idx = np.arange(start, start + n, dtype=np.uint64)
         return _to_float(_to_fixed(x0) + idx * step)
-
-
-@dataclass(frozen=True)
-class TorusProduct:
-    """Product of two rotations on the unit square."""
-
-    alpha: float
-    beta: float
-
-    def orbit(self, point: tuple[float, float], n: int, start: int = 1) -> np.ndarray:
-        idx = np.arange(start, start + n, dtype=np.uint64)
-        u = _to_float(_to_fixed(point[0]) + idx * _to_fixed(self.alpha))
-        v = _to_float(_to_fixed(point[1]) + idx * _to_fixed(self.beta))
-        return np.stack([u, v], axis=1)
-
-
-@dataclass(frozen=True)
-class IntervalExchange:
-    """Exchange of finitely many subintervals of [0, 1), exact in fixed point.
-
-    A call ``orbit(x0, n, start)`` that starts where an earlier call on the same
-    x0 ended, as the blocked orbit statistics do, resumes from that call's
-    integer state instead of replaying start - 1 steps.
-    """
-
-    lengths: tuple[float, ...]
-    permutation: tuple[int, ...]
-    # end states of the two most recent orbits, keyed (fixed-point x0, next start):
-    # enough for the two orbits a statistic walks in lockstep
-    _resume: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if sorted(self.permutation) != list(range(len(self.lengths))):
-            raise ValueError("permutation must reorder the segments")
-        if abs(sum(self.lengths) - 1.0) > 1e-12:
-            raise ValueError("segment lengths must sum to one")
-
-    def _tables(self):
-        # all arithmetic in python ints: the fixed-point bounds overflow int64
-        lens = [int(l * _SCALE) for l in self.lengths[:-1]]
-        lens.append(_SCALE - sum(lens))
-        starts, acc = [], 0
-        for ln in lens:
-            starts.append(acc)
-            acc += ln
-        new_starts = {}
-        pos = 0
-        for seg in self.permutation:
-            new_starts[seg] = pos
-            pos += lens[seg]
-        offsets = [(new_starts[i] - starts[i]) % _SCALE for i in range(len(lens))]
-        bounds = [starts[i] + lens[i] for i in range(len(lens))]
-        return bounds, offsets
-
-    def orbit(self, x0: float, n: int, start: int = 1) -> np.ndarray:
-        bounds, offsets = self._tables()
-        origin = int((x0 % 1.0) * _SCALE)
-        x = self._resume.pop((origin, start), None)
-        if x is None:
-            x = origin
-            for _ in range(start - 1):
-                x = self._step(x, bounds, offsets)
-        out = np.empty(n, dtype=np.float64)
-        for j in range(n):
-            x = self._step(x, bounds, offsets)
-            out[j] = x / _SCALE
-        self._resume[(origin, start + n)] = x
-        if len(self._resume) > 2:
-            del self._resume[next(iter(self._resume))]
-        return out
-
-    @staticmethod
-    def _step(x: int, bounds, offsets) -> int:
-        for i, b in enumerate(bounds):
-            if x < b:
-                return (x + offsets[i]) % _SCALE
-        return x
 
 
 @dataclass

@@ -81,10 +81,6 @@ class MultiplierFamily:
                 total += coeff * next(rows)
         return out
 
-    def total_multiplier(self, k: int) -> np.ndarray:
-        """Scale-k multiplier on the grid, the one-scale :meth:`scale_multipliers`."""
-        return self.scale_multipliers([k])[0]
-
 
 def random_family(
     grid: Grid,

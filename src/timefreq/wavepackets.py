@@ -249,7 +249,7 @@ def _eta(xi) -> np.ndarray:
     return partition_bump(xi + 0.5)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Kernel:
     """Positive averaging kernel K = |inverse transform of eta|^2.
 
@@ -260,8 +260,6 @@ class Kernel:
     """
 
     grid: Grid
-    _ktime_cache: dict = field(default_factory=dict, init=False, repr=False)
-    _autocorrelation: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @property
     def K(self) -> SampledFunction:
@@ -285,6 +283,17 @@ class Kernel:
         """eta at the quadrature nodes."""
         return _eta(_NODES[:-1])
 
+    @functools.cached_property
+    def _autocorrelation(self) -> np.ndarray:
+        """:meth:`_correlation` at offset 0, which every lattice reads."""
+        return self._correlation(0.0)
+
+    def _correlation(self, frac: float) -> np.ndarray:
+        """sum_m eta(node_(m-s) - frac / N) eta(node_m) / N at index N - 1 - s."""
+        # node N moved down by frac / N can still lie inside [-1/2, 1/2]
+        a = _eta(_NODES - frac / _QUAD_NODES)
+        return np.correlate(a, self._node_eta, "full") / _QUAD_NODES
+
     def khat_progression(self, xi: np.ndarray, step: float) -> np.ndarray:
         """:meth:`khat` at an arithmetic progression ``xi`` with spacing ``step``.
 
@@ -307,24 +316,13 @@ class Kernel:
         anchor = int(np.argmin(np.abs(xi)))
         c = xi[anchor] * _QUAD_NODES
         c0 = math.floor(c)
-        corr = self._shifted_correlation(c - c0)
+        corr = self._autocorrelation if c == c0 else self._correlation(c - c0)
         # correlate(a, v, "full")[N - 1 - s] = sum_m a[m - s] v[m]
         idx = (_QUAD_NODES - 1) - (c0 + int(round(q)) * (np.arange(xi.size) - anchor))
         inside = (idx >= 0) & (idx < corr.size)
         out = np.zeros(xi.size)
         out[inside] = corr[idx[inside]]
         return out
-
-    def _shifted_correlation(self, frac: float) -> np.ndarray:
-        """sum_m eta(node_(m-s) - frac / N) eta(node_m) / N at index N - 1 - s."""
-        if frac == 0.0 and self._autocorrelation is not None:
-            return self._autocorrelation
-        # node N moved down by frac / N can still lie inside [-1/2, 1/2]
-        a = _eta(_NODES - frac / _QUAD_NODES)
-        corr = np.correlate(a, self._node_eta, "full") / _QUAD_NODES
-        if frac == 0.0:
-            self._autocorrelation = corr
-        return corr
 
     def khat_lattice(self, k: int) -> np.ndarray:
         """khat(2^k xi_j) over the frequency axis.
@@ -338,9 +336,7 @@ class Kernel:
 
     def scaled_time(self, k: int) -> np.ndarray:
         """Samples of 2^-k K(2^-k y): the inverse transform of khat(2^k xi)."""
-        if k not in self._ktime_cache:
-            self._ktime_cache[k] = idft_values(self.khat_lattice(k), self.grid.dx)
-        return self._ktime_cache[k]
+        return idft_values(self.khat_lattice(k), self.grid.dx)
 
 
 def build_kernel(grid: Grid) -> Kernel:

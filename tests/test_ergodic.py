@@ -9,8 +9,6 @@ from timefreq import Grid, SampledFunction, hl_maximal, lp_norm
 from timefreq.cli import _trig_poly
 from timefreq.ergodic import (
     CircleRotation,
-    IntervalExchange,
-    TorusProduct,
     convergence_diagnostic,
     heavy_tail_sweep,
     integral_tail,
@@ -47,28 +45,12 @@ def uniform_chisq(samples, bins=32):
 
 
 class TestSystems:
-    @pytest.mark.parametrize(
-        "system",
-        [
-            CircleRotation(GOLDEN),
-            IntervalExchange(
-                (math.sqrt(2) - 1, math.sqrt(3) - 1.5, 3.5 - math.sqrt(2) - math.sqrt(3)),
-                (2, 1, 0),
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("system", [CircleRotation(GOLDEN)])
     def test_measure_preserving_histogram(self, system):
         orbit = system.orbit(0.123, 40000)
         # 95th percentile of chi-square with 31 dof is ~45; equidistributed
         # orbits of uniquely ergodic systems land well under a lax threshold
         assert uniform_chisq(orbit) < 120.0
-
-    def test_torus_product_components(self):
-        sys2 = TorusProduct(GOLDEN, SQRT2M1)
-        orbit = sys2.orbit((0.2, 0.7), 40000)
-        assert orbit.shape == (40000, 2)
-        assert uniform_chisq(orbit[:, 0]) < 120.0
-        assert uniform_chisq(orbit[:, 1]) < 120.0
 
     def test_orbit_exactness_no_drift(self):
         rot = CircleRotation(GOLDEN)
@@ -77,12 +59,6 @@ class TestSystems:
         step = int((GOLDEN % 1.0) * 2**64)
         expected = ((step * 10**6) % 2**64) / 2**64
         assert one_step == pytest.approx(expected, abs=1e-15)
-
-    def test_interval_exchange_validation(self):
-        with pytest.raises(ValueError):
-            IntervalExchange((0.5, 0.6), (1, 0))
-        with pytest.raises(ValueError):
-            IntervalExchange((0.5, 0.5), (0, 0))
 
 
 class TestReturnTimesAverage:
@@ -325,16 +301,11 @@ def whole_heavy_tail_sweep(levels, tau, x, sigma, y, n_max):
             for eps in levels]
 
 
-IET = IntervalExchange((math.sqrt(2) - 1, math.sqrt(3) - 1.5, 3.5 - math.sqrt(2) - math.sqrt(3)), (2, 1, 0))
-# (tau, x, sigma, y, f, g): rotations, a torus against a rotation, one exchange walked from two points
+# (tau, x, sigma, y, f, g): two rotations, with complex and with real observables
 _SYSTEMS = {
     "rotations": (CircleRotation(GOLDEN), 0.2, CircleRotation(SQRT2M1), 0.7,
                   lambda u: 0.4 + np.cos(2 * np.pi * u) + 0.3j * np.sin(6 * np.pi * u),
                   lambda u: -0.7 + 0.5 * np.sin(4 * np.pi * u)),
-    "torus": (TorusProduct(GOLDEN, SQRT2M1), (0.2, 0.9), CircleRotation(SQRT2M1), 0.7,
-              lambda p: np.cos(2 * np.pi * p[:, 0]) + 1j * np.sin(2 * np.pi * p[:, 1]),
-              lambda u: np.exp(-u) + 0.1),
-    "exchange": (IET, 0.123, IET, 0.456, lambda u: np.cos(2 * np.pi * u) - 0.2j, lambda u: u - 0.5),
     # real observables: rtt-sim's trigonometric polynomials, summed on the real path
     "real": (CircleRotation(GOLDEN), 0.2, CircleRotation(SQRT2M1), 0.7,
              _trig_poly(np.array([0.3, 1.0, -0.5, 0.25, 0.1, -0.05, 0.02])),
@@ -363,7 +334,7 @@ class TestBlockedStatistics:
         assert orbit_tail(f, tau, x, g, sg, y, n_max) == whole_orbit_tail(f, tau, x, g, sg, y, n_max)
 
     @pytest.mark.parametrize("n_max", _N_MAX)
-    @pytest.mark.parametrize("system", ["exchange", "rotations"])
+    @pytest.mark.parametrize("system", ["rotations"])
     def test_heavy_tail_sweep(self, system, n_max):
         tau, x, sg, y, _, _ = _SYSTEMS[system]
         levels = [0.04, 0.02, 0.01, 0.005]
@@ -391,20 +362,6 @@ class TestBlockedStatistics:
         got = return_times_average(f, tau, x, g, sg, y, n_list)
         assert True in kinds[:-1] and False in kinds[:-1]  # the oracle's call is the last
         assert np.array_equal(got.values, whole_return_times_average(f, tau, x, g, sg, y, n_list))
-
-    def test_exchange_blocks_resume(self, monkeypatch):
-        """A blocked walk over an interval exchange makes n steps per orbit, not a replay per block."""
-        calls = []
-        step = IntervalExchange._step
-        monkeypatch.setattr(IntervalExchange, "_step", staticmethod(lambda *a: calls.append(1) or step(*a)))
-        iet = IntervalExchange(IET.lengths, IET.permutation)
-        n = 3 * _BLOCK + 5
-        f = lambda u: u
-        return_times_average(f, iet, 0.123, f, iet, 0.456, [n])
-        assert len(calls) == 2 * n
-        calls.clear()
-        orbit_tail(f, iet, 0.3, f, iet, 0.8, n)
-        assert len(calls) == 2 * n
 
     def test_peak_memory(self):
         """Blocks bound the working set: each statistic's traced peak stays under 8 MB."""

@@ -319,6 +319,18 @@ class TestKernel:
         with pytest.raises(ValueError, match=r"must contain the kernel support \[-1, 1\]"):
             build_kernel(Grid(6, 64.0))  # the box is [-1/2, 1/2)
 
+    def test_used_kernels_compare_equal(self):
+        """A kernel is its grid: reading its lattice, a scaled kernel and an off-lattice slice keeps
+        it equal to another such kernel and to a fresh one."""
+        g = Grid(9, 8.0)
+        w, kernels = build_window(g), [build_kernel(g), build_kernel(g)]
+        for ker in kernels:
+            ker.khat_lattice(0)
+            ker.scaled_time(1)
+            model_function(w, ker, Tile(DyadicInterval(0, 3), DyadicInterval(0, 3))).x_slice(3.3)
+        assert kernels[0] == kernels[1]
+        assert all(ker == build_kernel(g) for ker in kernels)
+
 
 def assert_same_as_quadrature(fast, slow):
     assert np.max(np.abs(fast - slow)) <= 1e-15

@@ -71,6 +71,7 @@ from .ergodic import (
     orbit_tail,
     return_times_average,
     single_scale_blowup,
+    tail_diagnostics,
 )
 
 __version__ = "0.1.0"

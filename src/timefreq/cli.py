@@ -22,12 +22,12 @@ import numpy as np
 from .dyadic import DyadicInterval, Interval, Tile, Tree, tiles_from_text, tiles_to_text
 from .ergodic import (
     CircleRotation,
-    convergence_diagnostic,
     heavy_tail_sweep,
     integral_tail,
     orbit_tail,
     return_times_average,
     single_scale_blowup,
+    tail_diagnostics,
 )
 from .exceptional import ParameterError, run_pipeline
 from .grid import Grid, lp_norm, random_indicator
@@ -115,9 +115,9 @@ def cmd_tree_bound(args) -> int:
             tiles.append(Tile(DyadicInterval(-1, 2 * mt + sub), DyadicInterval(1, mf // 2)))
         tree = Tree.with_top_tile(tiles[0], tiles, top_freq=float(mf))
         f = random_indicator(grid, rng, None)
-        for level in args.l_list:
-            rep = tree_variation_report(tree, f, level, args.r, args.t, window, kernel)
-            rows.append((trial, level, args.r, args.t, rep.lhs, rep.rhs_scale, rep.ratio))
+        reports = tree_variation_report(tree, f, args.l_list, args.r, args.t, window, kernel)
+        rows += [(trial, level, args.r, args.t, rep.lhs, rep.rhs_scale, rep.ratio)
+                 for level, rep in zip(args.l_list, reports)]
     _write_csv(args, rows)
     print(f"tree-bound: {len(rows)} rows")
     return 0
@@ -201,11 +201,8 @@ def cmd_rtt_sim(args) -> int:
 
     n_list = [2**i for i in range(1, args.log2_n_max + 1)]
     series = return_times_average(_trig_poly(cf), tau, args.x, _trig_poly(cg), sg, args.y, n_list)
-    rows = []
-    for i, n in enumerate(series.n_list):
-        tail = type(series)(series.n_list[i:], series.values[i:])
-        osc, vr = convergence_diagnostic(tail, args.r)
-        rows.append((n, series.values[i].real, osc, vr))
+    osc, vr = tail_diagnostics(series, args.r)
+    rows = list(zip(series.n_list, series.values.real.tolist(), osc.tolist(), vr.tolist()))
     out = _write_csv(args, rows)
     plot = out.with_suffix(".plot.txt")
     plot.write_text("".join(f"{n} {_fmt(val)}\n" for n, val, _, _ in rows))

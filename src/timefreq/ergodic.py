@@ -23,6 +23,7 @@ __all__ = [
     "AverageSeries",
     "return_times_average",
     "convergence_diagnostic",
+    "tail_diagnostics",
     "BlowupRow",
     "single_scale_blowup",
     "integral_tail",
@@ -129,11 +130,31 @@ def convergence_diagnostic(series: AverageSeries, r: float) -> tuple[float, floa
     """(oscillation, variation) of the average series.
 
     Oscillation is the diameter max |A_i - A_j| over the listed times; the
-    variation is the exact r-variation norm of the series.
+    variation is the exact r-variation norm of the series.  These are the
+    first entries of :func:`tail_diagnostics`.
+    """
+    osc, vr = tail_diagnostics(series, r)
+    return float(osc[0]), float(vr[0])
+
+
+def tail_diagnostics(series: AverageSeries, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """Oscillations and variations of every tail of the series: entry i is
+    :func:`convergence_diagnostic` of the values from the i-th listed time on.
+
+    One pass for all tails.  The gaps |A_j - A_i| form one matrix; row i's
+    largest gap with j >= i is taken once, and tail i's oscillation is the
+    largest of those of rows i and later.  The variations are one
+    :func:`variational_norm` of the matrix whose column i is tail i padded in
+    front with copies of A_i: the padding adds zero increments and no new
+    value, so each column's norm is its tail's, bit for bit.  This holds for
+    finite values and NaN, not for infinite ones, whose zero increments would
+    be inf - inf = NaN.  The series must not be empty.
     """
     v = series.values
-    osc = np.max([np.max(np.abs(v[i:] - v[i])) for i in range(v.size)], initial=0.0)
-    return float(osc), variational_norm(v, r)
+    gaps = np.abs(v - v[:, None])  # row i, column j: |A_j - A_i|
+    osc = np.maximum.accumulate(np.triu(gaps).max(axis=1)[::-1])[::-1]
+    k = np.arange(v.size)
+    return osc, variational_norm(v[np.maximum(k[:, None], k)], r)
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +293,14 @@ def _spike_norms(center: float, levels: np.ndarray, caps: np.ndarray) -> list[fl
     return [float(np.where(d > eps, power, cap).mean()) for eps, cap in zip(levels, caps)]
 
 
+def _block_bound(sf_max: float, sg_max: float, cap: float, norm_f: float, norm_g: float, steps) -> float:
+    """Bound on one level's values over the block of orbit times ``steps``, given the block's
+    largest spike powers: a level's spike is at most the larger of that power and its cap, the
+    first step is the smallest, and rounded division and product are monotone on nonnegative
+    operands, so the bound, evaluated in the order of the values, is at least each of them."""
+    return max(sf_max, cap) / norm_f * (max(sg_max, cap) / norm_g) / int(steps[0])
+
+
 def heavy_tail_sweep(
     sharpness_levels: Sequence[float],
     tau,
@@ -292,7 +321,8 @@ def heavy_tail_sweep(
 
     Each value equals :func:`orbit_tail` of that level's spike pair; the
     orbits, their circle distances and one spike power (at the smallest level)
-    are built once, block by block, for all levels.
+    are built once, block by block, for all levels, and a level passes over a
+    block whose :func:`_block_bound` cannot raise its maximum.
     """
     levels = np.array(sharpness_levels, dtype=float)
     for eps in levels.tolist():
@@ -316,7 +346,10 @@ def heavy_tail_sweep(
     for u, v, steps in _orbit_blocks(tau, x, sigma, y, n_max):
         df, dg = _circle_distance(u, center_f), _circle_distance(v, center_g)
         sf, sg = _spike(df, eps_min), _spike(dg, eps_min)
-        for i, (eps, cap) in enumerate(zip(levels, caps)):
+        sf_max, sg_max = float(sf.max()), float(sg.max())
+        for i, (eps, cap) in enumerate(zip(levels.tolist(), caps.tolist())):
+            if _block_bound(sf_max, sg_max, cap, norm_f[i], norm_g[i], steps) <= best[i]:
+                continue  # no value of this block can raise the level's maximum
             best[i] = np.maximum(best[i], np.max(np.where(df > eps, sf, cap) / norm_f[i]
                                                  * (np.where(dg > eps, sg, cap) / norm_g[i]) / steps))
     return best.tolist()

@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .dyadic import Interval, Tile, TileUniverse, Tree, saturation, window_partition, decay_level
-from .grid import Grid, SampledFunction, dft_values, hl_maximal, idft_values, lp_norm, random_indicator
+from .grid import Grid, SampledFunction, dft_values, idft_values, lp_norm, random_indicator
 from .norms import maximal_multiplier_lower
 from .trees import select_forests, tail_variation, tree_coefficients
 from .wavepackets import Kernel, Window, tile_packet_hat
@@ -130,11 +130,39 @@ class GridSet:
 
 
 def maximal_exceptional_set(f_indicator: SampledFunction, lam: float, b: float) -> GridSet:
-    """Level set {M f >= lam^b} of the maximal function (non-strict per its definition)."""
+    """Level set {M f >= lam^b} of the maximal function (non-strict per its definition).
+
+    The mask is that of ``hl_maximal(f).values.real >= lam**b``, found in O(n) without M f.
+    With P the integer prefix counts of the indicator, M f at i is the largest rounded average
+    fl((P_b - P_a) / (b - a)) over a <= i < b, and a rounded average reaches t = lam^b exactly
+    when the average reaches m, the midpoint between t and the double below it (ties round to
+    the even significand: reaching m suffices for an even t, an odd t needs more).  With
+    m = N / 2^s and Q_k = P_k 2^s - N k in integers, that is Q_b >= Q_a (> for an odd t), so i
+    is in the set iff the largest Q_b with b > i reaches the smallest Q_a with a <= i (every
+    point when t underflows to 0, as then m = 0).  Values whose magnitude is not 0 or 1 are
+    refused.
+    """
     if not 0.0 < lam <= 1.0:
         raise ValueError(f"need 0 < lam <= 1, got {lam}")
-    m = hl_maximal(f_indicator)
-    return GridSet(f_indicator.grid, m.values.real >= lam**b)
+    mag = np.abs(f_indicator.values)
+    ones = mag == 1.0
+    if not np.all(ones | (mag == 0.0)):
+        raise ValueError("the maximal level set needs an indicator: every magnitude 0 or 1")
+    grid, t = f_indicator.grid, lam**b
+    if not t <= 1.0:  # NaN, or above every average of an indicator
+        return GridSet.empty(grid)
+    # m = (t + the double below t) / 2 = N / 2^s, both denominators being powers of two
+    (nt, dt), (nb, db) = t.as_integer_ratio(), math.nextafter(t, 0.0).as_integer_ratio()
+    d = max(dt, db)
+    q = np.zeros(grid.n + 1, dtype=object)  # Python ints: Q needs more than 64 bits
+    q[1:] = np.cumsum(ones, dtype=np.int64)
+    q *= 2 * d  # in place throughout: at most two arrays of large integers are alive at once
+    nk = np.arange(grid.n + 1).astype(object)
+    nk *= nt * (d // dt) + nb * (d // db)
+    q -= nk
+    low, high = np.minimum.accumulate(q[:-1]), np.maximum.accumulate(q[:0:-1])[::-1]
+    odd = int(np.float64(t).view(np.int64)) & 1  # the last significand bit of t
+    return GridSet(grid, (high > low) if odd else (high >= low))
 
 
 def _tile_indices(grid: Grid, iv: Interval) -> tuple[int, int]:

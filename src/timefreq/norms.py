@@ -213,7 +213,7 @@ def maximal_multiplier_lower(
     being a power of two) and takes the largest field at each point by a
     running comparison whose strict ``>`` keeps the first index on ties, as
     ``argmax`` does; that maximum is both the bound's sup and the ascent's
-    |field|.  A NaN in a multiplier makes its family's bound 0.
+    |field|.  A stack with a NaN or infinite entry is refused, naming the first such family.
     """
     if not 1 <= q:
         raise ValueError("q must be >= 1")
@@ -222,6 +222,9 @@ def maximal_multiplier_lower(
     single = ms.ndim < 3
     ms = ms.reshape(1, -1, n) if single else ms
     count, m = ms.shape[:2]
+    finite = np.isfinite(ms).all(axis=(1, 2))
+    if not finite.all():
+        raise ValueError(f"multiplier family {int(np.argmin(finite))} has a non-finite entry")
     if m == 0:  # an empty family has norm 0
         return 0.0 if single else np.zeros(count)
     starts = [_search_starts(family, search_budget, np.random.default_rng(seed)) for family in ms]

@@ -4,10 +4,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from timefreq import Grid, SampledFunction, hl_maximal, lp_norm
+from timefreq import Grid, SampledFunction, hl_maximal, lp_norm, variational_norm
 from timefreq.cli import _trig_poly
 from timefreq.ergodic import (
+    AverageSeries,
     CircleRotation,
     convergence_diagnostic,
     heavy_tail_sweep,
@@ -15,8 +18,9 @@ from timefreq.ergodic import (
     orbit_tail,
     return_times_average,
     single_scale_blowup,
+    tail_diagnostics,
 )
-from timefreq.ergodic import _BLOCK, _pair_average, _x_index
+from timefreq.ergodic import _BLOCK, _block_bound, _pair_average, _spike, _x_index
 from timefreq.wavepackets import build_kernel
 
 
@@ -128,6 +132,48 @@ class TestDiagnostics:
 
         osc, vr = convergence_diagnostic(AverageSeries((1, 2, 3), np.array([1.0, np.nan, 0.5])), 3.0)
         assert math.isnan(osc) and math.isnan(vr)
+
+
+def per_tail_diagnostics(values, r):
+    """Oracle: each tail's oscillation and r-variation computed alone, as a per-tail loop."""
+    tails = [values[i:] for i in range(values.size)]
+    osc = [np.max([np.max(np.abs(v[i:] - v[i])) for i in range(v.size)]) for v in tails]
+    return np.array(osc), np.array([variational_norm(v, r) for v in tails])
+
+
+_SERIES = st.integers(1, 24).flatmap(lambda n: st.tuples(
+    st.lists(st.floats(-4.0, 4.0), min_size=n, max_size=n),
+    st.lists(st.floats(-4.0, 4.0), min_size=n, max_size=n),
+    st.sets(st.integers(0, n - 1), max_size=2)))
+
+
+class TestTailDiagnostics:
+    """The one-pass diagnostics of every tail equal the per-tail loop bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(series=_SERIES, complex_values=st.booleans(), with_nan=st.booleans(),
+           r=st.sampled_from([1.0, 2.0, 2.5, 3.0, 4.7]))
+    def test_matches_per_tail_loop(self, series, complex_values, with_nan, r):
+        re_part, im_part, nan_at = series
+        v = np.array(re_part) + (1j * np.array(im_part) if complex_values else 0.0)
+        if with_nan:
+            v[sorted(nan_at)] = np.nan
+        avg = AverageSeries(tuple(range(1, v.size + 1)), v)
+        osc, vr = tail_diagnostics(avg, r)
+        want_osc, want_vr = per_tail_diagnostics(v, r)
+        assert np.array_equal(osc, want_osc, equal_nan=True)
+        assert np.array_equal(vr, want_vr, equal_nan=True)
+        loop = [convergence_diagnostic(AverageSeries(avg.n_list[i:], v[i:]), r) for i in range(v.size)]
+        assert np.array_equal(np.array(loop), np.stack([osc, vr], axis=1), equal_nan=True)
+
+    def test_rtt_sim_series(self):
+        """The averages rtt-sim reports at its default 17 times, and at 22."""
+        tau, x, sg, y, f, g = _SYSTEMS["real"]
+        for top in (17, 22):
+            avg = return_times_average(f, tau, x, g, sg, y, [2**i for i in range(1, top + 1)])
+            osc, vr = tail_diagnostics(avg, 3.0)
+            want_osc, want_vr = per_tail_diagnostics(avg.values, 3.0)
+            assert np.array_equal(osc, want_osc) and np.array_equal(vr, want_vr)
 
 
 @pytest.fixture(scope="module")
@@ -346,6 +392,41 @@ class TestBlockedStatistics:
         tau, x, sg, y, _, _ = _SYSTEMS["rotations"]
         n_max = _BLOCK + 1
         assert heavy_tail_sweep(levels, tau, x, sg, y, n_max) == whole_heavy_tail_sweep(levels, tau, x, sg, y, n_max)
+
+    @pytest.mark.parametrize("n_max", [1, 8, 16384, 16385, 40000, 500000])
+    def test_heavy_tail_sweep_skipped_blocks(self, n_max):
+        """Orbits of one to 31 blocks, all but the first of them skipped at every level, at the
+        tails defaults and at two other starts."""
+        tau, _, sg, _, _, _ = _SYSTEMS["rotations"]
+        levels = [0.04, 0.02, 0.01, 0.005]
+        for x, y in [(0.15, 0.55), (0.9, 0.3), (0.61, 0.02)]:
+            assert heavy_tail_sweep(levels, tau, x, sg, y, n_max) == whole_heavy_tail_sweep(levels, tau, x, sg, y, n_max)
+
+    @settings(max_examples=25, deadline=None)
+    @given(x=st.floats(0.0, 1.0, exclude_max=True), y=st.floats(0.0, 1.0, exclude_max=True),
+           levels=st.lists(st.floats(1e-4, 0.49), min_size=1, max_size=4),
+           n_max=st.integers(1, 3 * _BLOCK + 5))
+    def test_heavy_tail_sweep_random_starts(self, x, y, levels, n_max):
+        tau, _, sg, _, _, _ = _SYSTEMS["rotations"]
+        assert heavy_tail_sweep(levels, tau, x, sg, y, n_max) == whole_heavy_tail_sweep(levels, tau, x, sg, y, n_max)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), eps=st.floats(1e-4, 0.49), shrink=st.floats(0.01, 1.0),
+           norms=st.tuples(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3)),
+           first=st.integers(1, 10**7), size=st.integers(1, 300))
+    def test_block_bound_dominates_the_block(self, seed, eps, shrink, norms, first, size):
+        """No value of a block exceeds its bound: random circle distances, a level at or above the
+        smallest one, spike norms and block steps.  The skip's soundness rests on this alone; the
+        outputs cannot show a wrong skip, as the sweep's maximum always lies in its first block."""
+        rng = np.random.default_rng(seed)
+        df, dg = rng.uniform(0.0, 0.5, (2, size)) ** rng.uniform(1.0, 8.0)
+        eps_min = eps * shrink
+        sf, sg = _spike(df, eps_min), _spike(dg, eps_min)
+        cap = float(_spike(np.array([eps]), eps_min)[0])
+        steps = np.arange(first, first + size)
+        nf, ng = norms
+        values = np.where(df > eps, sf, cap) / nf * (np.where(dg > eps, sg, cap) / ng) / steps
+        assert np.max(values) <= _block_bound(float(sf.max()), float(sg.max()), cap, nf, ng, steps)
 
     def test_return_times_average_mixed_blocks(self):
         """An observable that is complex only on the blocks that meet a short arc: the imaginary

@@ -132,6 +132,38 @@ class TestMaximalExceptionalSet:
                 es = maximal_exceptional_set(f, lam, 1.0)
                 assert es.measure <= 4.0 * mf / lam + 1e-9
 
+    @settings(max_examples=60, deadline=None)
+    @given(J=st.integers(1, 13), seed=st.integers(0, 2**32 - 1),
+           density=st.sampled_from([0.0, 0.05, 0.5, 0.95, 1.0]),
+           runs=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), max_size=4))
+    @example(J=3, seed=0, density=0.0, runs=[(0.25, 0.5)])  # ones at 2..5: fl(4/5) = 0.8 exceeds 4/5
+    def test_matches_hl_maximal(self, J, seed, density, runs):
+        """The O(n) sweep's mask is the maximal function's level set at thresholds that are achieved
+        averages and their neighbours, at 1, at the smallest double, at an underflow and above 1."""
+        g = Grid(J, 8.0)
+        mask = np.random.default_rng(seed).random(g.n) < density
+        for start, width in runs:
+            mask[int(start * g.n):int(start * g.n) + int(width * g.n)] = True
+        f = SampledFunction(g, mask.astype(complex))
+        m_vals = hl_maximal(f).values.real
+        averages = np.unique(m_vals)
+        averages = averages[np.linspace(0, averages.size - 1, min(averages.size, 24)).astype(int)]
+        thresholds = {1.0, 5e-324}
+        for t in averages.tolist():
+            thresholds |= {t, math.nextafter(t, 0.0), math.nextafter(t, 2.0)}
+        for t in sorted(u for u in thresholds if 0.0 < u <= 1.0):
+            assert np.array_equal(maximal_exceptional_set(f, t, 1.0).mask, m_vals >= t), t
+        for lam, b in [(0.5, 1100.0), (0.5, -1.0)]:  # t underflows to 0, t = 2
+            assert np.array_equal(maximal_exceptional_set(f, lam, b).mask, m_vals >= lam**b)
+
+    @pytest.mark.parametrize("bad", [0.5, 2.0, np.nan, np.inf])
+    def test_refuses_non_indicator(self, setup, bad):
+        g, _, _ = setup
+        values = SampledFunction.indicator(g, [(1.0, 2.5)]).values
+        values[7] = bad
+        with pytest.raises(ValueError, match="needs an indicator"):
+            maximal_exceptional_set(SampledFunction(g, values), 0.5, 1.05)
+
     def test_threshold_monotone(self, setup):
         g, _, _ = setup
         f = SampledFunction.indicator(g, [(2.0, 3.0)])

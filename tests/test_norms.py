@@ -319,8 +319,9 @@ class TestMaximalMultiplierLower:
         for family in ([a, b, c, a], [a, a], [zero, a], [zero, zero], [a, zero, b, a]):
             assert maximal_multiplier_lower(family, g, q, 40, 2) == loop_maximal_multiplier_lower(family, g, q, 40, 2)
 
-    def test_nan_multiplier_gives_zero(self):
-        # a NaN entry spreads through every field of its multiplier, so no evaluation is a number
+    def test_non_finite_multiplier_refused(self):
+        # a NaN or infinite entry would spread through every field of its multiplier, so no evaluation
+        # is a number; the search refuses the stack before it starts and names the family
         g = Grid(6, 8.0)
         rng = np.random.default_rng(3)
         fam = rng.standard_normal((3, g.n)) + 1j * rng.standard_normal((3, g.n))
@@ -328,10 +329,17 @@ class TestMaximalMultiplierLower:
             bad = fam.copy()
             bad[row, col] = np.nan
             for q in (1.0, 1.5, 2.0):
-                assert maximal_multiplier_lower(bad, g, q, 30, 1) == 0.0
+                with pytest.raises(ValueError, match="multiplier family 0 has a non-finite entry"):
+                    maximal_multiplier_lower(bad, g, q, 30, 1)
         bad = np.stack([fam, fam])
         bad[1, 0, 9] = np.nan
-        assert maximal_multiplier_lower(bad, g, 1.5, 30, 1).tolist() == [maximal_multiplier_lower(fam, g, 1.5, 30, 1), 0.0]
+        with pytest.raises(ValueError, match="multiplier family 1 has a non-finite entry"):
+            maximal_multiplier_lower(bad, g, 1.5, 30, 1)
+        for value in (np.inf, complex(0.0, -np.inf)):
+            bad = np.stack([fam, fam, fam])
+            bad[2, 1, 7] = value
+            with pytest.raises(ValueError, match="multiplier family 2 has a non-finite entry"):
+                maximal_multiplier_lower(bad, g, 1.5, 30, 1)
 
     def test_identity_family(self):
         g = Grid(8, 8.0)

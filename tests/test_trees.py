@@ -192,7 +192,7 @@ class TestTreeVariationReport:
     def test_zero_function(self, setup9):
         g, w, ker = setup9
         tree = left_aligned_tree(mt=3)
-        rep = tree_variation_report(tree, SampledFunction.zero(g), 1, 3.0, 2.0, w, ker, family_size=4)
+        [rep] = tree_variation_report(tree, SampledFunction.zero(g), [1], 3.0, 2.0, w, ker, family_size=4)
         assert rep.lhs == 0.0
 
     def test_single_tile_two_paths(self, setup9):
@@ -200,7 +200,7 @@ class TestTreeVariationReport:
         s = Tile(DyadicInterval(0, 3), DyadicInterval(0, 4))
         tree = Tree.with_top_tile(s, [s], top_freq=4.0)
         f = SampledFunction.indicator(g, [(2.75, 4.0)])
-        rep = tree_variation_report(tree, f, 0, 3.0, 2.0, w, ker)
+        [rep] = tree_variation_report(tree, f, [0], 3.0, 2.0, w, ker)
         coeffs = tree_coefficients(tree, f, w)
         field = coeffs[s] * model_function(w, ker, s).x_slice(4.0)
         # one-term scale sequence: variation norm equals the absolute value
@@ -216,8 +216,7 @@ class TestTreeVariationReport:
             tree = left_aligned_tree(mt=mt, sub_offset=int(rng.integers(0, 4)))
             a = mt + rng.uniform(-0.5, 0.5)
             f = SampledFunction.indicator(g, [(max(a, 0.0), min(a + rng.uniform(0.3, 1.5), 8.0))])
-            for level in (0, 1, 2):
-                rep = tree_variation_report(tree, f, level, 3.0, 2.0, w, ker, family_size=6)
+            for rep in tree_variation_report(tree, f, (0, 1, 2), 3.0, 2.0, w, ker, family_size=6):
                 if rep.rhs_scale > 0:
                     ratios.append(rep.ratio)
         assert max(ratios) <= 150.0  # single fitted constant
@@ -230,6 +229,25 @@ class TestTreeVariationReport:
             tree_variation_report(tree, f, 0, 2.0, 2.0, w, ker)
         with pytest.raises(ValueError):
             tree_variation_report(tree, f, 0, 3.0, 1.0, w, ker)
+
+    def test_levels_equal_one_call_per_level(self, setup9):
+        """One call over levels [2, 0, 1, 1], sharing its coefficients, size and slice cache, equals
+        (==) a fresh one-level call per level, in order and with the repeat."""
+        g, w, ker = setup9
+        rng = np.random.default_rng(21)
+        trees = [left_aligned_tree(mt=3), left_aligned_tree(mt=2, sub_offset=1),
+                 Tree.with_top_tile(Tile(DyadicInterval(0, 5), DyadicInterval(0, 2)),
+                                    [Tile(DyadicInterval(0, 5), DyadicInterval(0, 2)),
+                                     Tile(DyadicInterval(-1, 10), DyadicInterval(1, 1)),
+                                     Tile(DyadicInterval(-1, 11), DyadicInterval(1, 1))], top_freq=2.0)]
+        for tree in trees:
+            a = rng.uniform(0.0, 6.0)
+            f = SampledFunction.indicator(g, [(a, a + rng.uniform(0.3, 2.0))])
+            levels = [2, 0, 1, 1]
+            got = tree_variation_report(tree, f, levels, 3.0, 2.0, w, ker, family_size=6)
+            assert got == [tree_variation_report(tree, f, [level], 3.0, 2.0, w, ker, family_size=6)[0]
+                           for level in levels]
+        assert tree_variation_report(trees[0], f, [], 3.0, 2.0, w, ker) == []
 
 
 def loop_tail_variation(tree, coeffs, level, r, window, kernel):

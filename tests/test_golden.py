@@ -10,22 +10,33 @@ Whether the bytes are identical is printed (``pytest -s``), not asserted.
 
 ``acceptance6.json`` holds the runs of acceptance criterion 6 (lambda 0.5 and
 0.25, seeds 0-9 at J=9, L=8): per run the level rows, the E and E* measures,
-``estar_ratio`` and the 24 pointwise ratios.  A change to the pointwise search
-can leave the default ``exceptional.csv`` byte-identical and still move these
-ratios.  Counts and labels compare exactly, floats to 1e-9 relative.
+``estar_ratio`` and the 24 pointwise ratios, then the run's level set E as the
+sha256 of its packed mask and the sizes of its trapped tiles' escape groups
+(``group_by_escape_level`` of ``tests/test_exceptional.py``), rebuilt from the
+seed as ``run_pipeline`` builds them.  A change to the pointwise search can
+leave the default ``exceptional.csv`` byte-identical and still move these
+ratios, and a level set can move and keep its measure.  Counts, labels and
+digests compare exactly, floats to 1e-9 relative.
 
 Regenerating the stored files changes the science: run
 ``PYTHONPATH=src python tests/test_golden.py`` and name every value that moved.
 """
 
+import hashlib
 import importlib.util
 import json
 import math
 from pathlib import Path
 
-from timefreq import Grid, run_pipeline
+import numpy as np
+
+from timefreq import Grid, ParamLedger, maximal_exceptional_set, run_pipeline, split_tiles
 from timefreq.cli import main
+from timefreq.dyadic import Interval, TileUniverse
+from timefreq.grid import random_indicator
 from timefreq.wavepackets import build_kernel, build_window
+
+from test_exceptional import group_by_escape_level
 
 GOLDEN = Path(__file__).parent / "golden"
 TILES = GOLDEN / "tiles.txt"
@@ -44,6 +55,18 @@ def capture(outdir: Path) -> None:
     assert main(["tree-select", "--tiles", str(TILES), "--out", str(outdir / "tree_select_tiles.csv")]) == 0
 
 
+def level_set_record(g: Grid, lam: float, seed: int) -> dict:
+    """The level set E of a pipeline run, rebuilt from its seed as ``run_pipeline`` builds it:
+    the sha256 of its packed mask and the [kappa, size] escape groups of the tiles it traps."""
+    f = random_indicator(g, np.random.default_rng(seed), 3)
+    eset = maximal_exceptional_set(f, lam, ParamLedger(1.6, 1.5, 0.01, lam).b)
+    tiles = TileUniverse(-1, 1, Interval(0.0, g.length), Interval(0.0, 8.0)).all_tiles()
+    _, trapped = split_tiles(tiles, eset)
+    groups = group_by_escape_level(trapped, eset)
+    return {"e_sha256": hashlib.sha256(np.packbits(eset.mask).tobytes()).hexdigest(),
+            "escape_groups": [[kappa, len(groups[kappa])] for kappa in sorted(groups)]}
+
+
 def acceptance6_text() -> str:
     """The criterion-6 runs as JSON, one run per line."""
     g = Grid(9, 8.0)
@@ -57,6 +80,7 @@ def acceptance6_text() -> str:
                 "measure_estar": float(rep.measure_estar), "estar_ratio": float(rep.estar_ratio),
                 "level_rows": [[int(row[0])] + [float(v) for v in row[1:]] for row in rep.level_rows],
                 "pointwise_ratios": rep.pointwise_ratios,
+                **level_set_record(g, lam, seed),
             })
     return "[\n" + ",\n".join(json.dumps(run) for run in runs) + "\n]\n"
 

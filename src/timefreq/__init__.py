@@ -66,9 +66,7 @@ from .exceptional import (
 from .ergodic import (
     AverageSeries,
     CircleRotation,
-    convergence_diagnostic,
     integral_tail,
-    orbit_tail,
     return_times_average,
     single_scale_blowup,
     tail_diagnostics,

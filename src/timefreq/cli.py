@@ -24,7 +24,6 @@ from .ergodic import (
     CircleRotation,
     heavy_tail_sweep,
     integral_tail,
-    orbit_tail,
     return_times_average,
     single_scale_blowup,
     tail_diagnostics,
@@ -234,9 +233,8 @@ def cmd_tails(args) -> int:
     tau = CircleRotation((np.sqrt(5) - 1) / 2)
     sg = CircleRotation(np.sqrt(2) - 1)
     sweep = heavy_tail_sweep(args.sharpness, tau, args.x, sg, args.y, args.n_max)
-    bounded = orbit_tail(lambda u: np.ones_like(np.asarray(u)), tau, args.x,
-                         lambda u: np.ones_like(np.asarray(u)), sg, args.y, args.n_max)
-    rows = [("integral_tail", float("nan"), t1), ("orbit_tail_bounded", float("nan"), bounded)]
+    # the orbit tail of f = g = 1, sup over 1 <= n <= n_max of 1/n, is 1 at n = 1 for every orbit
+    rows = [("integral_tail", float("nan"), t1), ("orbit_tail_bounded", float("nan"), 1.0)]
     rows += [("orbit_tail_spike", eps, v) for eps, v in zip(args.sharpness, sweep)]
     _write_csv(args, rows)
     print(f"tails: spike sweep {[f'{v:.3g}' for v in sweep]}")

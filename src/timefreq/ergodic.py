@@ -22,12 +22,10 @@ __all__ = [
     "CircleRotation",
     "AverageSeries",
     "return_times_average",
-    "convergence_diagnostic",
     "tail_diagnostics",
     "BlowupRow",
     "single_scale_blowup",
     "integral_tail",
-    "orbit_tail",
     "heavy_tail_sweep",
 ]
 
@@ -126,20 +124,10 @@ def return_times_average(
     return AverageSeries(n_list, vals)
 
 
-def convergence_diagnostic(series: AverageSeries, r: float) -> tuple[float, float]:
-    """(oscillation, variation) of the average series.
-
-    Oscillation is the diameter max |A_i - A_j| over the listed times; the
-    variation is the exact r-variation norm of the series.  These are the
-    first entries of :func:`tail_diagnostics`.
-    """
-    osc, vr = tail_diagnostics(series, r)
-    return float(osc[0]), float(vr[0])
-
-
 def tail_diagnostics(series: AverageSeries, r: float) -> tuple[np.ndarray, np.ndarray]:
-    """Oscillations and variations of every tail of the series: entry i is
-    :func:`convergence_diagnostic` of the values from the i-th listed time on.
+    """Oscillations and variations of every tail of the series: entry i is the
+    diameter max |A_j - A_k| and the exact r-variation norm of the values from
+    the i-th listed time on, so entry 0 is that of the whole series.
 
     One pass for all tails.  The gaps |A_j - A_i| form one matrix; row i's
     largest gap with j >= i is taken once, and tail i's oscillation is the
@@ -260,14 +248,6 @@ def integral_tail(f: SampledFunction, g: SampledFunction, x: float, t_list=None)
     return float(best)
 
 
-def orbit_tail(f_obs: Callable, tau, x: float, g_obs: Callable, sigma, y, n_max: int) -> float:
-    """sup over n <= n_max of |f(tau^n x) g(sigma^n y)| / n, for pointwise f and g."""
-    best = -np.inf
-    for u, v, steps in _orbit_blocks(tau, x, sigma, y, n_max):
-        best = np.maximum(best, np.max(np.abs(_product(f_obs(u), g_obs(v))) / steps))
-    return float(best)
-
-
 def _circle_distance(u, center: float) -> np.ndarray:
     """Distance on the unit circle for u and center in [0, 1): no remainder pass, unlike wrapped_distance."""
     d = np.asarray(u, dtype=float) - center
@@ -319,9 +299,11 @@ def heavy_tail_sweep(
     orbit's closest approach to 1/2 among the first few steps.  Every level must
     lie in (0, 1/2), with eps^(-1.8) finite.
 
-    Each value equals :func:`orbit_tail` of that level's spike pair; the
-    orbits, their circle distances and one spike power (at the smallest level)
-    are built once, block by block, for all levels, and a level passes over a
+    Each value is sup over n <= n_max of |f(tau^n x) g(sigma^n y)| / n for
+    that level's spike pair, as the oracle ``whole_orbit_tail`` of
+    ``tests/test_ergodic.py`` computes it over the whole orbit.  The orbits,
+    their circle distances and one spike power (at the smallest level) are
+    built once, block by block, for all levels, and a level passes over a
     block whose :func:`_block_bound` cannot raise its maximum.
     """
     levels = np.array(sharpness_levels, dtype=float)

@@ -135,12 +135,12 @@ def maximal_exceptional_set(f_indicator: SampledFunction, lam: float, b: float) 
     The mask is that of ``hl_maximal(f).values.real >= lam**b``, found in O(n) without M f.
     With P the integer prefix counts of the indicator, M f at i is the largest rounded average
     fl((P_b - P_a) / (b - a)) over a <= i < b, and a rounded average reaches t = lam^b exactly
-    when the average reaches m, the midpoint between t and the double below it (ties round to
-    the even significand: reaching m suffices for an even t, an odd t needs more).  With
-    m = N / 2^s and Q_k = P_k 2^s - N k in integers, that is Q_b >= Q_a (> for an odd t), so i
-    is in the set iff the largest Q_b with b > i reaches the smallest Q_a with a <= i (every
-    point when t underflows to 0, as then m = 0).  Values whose magnitude is not 0 or 1 are
-    refused.
+    when the average reaches m, the midpoint between t and the double below it.  No average
+    d / L equals a nonzero m, so the rounding tie rule never applies: in lowest terms
+    m = N / 2^s with N odd and s >= 54, and d 2^s = N L would need 2^s to divide L <= n <= 2^20.
+    With Q_k = P_k 2^s - N k in integers, reaching m is Q_b >= Q_a, so i is in the set iff the
+    largest Q_b with b > i reaches the smallest Q_a with a <= i (every point when t underflows
+    to 0, as then m = 0).  Values whose magnitude is not 0 or 1 are refused.
     """
     if not 0.0 < lam <= 1.0:
         raise ValueError(f"need 0 < lam <= 1, got {lam}")
@@ -161,8 +161,7 @@ def maximal_exceptional_set(f_indicator: SampledFunction, lam: float, b: float) 
     nk *= nt * (d // dt) + nb * (d // db)
     q -= nk
     low, high = np.minimum.accumulate(q[:-1]), np.maximum.accumulate(q[:0:-1])[::-1]
-    odd = int(np.float64(t).view(np.int64)) & 1  # the last significand bit of t
-    return GridSet(grid, (high > low) if odd else (high >= low))
+    return GridSet(grid, high >= low)
 
 
 def _tile_indices(grid: Grid, iv: Interval) -> tuple[int, int]:
@@ -215,17 +214,17 @@ def variation_exceptional_set(
     sigma: float,
     window: Window,
     kernel: Kernel,
-    l_decay: float = 10.0,
+    l_decay: float,
 ) -> GridSet:
     """Union over window trees of scalewise-variation level sets.
 
     ``windows`` maps (l, m) to the spatial window trees of that offset; each
     tree contributes {x : V^r over scales of its tail sums > gamma 2^(-l_decay l)
     (|m|+1)^-2}.  Coefficients must obey the size normalization
-    sup |a_s| / |I_s|^(1/2) <= sigma.  The default threshold decay of ten per
-    dilation level presumes adaptedness orders the sampled pieces cannot
-    reach; callers wanting nontrivial complements at desk scale should pass
-    an ``l_decay`` below the pieces' effective decay order.  The window trees
+    sup |a_s| / |I_s|^(1/2) <= sigma.  A threshold decay of ten per dilation
+    level would presume adaptedness orders the sampled pieces cannot reach;
+    an ``l_decay`` below the pieces' effective decay order (``run_pipeline``
+    takes 3) leaves nontrivial complements at desk scale.  The window trees
     share one x-slice per (tile, top frequency).
     """
     grid = window.grid
@@ -254,8 +253,8 @@ def check_pointwise_bound(
     eps: float,
     window: Window,
     kernel: Kernel,
-    search_budget: int = 40,
-    seed: int = 0,
+    search_budget: int,
+    seed: int,
 ) -> tuple[np.ndarray, float]:
     """Lower bounds of the maximal-multiplier norm at grid points vs their target.
 

@@ -39,10 +39,6 @@ class FrequencySet:
             raise ValueError("frequency set must be nonempty")
         object.__setattr__(self, "lambdas", ls)
 
-    @property
-    def n(self) -> int:
-        return len(self.lambdas)
-
 
 def covering_intervals(freqs: FrequencySet, k: int) -> list[DyadicInterval]:
     """All dyadic intervals of length 2^k containing an element of the set.
@@ -64,7 +60,6 @@ class MultiplierFamily:
     """
 
     grid: Grid
-    freqs: FrequencySet
     scales: dict[int, list[tuple[DyadicInterval, AdaptedBump, complex]]] = field(repr=False)
 
     def scale_list(self) -> list[int]:
@@ -98,7 +93,7 @@ def random_family(
             phase = np.exp(2j * np.pi * rng.uniform())
             entries.append((iv, bump, complex(mag * phase)))
         per_scale[int(k)] = entries
-    return MultiplierFamily(grid, freqs, per_scale)
+    return MultiplierFamily(grid, per_scale)
 
 
 def sup_over_scales(fam: MultiplierFamily, f: SampledFunction) -> SampledFunction:

@@ -112,7 +112,7 @@ class AdaptedBump:
         return self(grid.freqs())
 
 
-def make_adapted_bump(omega: Interval, c_const: float, modulation_index: int = 0) -> AdaptedBump:
+def make_adapted_bump(omega: Interval, c_const: float, modulation_index: int) -> AdaptedBump:
     """Canonical bump adapted to ``omega``.
 
     ``modulation_index`` walks the fixed family (four sub-interval positions
@@ -129,7 +129,7 @@ def make_adapted_bump(omega: Interval, c_const: float, modulation_index: int = 0
     return AdaptedBump(omega, modulation_index, amp)
 
 
-def adapted_family(omega: Interval, c_const: float, family_size: int = 8) -> list[AdaptedBump]:
+def adapted_family(omega: Interval, c_const: float, family_size: int) -> list[AdaptedBump]:
     return [make_adapted_bump(omega, c_const, v) for v in range(family_size)]
 
 
@@ -194,8 +194,8 @@ def maximal_multiplier_lower(
     multipliers: Sequence[np.ndarray],
     grid: Grid,
     q: float,
-    search_budget: int = 60,
-    seed: int = 0,
+    search_budget: int,
+    seed: int,
 ) -> float | np.ndarray:
     """Certified lower bound on the maximal-multiplier norm of a family, or of each family of a stack.
 
@@ -277,7 +277,7 @@ def maximal_multiplier_lower(
 def per_tile_sizes(
     tiles: Iterable[Tile],
     f: SampledFunction,
-    family_size: int = 8,
+    family_size: int,
 ) -> dict[Tile, float]:
     """Size of each singleton {s}, in input order: the collection size is their maximum.
 
@@ -307,7 +307,7 @@ def per_tile_sizes(
 def tile_size(
     tiles: Iterable[Tile],
     f: SampledFunction,
-    family_size: int = 8,
+    family_size: int,
 ) -> float:
     """Lower estimate of the size of a tile collection relative to f.
 

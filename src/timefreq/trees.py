@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -89,7 +89,7 @@ def _sweep_members(top: Tile, residual: set[Tile]) -> frozenset[Tile]:
 def select_forests(
     tiles: Iterable[Tile],
     f: SampledFunction,
-    family_size: int = 8,
+    family_size: int,
     check_convexity: bool = True,
 ) -> ForestDecomposition:
     """Split a convex tile collection into size-certified forests.
@@ -159,9 +159,9 @@ class TreePieces:
     gains 2^(-M level) decay for every M, and is the piece entering the
     variational sums.  The two parts add back to the model function exactly.
     Both slices take the model function's x-slice ``phi_vals`` at one theta.
+    The pieces depend on s only through I_s.
     """
 
-    tile: Tile
     top_freq: float
     level: int
     grid: Grid = field(repr=False)
@@ -198,7 +198,7 @@ def tree_decompose(s: Tile, tree: Tree, level: int, grid: Grid) -> TreePieces:
     width = math.ldexp(s.time.length, level)
     cutoff = time_cutoff(wrapped_distance(grid.xs(), s.time.center, grid.length) / width)
     integral = float(np.sum(cutoff) * grid.dx)
-    return TreePieces(s, tree.top_freq, level, grid, cutoff, integral)
+    return TreePieces(tree.top_freq, level, grid, cutoff, integral)
 
 
 def tree_coefficients(tree: Tree, f: SampledFunction, window: Window) -> dict[Tile, complex]:
@@ -213,15 +213,14 @@ def tree_coefficients(tree: Tree, f: SampledFunction, window: Window) -> dict[Ti
 
 
 def tail_variation(tree: Tree, coeffs: dict[Tile, complex], level: int, r: float, window: Window,
-                   kernel: Kernel, slice_cache: Optional[dict] = None) -> np.ndarray:
+                   kernel: Kernel, slice_cache: dict) -> np.ndarray:
     """V^r over the tree's scales k of the field sum_s a_s tail_s(x, top frequency), s of scale k.
 
     Tail pieces are taken at ``level``; tiles that ``coeffs`` lacks or maps to
     zero add nothing.  ``slice_cache`` keeps a tile's x-slice under (tile, top frequency) and, above
-    level 0 (where the tail is the whole slice), its :func:`tree_decompose` cutoff under (time interval,
-    level), so trees sharing a cache build each once.  The tree must have a tile.
+    level 0 (where the tail is the whole slice), its :func:`tree_decompose` pieces under (time interval,
+    level), so trees and levels sharing a cache build each once.  The tree must have a tile.
     """
-    cache = {} if slice_cache is None else slice_cache
     scales = tree.scales()
     fields = np.zeros((len(scales), window.grid.n), dtype=np.complex128)
     for i, k in enumerate(scales):
@@ -230,13 +229,13 @@ def tail_variation(tree: Tree, coeffs: dict[Tile, complex], level: int, r: float
             if a == 0.0:
                 continue
             key = (s, tree.top_freq)
-            if key not in cache:
-                cache[key] = model_function(window, kernel, s).x_slice(tree.top_freq)
-            tail = cache[key]
+            if key not in slice_cache:
+                slice_cache[key] = model_function(window, kernel, s).x_slice(tree.top_freq)
+            tail = slice_cache[key]
             if level != 0:
-                if (s.time, level) not in cache:
-                    cache[s.time, level] = tree_decompose(s, tree, level, window.grid)
-                tail = replace(cache[s.time, level], tile=s, top_freq=tree.top_freq).tail_slice(tail)
+                if (s.time, level) not in slice_cache:
+                    slice_cache[s.time, level] = tree_decompose(s, tree, level, window.grid)
+                tail = replace(slice_cache[s.time, level], top_freq=tree.top_freq).tail_slice(tail)
             fields[i] += a * tail
     return variational_norm(fields, r)
 

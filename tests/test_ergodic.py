@@ -1,3 +1,4 @@
+import csv
 import math
 import re
 import tracemalloc
@@ -8,14 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from timefreq import Grid, SampledFunction, hl_maximal, lp_norm, variational_norm
-from timefreq.cli import _trig_poly
+from timefreq.cli import _trig_poly, main
 from timefreq.ergodic import (
     AverageSeries,
     CircleRotation,
-    convergence_diagnostic,
     heavy_tail_sweep,
     integral_tail,
-    orbit_tail,
     return_times_average,
     single_scale_blowup,
     tail_diagnostics,
@@ -105,33 +104,25 @@ class TestReturnTimesAverage:
 
 
 class TestDiagnostics:
-    def test_constant_series(self):
-        from timefreq.ergodic import AverageSeries
+    """Entry 0 of tail_diagnostics: the oscillation and variation of the whole series."""
 
-        series = AverageSeries((1, 2, 4), np.array([2.0, 2.0, 2.0]))
-        osc, vr = convergence_diagnostic(series, 3.0)
-        assert osc == 0.0 and vr == 2.0
+    def test_constant_series(self):
+        osc, vr = tail_diagnostics(AverageSeries((1, 2, 4), np.array([2.0, 2.0, 2.0])), 3.0)
+        assert osc[0] == 0.0 and vr[0] == 2.0
 
     def test_single_jump(self):
-        from timefreq.ergodic import AverageSeries
-
-        series = AverageSeries((1, 2), np.array([0.0, 1.0]))
-        osc, vr = convergence_diagnostic(series, 3.0)
-        assert osc == 1.0 and vr == 2.0
+        osc, vr = tail_diagnostics(AverageSeries((1, 2), np.array([0.0, 1.0])), 3.0)
+        assert osc[0] == 1.0 and vr[0] == 2.0
 
     def test_geometric_tail(self):
-        from timefreq.ergodic import AverageSeries
-
         ns = list(range(3, 12))
         vals = np.array([2.0**-n for n in ns])
-        osc, _ = convergence_diagnostic(AverageSeries(tuple(ns), vals), 3.0)
-        assert osc <= 2.0 ** (-ns[0] + 1)
+        osc, _ = tail_diagnostics(AverageSeries(tuple(ns), vals), 3.0)
+        assert osc[0] <= 2.0 ** (-ns[0] + 1)
 
     def test_nan_value_kept(self):
-        from timefreq.ergodic import AverageSeries
-
-        osc, vr = convergence_diagnostic(AverageSeries((1, 2, 3), np.array([1.0, np.nan, 0.5])), 3.0)
-        assert math.isnan(osc) and math.isnan(vr)
+        osc, vr = tail_diagnostics(AverageSeries((1, 2, 3), np.array([1.0, np.nan, 0.5])), 3.0)
+        assert math.isnan(osc[0]) and math.isnan(vr[0])
 
 
 def per_tail_diagnostics(values, r):
@@ -163,8 +154,6 @@ class TestTailDiagnostics:
         want_osc, want_vr = per_tail_diagnostics(v, r)
         assert np.array_equal(osc, want_osc, equal_nan=True)
         assert np.array_equal(vr, want_vr, equal_nan=True)
-        loop = [convergence_diagnostic(AverageSeries(avg.n_list[i:], v[i:]), r) for i in range(v.size)]
-        assert np.array_equal(np.array(loop), np.stack([osc, vr], axis=1), equal_nan=True)
 
     def test_rtt_sim_series(self):
         """The averages rtt-sim reports at its default 17 times, and at 22."""
@@ -257,21 +246,11 @@ class TestBilinearMax:
 
 
 class TestTails:
-    def test_bounded_observables(self):
-        tau, sg = CircleRotation(GOLDEN), CircleRotation(SQRT2M1)
-        f = lambda u: 0.8 * np.ones_like(np.asarray(u, dtype=float))
-        g2 = lambda u: 1.5 * np.ones_like(np.asarray(u, dtype=float))
-        assert orbit_tail(f, tau, 0.2, g2, sg, 0.3, 500) <= 0.8 * 1.5 + 1e-12
-
     def test_zero_function(self, corr_setup):
         g, _ = corr_setup
         zero = SampledFunction.zero(g)
         ones = SampledFunction(g, np.ones(g.n, dtype=complex))
         assert integral_tail(zero, ones, 4.0) == 0.0
-        tau, sg = CircleRotation(GOLDEN), CircleRotation(SQRT2M1)
-        zf = lambda u: np.zeros_like(np.asarray(u, dtype=float))
-        of = lambda u: np.ones_like(np.asarray(u, dtype=float))
-        assert orbit_tail(zf, tau, 0.1, of, sg, 0.2, 100) == 0.0
 
     def test_integral_tail_windows(self, corr_setup):
         g, _ = corr_setup
@@ -309,6 +288,16 @@ class TestTails:
         for (x, y) in [(0.15, 0.55), (0.9, 0.3)]:
             vals = heavy_tail_sweep([0.04, 0.02, 0.01, 0.005], tau, x, sg, y, 20000)
             assert all(b > a for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("n_max", [1, _BLOCK + 1, 500000])
+    def test_bounded_row_is_the_orbit_tail(self, tmp_path, n_max):
+        """tails writes its bounded row as the orbit tail of f = g = 1 over the whole walk."""
+        out = tmp_path / "tails.csv"
+        assert main(["tails", "--x", "0.3", "--y", "0.8", "--n-max", str(n_max), "--out", str(out)]) == 0
+        rows = {stat: value for stat, _, value in csv.reader(out.read_text().splitlines()[1:])}
+        one = lambda u: np.ones_like(np.asarray(u, dtype=float))
+        want = whole_orbit_tail(one, CircleRotation(GOLDEN), 0.3, one, CircleRotation(SQRT2M1), 0.8, n_max)
+        assert float(rows["orbit_tail_bounded"]) == want
 
 
 def whole_return_times_average(f, tau, x, g, sigma, y, n_list):
@@ -372,12 +361,6 @@ class TestBlockedStatistics:
         got = return_times_average(f, tau, x, g, sg, y, n_list)
         assert got.n_list == tuple(sorted(set(n_list)))
         assert np.array_equal(got.values, whole_return_times_average(f, tau, x, g, sg, y, n_list))
-
-    @pytest.mark.parametrize("n_max", _N_MAX)
-    @pytest.mark.parametrize("system", sorted(_SYSTEMS))
-    def test_orbit_tail(self, system, n_max):
-        tau, x, sg, y, f, g = _SYSTEMS[system]
-        assert orbit_tail(f, tau, x, g, sg, y, n_max) == whole_orbit_tail(f, tau, x, g, sg, y, n_max)
 
     @pytest.mark.parametrize("n_max", _N_MAX)
     @pytest.mark.parametrize("system", ["rotations"])

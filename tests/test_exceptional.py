@@ -137,9 +137,15 @@ class TestMaximalExceptionalSet:
            density=st.sampled_from([0.0, 0.05, 0.5, 0.95, 1.0]),
            runs=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), max_size=4))
     @example(J=3, seed=0, density=0.0, runs=[(0.25, 0.5)])  # ones at 2..5: fl(4/5) = 0.8 exceeds 4/5
+    # achieved averages with an odd last significand bit: fl(1/3) and fl(1/6) of a single one, and
+    # fl(2/3), fl(3/7), fl(3/5), fl(1/3), fl(3/10) and fl(5/19) of blocks of two and three ones
+    @example(J=4, seed=0, density=0.0, runs=[(0.5, 1 / 16)])
+    @example(J=5, seed=0, density=0.0, runs=[(0.25, 2 / 32), (0.75, 3 / 32)])
     def test_matches_hl_maximal(self, J, seed, density, runs):
         """The O(n) sweep's mask is the maximal function's level set at thresholds that are achieved
-        averages and their neighbours, at 1, at the smallest double, at an underflow and above 1."""
+        averages and their neighbours, at 1, at the smallest double, at an underflow and above 1.
+        Adjacent doubles alternate the last significand bit, so every achieved average brings
+        thresholds with an odd one, where ties rounding to even would part ``>`` from ``>=``."""
         g = Grid(J, 8.0)
         mask = np.random.default_rng(seed).random(g.n) < density
         for start, width in runs:
@@ -293,14 +299,14 @@ class TestVariationSet:
         g, w, ker = setup
         windows, members = self._window_trees(g)
         coeffs = {s: 0.0 for s in members}
-        es = variation_exceptional_set(windows, coeffs, 0.5, 3.0, 1.0, w, ker)
+        es = variation_exceptional_set(windows, coeffs, 0.5, 3.0, 1.0, w, ker, l_decay=10.0)
         assert es.measure == 0.0
 
     def test_huge_threshold(self, setup):
         g, w, ker = setup
         windows, members = self._window_trees(g)
         coeffs = {s: 0.5 * math.sqrt(s.time.length) for s in members}
-        es = variation_exceptional_set(windows, coeffs, 1e9, 3.0, 1.0, w, ker)
+        es = variation_exceptional_set(windows, coeffs, 1e9, 3.0, 1.0, w, ker, l_decay=10.0)
         assert es.measure == 0.0
 
     def test_normalization_enforced(self, setup):
@@ -308,7 +314,7 @@ class TestVariationSet:
         windows, members = self._window_trees(g)
         coeffs = {s: 5.0 * math.sqrt(s.time.length) for s in members}
         with pytest.raises(ValueError, match="normalization"):
-            variation_exceptional_set(windows, coeffs, 0.5, 3.0, 1.0, w, ker)
+            variation_exceptional_set(windows, coeffs, 0.5, 3.0, 1.0, w, ker, l_decay=10.0)
 
     def test_mask_matches_pointwise_recomputation(self, setup):
         g, w, ker = setup
@@ -317,7 +323,7 @@ class TestVariationSet:
         coeffs = {s: complex(rng.uniform(0.2, 0.9)) * math.sqrt(s.time.length)
                   for s in members}
         gamma = 0.05
-        es = variation_exceptional_set(windows, coeffs, gamma, 3.0, 1.0, w, ker)
+        es = variation_exceptional_set(windows, coeffs, gamma, 3.0, 1.0, w, ker, l_decay=10.0)
         tree = windows[(0, 0)][0]
         scales = tree.scales()
         fields = np.zeros((len(scales), g.n), dtype=np.complex128)
@@ -333,8 +339,8 @@ class TestVariationSet:
         g, w, ker = setup
         windows, members = self._window_trees(g)
         coeffs = {s: 0.5 * math.sqrt(s.time.length) for s in members}
-        lo = variation_exceptional_set(windows, coeffs, 0.02, 3.0, 1.0, w, ker)
-        hi = variation_exceptional_set(windows, coeffs, 0.08, 3.0, 1.0, w, ker)
+        lo = variation_exceptional_set(windows, coeffs, 0.02, 3.0, 1.0, w, ker, l_decay=10.0)
+        hi = variation_exceptional_set(windows, coeffs, 0.08, 3.0, 1.0, w, ker, l_decay=10.0)
         assert np.all(hi.mask <= lo.mask)
 
 
@@ -342,7 +348,8 @@ class TestPointwiseBound:
     def test_zero_coefficients(self, setup):
         g, w, ker = setup
         params = ParamLedger(1.6, 1.5, 0.01, 0.5).level(4)
-        (lhs,), rhs = check_pointwise_bound([10], {}, params, 1.5, 3.0, 0.01, w, ker)
+        (lhs,), rhs = check_pointwise_bound([10], {}, params, 1.5, 3.0, 0.01, w, ker,
+                                            search_budget=40, seed=0)
         assert lhs == 0.0 and rhs > 0.0
 
     def test_single_tile_calibration(self, setup):
@@ -451,7 +458,7 @@ class TestPointwiseOracle:
         params = ParamLedger(1.6, 1.5, 0.01, 0.5).level(2)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(exceptional_mod, "maximal_multiplier_lower", capture)
-            check_pointwise_bound(x_indices, coeffs, params, 1.5, 3.0, 0.01, w, ker)
+            check_pointwise_bound(x_indices, coeffs, params, 1.5, 3.0, 0.01, w, ker, search_budget=40, seed=0)
         families = np.concatenate(captured)
         assert len(families) == len(x_indices)
         # a block stacks at most 192 KiB of fields, scales + 1 rows per point: 6 points of one scale at J = 10

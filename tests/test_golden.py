@@ -55,11 +55,11 @@ def capture(outdir: Path) -> None:
     assert main(["tree-select", "--tiles", str(TILES), "--out", str(outdir / "tree_select_tiles.csv")]) == 0
 
 
-def level_set_record(g: Grid, lam: float, seed: int) -> dict:
+def level_set_record(g: Grid, p: float, q: float, eps: float, lam: float, seed: int) -> dict:
     """The level set E of a pipeline run, rebuilt from its seed as ``run_pipeline`` builds it:
     the sha256 of its packed mask and the [kappa, size] escape groups of the tiles it traps."""
     f = random_indicator(g, np.random.default_rng(seed), 3)
-    eset = maximal_exceptional_set(f, lam, ParamLedger(1.6, 1.5, 0.01, lam).b)
+    eset = maximal_exceptional_set(f, lam, ParamLedger(p, q, eps, lam).b)
     tiles = TileUniverse(-1, 1, Interval(0.0, g.length), Interval(0.0, 8.0)).all_tiles()
     _, trapped = split_tiles(tiles, eset)
     groups = group_by_escape_level(trapped, eset)
@@ -71,16 +71,17 @@ def acceptance6_text() -> str:
     """The criterion-6 runs as JSON, one run per line."""
     g = Grid(9, 8.0)
     w, ker = build_window(g), build_kernel(g)
+    exponents = (1.6, 1.5, 0.01)  # p, q, eps
     runs = []
     for lam in (0.5, 0.25):
         for seed in range(10):
-            rep = run_pipeline(g, 1.6, 1.5, 0.01, lam, seed=seed, window=w, kernel=ker)
+            rep = run_pipeline(g, *exponents, lam, seed=seed, window=w, kernel=ker)
             runs.append({
                 "lam": lam, "seed": seed, "measure_f": float(rep.measure_f), "measure_e": float(rep.measure_e),
                 "measure_estar": float(rep.measure_estar), "estar_ratio": float(rep.estar_ratio),
                 "level_rows": [[int(row[0])] + [float(v) for v in row[1:]] for row in rep.level_rows],
                 "pointwise_ratios": rep.pointwise_ratios,
-                **level_set_record(g, lam, seed),
+                **level_set_record(g, *exponents, lam, seed),
             })
     return "[\n" + ",\n".join(json.dumps(run) for run in runs) + "\n]\n"
 

@@ -89,8 +89,7 @@ def value_at(fam, k, lam):
 
 class TestApplyScale:
     def test_zero_multipliers(self, grid):
-        freqs = FrequencySet((1.0,))
-        fam = MultiplierFamily(grid, freqs, {0: []})
+        fam = MultiplierFamily(grid, {0: []})
         f = SampledFunction(grid, np.random.default_rng(0).standard_normal(grid.n))
         assert np.max(np.abs(apply_scale(fam, f, 0).values)) == 0.0
 
@@ -160,14 +159,14 @@ class TestScaleVariation:
         for k in (0, 1, 2):
             per_scale[k] = [(iv, centred_bump(lam, k, 1.0), 1.0 + 0j)
                             for iv, lam in zip(covering_intervals(freqs, k), freqs.lambdas)]
-        fam = MultiplierFamily(grid, freqs, per_scale)
+        fam = MultiplierFamily(grid, per_scale)
         assert all(value_at(fam, k, lam) == 1.0 for k in per_scale for lam in freqs.lambdas)
         assert scale_variation(fam, freqs, 3.0) == pytest.approx(1.0)
 
     def test_single_scale(self, grid):
         freqs = FrequencySet((0.4,))
         bump = make_adapted_bump(DyadicInterval(0, 0).to_interval(), 1.0, 0)
-        fam = MultiplierFamily(grid, freqs, {0: [(DyadicInterval(0, 0), bump, 1.0 + 0j)]})
+        fam = MultiplierFamily(grid, {0: [(DyadicInterval(0, 0), bump, 1.0 + 0j)]})
         expected = abs(bump(np.array([0.4]))[0])
         assert scale_variation(fam, freqs, 3.0) == pytest.approx(expected)
 
@@ -177,7 +176,7 @@ class TestScaleVariation:
             0: [(DyadicInterval(0, 0), centred_bump(0.5, 0, 0.0), 1.0)],
             1: [(DyadicInterval(1, 0), centred_bump(0.5, 1, 1.0), 1.0)],
         }
-        fam = MultiplierFamily(grid, freqs, per_scale)
+        fam = MultiplierFamily(grid, per_scale)
         assert scale_variation(fam, freqs, 3.0) == pytest.approx(2.0)
 
 
@@ -238,7 +237,7 @@ class TestGrowthScan:
         # one frequency, one flat-profile bump, matched input: ratio at most one
         freqs = FrequencySet((0.5,))
         bump = make_adapted_bump(DyadicInterval(0, 0).to_interval(), 1.0, 0)
-        fam = MultiplierFamily(grid, freqs, {0: [(DyadicInterval(0, 0), bump, 1.0 + 0j)]})
+        fam = MultiplierFamily(grid, {0: [(DyadicInterval(0, 0), bump, 1.0 + 0j)]})
         from timefreq.grid import idft
 
         f = idft(SampledFunction(grid, bump.samples(grid)))

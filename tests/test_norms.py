@@ -348,9 +348,9 @@ class TestMaximalMultiplierLower:
 
     def test_zero_family(self):
         g = Grid(8, 8.0)
-        assert maximal_multiplier_lower([np.zeros(g.n, dtype=complex)], g, 1.5) == 0.0
-        assert maximal_multiplier_lower([], g, 1.5) == 0.0
-        assert maximal_multiplier_lower(np.zeros((2, 0, g.n)), g, 1.5).tolist() == [0.0, 0.0]
+        assert maximal_multiplier_lower([np.zeros(g.n, dtype=complex)], g, 1.5, 60, 0) == 0.0
+        assert maximal_multiplier_lower([], g, 1.5, 60, 0) == 0.0
+        assert maximal_multiplier_lower(np.zeros((2, 0, g.n)), g, 1.5, 60, 0).tolist() == [0.0, 0.0]
 
     def test_deterministic(self):
         g = Grid(7, 8.0)
@@ -483,7 +483,7 @@ class TestTileSize:
     def test_zero_function(self, size_setup):
         g, _ = size_setup
         tiles = [Tile(DyadicInterval(0, 2), DyadicInterval(0, 1))]
-        assert tile_size(tiles, SampledFunction.zero(g)) == 0.0
+        assert tile_size(tiles, SampledFunction.zero(g), 8) == 0.0
 
     def test_monotone_under_inclusion(self, size_setup):
         g, _ = size_setup

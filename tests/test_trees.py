@@ -95,7 +95,7 @@ class TestSelectForests:
         bad = [Tile(DyadicInterval(0, 0), DyadicInterval(0, 0)),
                Tile(DyadicInterval(2, 0), DyadicInterval(-2, 0))]
         with pytest.raises(ValueError):
-            select_forests(bad, SampledFunction.zero(g))
+            select_forests(bad, SampledFunction.zero(g), 8)
 
     def test_counting_data_recorded(self, setup9, universe9):
         g, _, _ = setup9
@@ -363,7 +363,7 @@ class TestTailVariation:
         coeffs = {s: (0.0 if s == zero else 0.3) * math.sqrt(s.time.length) for s in tree.tiles}
         # the same tree under two window keys, and the same tiles under a second top frequency
         windows = {(0, 0): [tree], (1, 0): [tree, other]}
-        variation_exceptional_set(windows, coeffs, 0.05, 3.0, 1.0, w, ker)
+        variation_exceptional_set(windows, coeffs, 0.05, 3.0, 1.0, w, ker, l_decay=10.0)
         distinct = {(s, t.top_freq) for t in (tree, other) for s in t.tiles if s != zero}
         assert len(built) == len(sliced) == len(distinct) == 6
         assert set(sliced) == distinct

@@ -142,13 +142,6 @@ class TileUniverse:
     time_box: Interval
     freq_box: Interval
 
-    def contains(self, s: Tile) -> bool:
-        return (
-            self.k_min <= s.scale <= self.k_max
-            and self.time_box.contains(s.time.to_interval())
-            and self.freq_box.contains(s.freq.to_interval())
-        )
-
     def all_tiles(self) -> list[Tile]:
         out = []
         for k in range(self.k_min, self.k_max + 1):
@@ -164,14 +157,17 @@ class TileUniverse:
         return out
 
 
-def is_convex(tiles: Iterable[Tile], universe: Optional[TileUniverse] = None) -> bool:
+def is_convex(tiles: Iterable[Tile]) -> bool:
     """Convexity in the sandwich sense.
 
-    True iff for all s, s'' in the set and every tile s' (within the universe,
-    when one is given) with omega_s'' subseteq omega_s' subseteq omega_s and
-    I_s subseteq I_s' subseteq I_s'', also s' is in the set.  The sandwich
-    condition is exactly s <= s' <= s'', and for each intermediate scale there
-    is a unique candidate tile, so the check is quadratic in the set size.
+    True iff for all s, s'' in the set and every tile s' with
+    omega_s'' subseteq omega_s' subseteq omega_s and I_s subseteq I_s'
+    subseteq I_s'', also s' is in the set.  The sandwich condition is exactly
+    s <= s' <= s'', and for each intermediate scale there is a unique
+    candidate tile, so the check is quadratic in the set size.  No universe
+    is needed: a candidate between two tiles of a :class:`TileUniverse` lies
+    in it, as its scale lies between theirs, I_s' inside I_s'' and omega_s'
+    inside omega_s.
     """
     ts = set(tiles)
     by_scale = sorted(ts, key=lambda t: t.scale)
@@ -183,8 +179,6 @@ def is_convex(tiles: Iterable[Tile], universe: Optional[TileUniverse] = None) ->
                 continue
             for k in range(s.scale + 1, t.scale):
                 cand = Tile(s.time.ancestor(k), t.freq.ancestor(-k))
-                if universe is not None and not universe.contains(cand):
-                    continue
                 if cand not in ts:
                     return False
     return True
@@ -207,9 +201,8 @@ class Tree:
     top_tile: Optional[Tile] = None
 
     @classmethod
-    def with_top_tile(cls, top: Tile, tiles: Iterable[Tile], top_freq: Optional[float] = None) -> "Tree":
-        xi = top.freq.center if top_freq is None else top_freq
-        return cls(top.time.to_interval(), xi, frozenset(tiles), top_tile=top)
+    def with_top_tile(cls, top: Tile, tiles: Iterable[Tile], top_freq: float) -> "Tree":
+        return cls(top.time.to_interval(), top_freq, frozenset(tiles), top_tile=top)
 
     def scales(self) -> list[int]:
         return sorted({s.scale for s in self.tiles})

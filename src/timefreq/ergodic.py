@@ -266,19 +266,11 @@ def _spike(d: np.ndarray, eps: float) -> np.ndarray:
     return s
 
 
-def _spike_norms(center: float, levels: np.ndarray, caps: np.ndarray) -> list[float]:
+def _spike_norms(center: float, levels: np.ndarray, caps: np.ndarray) -> np.ndarray:
     """Integrals over the circle of the spikes at ``center``, one per level, by means of 2^16 samples."""
     d = _circle_distance(np.linspace(0.0, 1.0, 1 << 16, endpoint=False), center)
     power = _spike(d, levels.min())
-    return [float(np.where(d > eps, power, cap).mean()) for eps, cap in zip(levels, caps)]
-
-
-def _block_bound(sf_max: float, sg_max: float, cap: float, norm_f: float, norm_g: float, steps) -> float:
-    """Bound on one level's values over the block of orbit times ``steps``, given the block's
-    largest spike powers: a level's spike is at most the larger of that power and its cap, the
-    first step is the smallest, and rounded division and product are monotone on nonnegative
-    operands, so the bound, evaluated in the order of the values, is at least each of them."""
-    return max(sf_max, cap) / norm_f * (max(sg_max, cap) / norm_g) / int(steps[0])
+    return np.array([np.where(d > eps, power, cap).mean() for eps, cap in zip(levels, caps)])
 
 
 def heavy_tail_sweep(
@@ -292,20 +284,30 @@ def heavy_tail_sweep(
     """Orbit-tail statistic for sharpening unit-mass spike pairs.
 
     Both observables are unit-integral spikes |u - c|^(-0.9) of regularization
-    width eps, centered on the two orbits at a fixed early hit time -- the
+    width eps, centered on the two orbits at a fixed early hit time n* -- the
     adapted placement that drives the known failure for integrable pairs.  The
-    hit contributes eps^(-1.8) / (hit_time * norms), which dominates the
-    statistic and grows as the levels sharpen.  The hit time is the first
-    orbit's closest approach to 1/2 among the first few steps.  Every level must
-    lie in (0, 1/2), with eps^(-1.8) finite.
+    hit contributes eps^(-1.8) / (n* * norms), which dominates the statistic
+    and grows as the levels sharpen.  The hit time is the first orbit's closest
+    approach to 1/2 among the first min(8, n_max) steps.  Every level must lie
+    in (0, 1/2), with eps^(-1.8) finite, and n_max must be at least 1.
 
     Each value is sup over n <= n_max of |f(tau^n x) g(sigma^n y)| / n for
-    that level's spike pair, as the oracle ``whole_orbit_tail`` of
-    ``tests/test_ergodic.py`` computes it over the whole orbit.  The orbits,
-    their circle distances and one spike power (at the smallest level) are
-    built once, block by block, for all levels, and a level passes over a
-    block whose :func:`_block_bound` cannot raise its maximum.
+    that level's spike pair, as the oracle ``whole_heavy_tail_sweep`` of
+    ``tests/test_ergodic.py`` computes it over the whole orbit.  Only the steps
+    1..n* are evaluated, and they decide the sup exactly:
+
+    - at n* both orbit points equal their centres, so both distances are 0 and
+      the value there uses the level's cap on both sides,
+      V* = fl(fl(cap / norm_f) * fl(cap / norm_g)) / n*;
+    - at any later step each spike is the cap or the power of a distance above
+      the level, which exceeds the cap by at most a few ulps of pow's error;
+    - rounded division and product are monotone, so a step n > n* has a value
+      of at most V* (1 + 2^-45) n* / n, and n* / n <= 8/9 puts that below V*.
+
+    One spike power, at the smallest level, serves every level (:func:`_spike`).
     """
+    if n_max < 1:
+        raise ValueError(f"the sweep needs n_max >= 1 orbit steps, got n_max = {n_max}")
     levels = np.array(sharpness_levels, dtype=float)
     for eps in levels.tolist():
         if not 0.0 < eps < 0.5:
@@ -319,19 +321,14 @@ def heavy_tail_sweep(
         return []
     eps_min = levels.min()
     caps = _spike(levels, eps_min)
-    probe = min(8, n_max)
-    n_star = int(np.argmin(_circle_distance(tau.orbit(x, probe), 0.5))) + 1
-    center_f = float(tau.orbit(x, 1, start=n_star)[0])
-    center_g = float(sigma.orbit(y, 1, start=n_star)[0])
-    norm_f, norm_g = _spike_norms(center_f, levels, caps), _spike_norms(center_g, levels, caps)
-    best = np.full(levels.size, -np.inf)
-    for u, v, steps in _orbit_blocks(tau, x, sigma, y, n_max):
-        df, dg = _circle_distance(u, center_f), _circle_distance(v, center_g)
-        sf, sg = _spike(df, eps_min), _spike(dg, eps_min)
-        sf_max, sg_max = float(sf.max()), float(sg.max())
-        for i, (eps, cap) in enumerate(zip(levels.tolist(), caps.tolist())):
-            if _block_bound(sf_max, sg_max, cap, norm_f[i], norm_g[i], steps) <= best[i]:
-                continue  # no value of this block can raise the level's maximum
-            best[i] = np.maximum(best[i], np.max(np.where(df > eps, sf, cap) / norm_f[i]
-                                                 * (np.where(dg > eps, sg, cap) / norm_g[i]) / steps))
-    return best.tolist()
+    u = tau.orbit(x, min(8, n_max))
+    n_star = int(np.argmin(_circle_distance(u, 0.5))) + 1
+    u, v = u[:n_star], sigma.orbit(y, n_star)
+    center_f, center_g = float(u[-1]), float(v[-1])
+    norm_f = _spike_norms(center_f, levels, caps)[:, None]
+    norm_g = _spike_norms(center_g, levels, caps)[:, None]
+    df, dg = _circle_distance(u, center_f), _circle_distance(v, center_g)
+    eps, cap = levels[:, None], caps[:, None]
+    sf = np.where(df > eps, _spike(df, eps_min), cap) / norm_f
+    sg = np.where(dg > eps, _spike(dg, eps_min), cap) / norm_g
+    return (sf * sg / np.arange(1, n_star + 1)).max(axis=1).tolist()

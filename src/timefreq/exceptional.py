@@ -164,15 +164,12 @@ def maximal_exceptional_set(f_indicator: SampledFunction, lam: float, b: float) 
     return GridSet(grid, high >= low)
 
 
-def _tile_indices(grid: Grid, iv: Interval) -> tuple[int, int]:
-    return grid.index_range(max(iv.a, 0.0), min(iv.b, grid.length))
-
-
 def split_tiles(tiles: Iterable[Tile], eset: GridSet) -> tuple[set[Tile], set[Tile]]:
     """(escaping, trapped): tiles whose time interval meets the complement, and the rest."""
     escaping, trapped = set(), set()
     for s in tiles:
-        lo, hi = _tile_indices(eset.grid, s.time.to_interval())
+        iv = s.time.to_interval()
+        lo, hi = eset.grid.index_range(iv.a, iv.b)
         if hi <= lo:
             raise ValueError("tile shorter than the grid step")
         if np.all(eset.mask[lo:hi]):
@@ -195,7 +192,8 @@ def overlap_exceptional_set(trees: Sequence[Tree], beta: float, grid: Grid) -> G
     for l in levels:
         count = np.zeros(grid.n, dtype=np.int64)
         for t in trees:
-            lo, hi = _tile_indices(grid, t.top_interval.dilate(math.ldexp(1.0, l)))
+            iv = t.top_interval.dilate(math.ldexp(1.0, l))
+            lo, hi = grid.index_range(iv.a, iv.b)
             count[lo:hi] += 1
         mask |= count > beta * 4.0**l
     return GridSet(grid, mask)

@@ -54,7 +54,7 @@ def variational_norm(values, r: float) -> float | np.ndarray:
     return float(norms[0]) if single else norms
 
 
-def interval_weight(interval: Interval, x, power: float = 1.0, period: Optional[float] = None) -> np.ndarray:
+def interval_weight(interval: Interval, x, power: float, period: Optional[float] = None) -> np.ndarray:
     """Decay weight (1 + |x - c(I)| / |I|)^(-power).
 
     With ``period`` set, distances are measured on the torus of that length.

@@ -258,22 +258,22 @@ def tree_variation_report(
     t: float,
     window: Window,
     kernel: Kernel,
-    family_size: int = 8,
 ) -> list[TreeVariationReport]:
     """L^t norm of the scalewise r-variation of the tree's tail sums, one report per level, in order.
 
     lhs is the L^t_x norm of the V^r norm over scales k of
     sum over tiles of scale k of <f, packet_s> * tail_s(x, top frequency);
-    rhs_scale is 2^(-4 level) * size(tree) * |I_T|^(1/t), so the
-    ratio tracks the tree bound with its implicit constant.  The coefficients,
-    the size and one :func:`tail_variation` slice cache serve every level.
+    rhs_scale is 2^(-4 level) * size(tree) * |I_T|^(1/t), the size taken over
+    the 8-bump adapted family, so the ratio tracks the tree bound with its
+    implicit constant.  The coefficients, the size and one
+    :func:`tail_variation` slice cache serve every level.
     """
     if not r > 2:
         raise ValueError("variation exponent must exceed 2")
     if not 1 < t < math.inf:
         raise ValueError("integrability exponent must lie in (1, inf)")
     coeffs = tree_coefficients(tree, f, window)
-    size = tile_size(tree.tiles, f, family_size)
+    size = tile_size(tree.tiles, f, 8)
     cache: dict = {}
     reports = []
     for level in levels:

@@ -83,9 +83,8 @@ def brute_force_convex(tiles, universe):
 
 class TestConvexity:
     def test_empty_and_singleton(self):
-        uni = TileUniverse(-2, 2, Interval(0, 4), Interval(0, 4))
-        assert is_convex([], uni)
-        assert is_convex([T(0, 1, 2)], uni)
+        assert is_convex([])
+        assert is_convex([T(0, 1, 2)])
 
     def test_missing_middle(self):
         s = T(0, 0, 0)   # [0,1) x [0,1)
@@ -108,7 +107,7 @@ class TestConvexity:
         rng = np.random.default_rng(3)
         for _ in range(25):
             sub = {s for s in allt if rng.random() < 0.4}
-            assert is_convex(sub, uni) == brute_force_convex(sub, uni)
+            assert is_convex(sub) == brute_force_convex(sub, uni)
 
 
 class TestSaturation:
@@ -116,19 +115,19 @@ class TestSaturation:
         top = T(1, 0, 1)
         members = {top, T(0, 0, 2), T(0, 1, 2), T(0, 0, 3)}
         members = {s for s in members if tile_le(s, top) or s == top}
-        tree = Tree.with_top_tile(top, members)
+        tree = Tree.with_top_tile(top, members, top_freq=top.freq.center)
         got = saturation(tree, members)
         assert got == {s for s in members if s.freq.contains(top.freq)}
         assert top in got
 
     def test_disjoint_frequencies(self):
         top = T(0, 0, 0)
-        tree = Tree.with_top_tile(top, {top})
+        tree = Tree.with_top_tile(top, {top}, top_freq=top.freq.center)
         assert saturation(tree, {T(0, 5, 3), T(1, 1, 2)}) == set()
 
     def test_no_spatial_restriction(self):
         top = T(0, 0, 1)                  # omega_T = [1, 2)
-        tree = Tree.with_top_tile(top, {top})
+        tree = Tree.with_top_tile(top, {top}, top_freq=top.freq.center)
         far = T(-1, 100, 0)               # omega = [0, 2) contains omega_T, I_s = [50, 50.5)
         assert far in saturation(tree, {far})
 

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from timefreq import Grid, SampledFunction, hl_maximal, lp_norm, variational_norm
@@ -19,7 +19,7 @@ from timefreq.ergodic import (
     single_scale_blowup,
     tail_diagnostics,
 )
-from timefreq.ergodic import _BLOCK, _block_bound, _pair_average, _spike, _x_index
+from timefreq.ergodic import _BLOCK, _pair_average, _spike, _x_index
 from timefreq.wavepackets import build_kernel
 
 
@@ -283,6 +283,22 @@ class TestTails:
         with pytest.raises(ValueError, match=re.escape(message)):
             heavy_tail_sweep([0.02, eps], NoOrbits(), 0.15, NoOrbits(), 0.55, 100)
 
+    @pytest.mark.parametrize("n_max", [0, -3])
+    def test_spike_sweep_bad_n_max(self, n_max):
+        with pytest.raises(ValueError, match=re.escape(f"n_max >= 1 orbit steps, got n_max = {n_max}")):
+            heavy_tail_sweep([0.02], CircleRotation(GOLDEN), 0.15, CircleRotation(SQRT2M1), 0.55, n_max)
+
+    def test_spike_rows_are_the_same_for_every_n_max_from_8(self, tmp_path):
+        """The first min(8, n_max) steps decide the spike rows, so they are the same bytes at
+        every --n-max >= 8."""
+        rows = {}
+        for n_max in (8, 9, _BLOCK + 1, 500000):
+            out = tmp_path / f"tails{n_max}.csv"
+            assert main(["tails", "--n-max", str(n_max), "--out", str(out)]) == 0
+            rows[n_max] = [line for line in out.read_text().splitlines() if line.startswith("orbit_tail_spike,")]
+        assert len(rows[8]) == 4
+        assert all(spike_rows == rows[8] for spike_rows in rows.values())
+
     def test_spike_sweep_monotone(self):
         tau, sg = CircleRotation(GOLDEN), CircleRotation(SQRT2M1)
         for (x, y) in [(0.15, 0.55), (0.9, 0.3)]:
@@ -378,8 +394,8 @@ class TestBlockedStatistics:
 
     @pytest.mark.parametrize("n_max", [1, 8, 16384, 16385, 40000, 500000])
     def test_heavy_tail_sweep_skipped_blocks(self, n_max):
-        """Orbits of one to 31 blocks, all but the first of them skipped at every level, at the
-        tails defaults and at two other starts."""
+        """Orbits from one step to 31 blocks of the other statistics, at the tails defaults and at
+        two other starts."""
         tau, _, sg, _, _, _ = _SYSTEMS["rotations"]
         levels = [0.04, 0.02, 0.01, 0.005]
         for x, y in [(0.15, 0.55), (0.9, 0.3), (0.61, 0.02)]:
@@ -394,22 +410,41 @@ class TestBlockedStatistics:
         assert heavy_tail_sweep(levels, tau, x, sg, y, n_max) == whole_heavy_tail_sweep(levels, tau, x, sg, y, n_max)
 
     @settings(max_examples=200, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), eps=st.floats(1e-4, 0.49), shrink=st.floats(0.01, 1.0),
-           norms=st.tuples(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3)),
-           first=st.integers(1, 10**7), size=st.integers(1, 300))
-    def test_block_bound_dominates_the_block(self, seed, eps, shrink, norms, first, size):
-        """No value of a block exceeds its bound: random circle distances, a level at or above the
-        smallest one, spike norms and block steps.  The skip's soundness rests on this alone; the
-        outputs cannot show a wrong skip, as the sweep's maximum always lies in its first block."""
+    @given(seed=st.integers(0, 2**32 - 1), eps_min=st.floats(6e-172, 0.49), lift=st.floats(0.0, 1.0))
+    @example(seed=0, eps_min=0.005, lift=0.0)
+    def test_spike_beyond_its_level_is_at_most_its_cap(self, seed, eps_min, lift):
+        """The one floating-point premise of the sweep's first-steps rule: at a circle distance d
+        above a level eps >= eps_min, the spike power _spike(d, eps_min) exceeds the level's cap
+        _spike(eps, eps_min) by at most a factor 1 + 2^-45.  The distances are the 64 doubles
+        just above eps and random ones up to 1/2, each power taken on an array, as the sweep does."""
         rng = np.random.default_rng(seed)
-        df, dg = rng.uniform(0.0, 0.5, (2, size)) ** rng.uniform(1.0, 8.0)
-        eps_min = eps * shrink
-        sf, sg = _spike(df, eps_min), _spike(dg, eps_min)
-        cap = float(_spike(np.array([eps]), eps_min)[0])
-        steps = np.arange(first, first + size)
-        nf, ng = norms
-        values = np.where(df > eps, sf, cap) / nf * (np.where(dg > eps, sg, cap) / ng) / steps
-        assert np.max(values) <= _block_bound(float(sf.max()), float(sg.max()), cap, nf, ng, steps)
+        eps = eps_min + lift * (0.49 - eps_min)
+        near = eps + np.spacing(eps) * np.arange(1, 65)
+        far = eps + (0.5 - eps) * rng.uniform(0.0, 1.0, 200) ** rng.uniform(1.0, 8.0)
+        d = np.concatenate([near, far[far > eps]])
+        cap = _spike(np.array([eps_min, eps]), eps_min)[1]
+        assert np.all(_spike(d, eps_min) <= cap * (1.0 + 2.0**-45))
+
+    @pytest.mark.parametrize("n_max", [1, 5, 8, 9, _BLOCK + 1, 500000])
+    def test_heavy_tail_sweep_reads_only_the_first_steps(self, n_max):
+        """The sweep asks each rotation for no orbit step beyond min(8, n_max), and its values are
+        the whole-orbit oracle's."""
+        class Recording:
+            """A rotation that records the furthest orbit step it was asked for."""
+
+            def __init__(self, rotation):
+                self.rotation, self.last = rotation, 0
+
+            def orbit(self, x0, n, start=1):
+                self.last = max(self.last, start + n - 1)
+                return self.rotation.orbit(x0, n, start)
+
+        tau, x, sg, y, _, _ = _SYSTEMS["rotations"]
+        levels = [0.04, 0.02, 0.01, 0.005]
+        rec_tau, rec_sg = Recording(tau), Recording(sg)
+        got = heavy_tail_sweep(levels, rec_tau, x, rec_sg, y, n_max)
+        assert 1 <= rec_tau.last <= min(8, n_max) and 1 <= rec_sg.last <= min(8, n_max)
+        assert got == whole_heavy_tail_sweep(levels, tau, x, sg, y, n_max)
 
     def test_return_times_average_mixed_blocks(self):
         """An observable that is complex only on the blocks that meet a short arc: the imaginary

@@ -13,7 +13,6 @@ from timefreq.exceptional import (
     GridSet,
     ParamLedger,
     ParameterError,
-    _tile_indices,
     check_pointwise_bound,
     maximal_exceptional_set,
     overlap_exceptional_set,
@@ -41,7 +40,8 @@ def group_by_escape_level(trapped, eset):
         cap = max(1, math.ceil(math.log2(2.0 * grid.length / s.time.length)) + 1)
         kappa = cap
         for j in range(1, cap + 1):
-            lo, hi = _tile_indices(grid, s.time.to_interval().dilate(math.ldexp(1.0, j)))
+            iv = s.time.to_interval().dilate(math.ldexp(1.0, j))
+            lo, hi = grid.index_range(iv.a, iv.b)
             if not np.all(eset.mask[lo:hi]):
                 kappa = j
                 break

@@ -67,7 +67,7 @@ class TestSelectForests:
         f = SampledFunction(g, rng.standard_normal(g.n))
         dec = select_forests(universe9.all_tiles(), f, family_size=6)
         for forest in dec.levels:
-            assert is_convex(forest.tiles(), universe9)
+            assert is_convex(forest.tiles())
             seen = set()
             for tree in forest.trees:
                 assert not (seen & tree.tiles)
@@ -192,7 +192,7 @@ class TestTreeVariationReport:
     def test_zero_function(self, setup9):
         g, w, ker = setup9
         tree = left_aligned_tree(mt=3)
-        [rep] = tree_variation_report(tree, SampledFunction.zero(g), [1], 3.0, 2.0, w, ker, family_size=4)
+        [rep] = tree_variation_report(tree, SampledFunction.zero(g), [1], 3.0, 2.0, w, ker)
         assert rep.lhs == 0.0
 
     def test_single_tile_two_paths(self, setup9):
@@ -216,7 +216,7 @@ class TestTreeVariationReport:
             tree = left_aligned_tree(mt=mt, sub_offset=int(rng.integers(0, 4)))
             a = mt + rng.uniform(-0.5, 0.5)
             f = SampledFunction.indicator(g, [(max(a, 0.0), min(a + rng.uniform(0.3, 1.5), 8.0))])
-            for rep in tree_variation_report(tree, f, (0, 1, 2), 3.0, 2.0, w, ker, family_size=6):
+            for rep in tree_variation_report(tree, f, (0, 1, 2), 3.0, 2.0, w, ker):
                 if rep.rhs_scale > 0:
                     ratios.append(rep.ratio)
         assert max(ratios) <= 150.0  # single fitted constant
@@ -244,8 +244,8 @@ class TestTreeVariationReport:
             a = rng.uniform(0.0, 6.0)
             f = SampledFunction.indicator(g, [(a, a + rng.uniform(0.3, 2.0))])
             levels = [2, 0, 1, 1]
-            got = tree_variation_report(tree, f, levels, 3.0, 2.0, w, ker, family_size=6)
-            assert got == [tree_variation_report(tree, f, [level], 3.0, 2.0, w, ker, family_size=6)[0]
+            got = tree_variation_report(tree, f, levels, 3.0, 2.0, w, ker)
+            assert got == [tree_variation_report(tree, f, [level], 3.0, 2.0, w, ker)[0]
                            for level in levels]
         assert tree_variation_report(trees[0], f, [], 3.0, 2.0, w, ker) == []
 

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grid import Grid, SampledFunction
+from .grid import Grid, SampledFunction, wrapped_distance
 from .norms import variational_norm
 from .wavepackets import build_window, gabor_expand
 
@@ -64,19 +64,6 @@ class AverageSeries:
     values: np.ndarray = field(repr=False)
 
 
-def _orbit_blocks(tau, x: float, sigma, y, n: int):
-    """Both orbits at times 1..n in blocks of :data:`_BLOCK` steps.
-
-    Yields ``(tau^j x, sigma^j y, j)`` for the block's times j, so a statistic
-    makes its passes over arrays that stay in cache.
-    """
-    if n < 1:
-        raise ValueError(f"orbit statistics need at least one step, got {n}")
-    for start in range(1, n + 1, _BLOCK):
-        m = min(_BLOCK, n + 1 - start)
-        yield tau.orbit(x, m, start), sigma.orbit(y, m, start), np.arange(start, start + m)
-
-
 def _product(fo, go) -> np.ndarray:
     """Pointwise product of two observable blocks in double precision: real for real
     observables, complex128 when either is complex.  A real product equals the real
@@ -110,16 +97,17 @@ def return_times_average(
     want = np.asarray(n_list)
     sums = np.zeros((2, want.size), dtype=np.longdouble)
     carry = np.zeros(2, dtype=np.longdouble)
-    for u, v, steps in _orbit_blocks(tau, x, sigma, y, n_list[-1]):
-        w = _product(f(u), g(v))
+    for start in range(1, n_list[-1] + 1, _BLOCK):
+        m = min(_BLOCK, n_list[-1] + 1 - start)
+        w = _product(f(tau.orbit(x, m, start)), g(sigma.orbit(y, m, start)))
         part = (np.stack([w.real, w.imag]) if np.iscomplexobj(w) else w[None]).astype(np.longdouble)
         k = len(part)
         part[:, 0] += carry[:k]
         np.cumsum(part, axis=1, out=part)
         carry[:k] = part[:, -1]
-        hit = (want >= steps[0]) & (want <= steps[-1])
+        hit = (want >= start) & (want < start + m)
         sums[:, hit] = carry[:, None]
-        sums[:k, hit] = part[:, want[hit] - steps[0]]
+        sums[:k, hit] = part[:, want[hit] - start]
     vals = (sums[0] / want).astype(np.float64) + 1j * (sums[1] / want).astype(np.float64)
     return AverageSeries(n_list, vals)
 
@@ -248,13 +236,6 @@ def integral_tail(f: SampledFunction, g: SampledFunction, x: float, t_list=None)
     return float(best)
 
 
-def _circle_distance(u, center: float) -> np.ndarray:
-    """Distance on the unit circle for u and center in [0, 1): no remainder pass, unlike wrapped_distance."""
-    d = np.asarray(u, dtype=float) - center
-    np.abs(d, out=d)
-    return np.minimum(d, 1.0 - d, out=d)
-
-
 def _spike(d: np.ndarray, eps: float) -> np.ndarray:
     """Unnormalized spike |u - c|^(-0.9) of regularization width eps at circle distance d.
 
@@ -268,7 +249,7 @@ def _spike(d: np.ndarray, eps: float) -> np.ndarray:
 
 def _spike_norms(center: float, levels: np.ndarray, caps: np.ndarray) -> np.ndarray:
     """Integrals over the circle of the spikes at ``center``, one per level, by means of 2^16 samples."""
-    d = _circle_distance(np.linspace(0.0, 1.0, 1 << 16, endpoint=False), center)
+    d = wrapped_distance(np.linspace(0.0, 1.0, 1 << 16, endpoint=False), center, 1.0)
     power = _spike(d, levels.min())
     return np.array([np.where(d > eps, power, cap).mean() for eps, cap in zip(levels, caps)])
 
@@ -322,12 +303,12 @@ def heavy_tail_sweep(
     eps_min = levels.min()
     caps = _spike(levels, eps_min)
     u = tau.orbit(x, min(8, n_max))
-    n_star = int(np.argmin(_circle_distance(u, 0.5))) + 1
+    n_star = int(np.argmin(wrapped_distance(u, 0.5, 1.0))) + 1
     u, v = u[:n_star], sigma.orbit(y, n_star)
     center_f, center_g = float(u[-1]), float(v[-1])
     norm_f = _spike_norms(center_f, levels, caps)[:, None]
     norm_g = _spike_norms(center_g, levels, caps)[:, None]
-    df, dg = _circle_distance(u, center_f), _circle_distance(v, center_g)
+    df, dg = wrapped_distance(u, center_f, 1.0), wrapped_distance(v, center_g, 1.0)
     eps, cap = levels[:, None], caps[:, None]
     sf = np.where(df > eps, _spike(df, eps_min), cap) / norm_f
     sg = np.where(dg > eps, _spike(dg, eps_min), cap) / norm_g

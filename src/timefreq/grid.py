@@ -32,9 +32,14 @@ MAX_J = 20
 
 
 def wrapped_distance(x, center: float, period: float) -> np.ndarray:
-    """Minimal periodic distance |x - center| on the torus of length ``period``."""
-    d = np.abs(np.asarray(x, dtype=float) - center) % period
-    return np.minimum(d, period - d)
+    """Minimal periodic distance |x - center| on the torus of length ``period``.
+
+    x and center must lie in [0, period), so that |x - center| < period needs no reduction.
+    The passes after the difference run in place, on a 0-d array for a scalar x.
+    """
+    d = np.subtract(x, center, out=np.empty(np.shape(x)), dtype=float)
+    np.abs(d, out=d)
+    return np.minimum(d, period - d, out=d)
 
 
 @dataclass(frozen=True)

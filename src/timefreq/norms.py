@@ -8,7 +8,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -54,18 +54,13 @@ def variational_norm(values, r: float) -> float | np.ndarray:
     return float(norms[0]) if single else norms
 
 
-def interval_weight(interval: Interval, x, power: float, period: Optional[float] = None) -> np.ndarray:
-    """Decay weight (1 + |x - c(I)| / |I|)^(-power).
-
-    With ``period`` set, distances are measured on the torus of that length.
+def interval_weight(interval: Interval, x, power: float, period: float) -> np.ndarray:
+    """Decay weight (1 + |x - c(I)| / |I|)^(-power), the distance measured on the torus of length
+    ``period``; x and c(I) lie in [0, period) (see :func:`wrapped_distance`).
     """
     if interval.length <= 0:
         raise ValueError("interval must have positive length")
-    if period is None:
-        d = np.abs(np.asarray(x, dtype=float) - interval.center)
-    else:
-        d = wrapped_distance(x, interval.center, period)
-    return (1.0 + d / interval.length) ** (-power)
+    return (1.0 + wrapped_distance(x, interval.center, period) / interval.length) ** (-power)
 
 
 # ---------------------------------------------------------------------------

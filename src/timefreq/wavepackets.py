@@ -13,7 +13,6 @@ enlarged by one reciprocal length on each side.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -249,6 +248,10 @@ def _eta(xi) -> np.ndarray:
     return partition_bump(xi + 0.5)
 
 
+# eta at the quadrature nodes; the last node lies past 1/2, so its sample is 0
+_NODE_ETA = _eta(_NODES)
+
+
 @dataclass(frozen=True)
 class Kernel:
     """Positive averaging kernel K = |inverse transform of eta|^2.
@@ -275,38 +278,25 @@ class Kernel:
         for i in range(0, xi.size, chunk):
             block = xi[i : i + chunk]
             shifted = _eta(_NODES[None, :-1] - block[:, None])
-            out[i : i + chunk] = (shifted * self._node_eta[None, :]).sum(axis=1) / _QUAD_NODES
+            out[i : i + chunk] = (shifted * _NODE_ETA[None, :-1]).sum(axis=1) / _QUAD_NODES
         return out
-
-    @functools.cached_property
-    def _node_eta(self) -> np.ndarray:
-        """eta at the quadrature nodes."""
-        return _eta(_NODES[:-1])
-
-    @functools.cached_property
-    def _autocorrelation(self) -> np.ndarray:
-        """:meth:`_correlation` at offset 0, which every lattice reads."""
-        return self._correlation(0.0)
-
-    def _correlation(self, frac: float) -> np.ndarray:
-        """sum_m eta(node_(m-s) - frac / N) eta(node_m) / N at index N - 1 - s."""
-        # node N moved down by frac / N can still lie inside [-1/2, 1/2]
-        a = _eta(_NODES - frac / _QUAD_NODES)
-        return np.correlate(a, self._node_eta, "full") / _QUAD_NODES
 
     def khat_progression(self, xi: np.ndarray, step: float) -> np.ndarray:
         """:meth:`khat` at an arithmetic progression ``xi`` with spacing ``step``.
 
-        The midpoint rule on N = 4096 nodes at xi = (s + f) / N, s an integer
-        and 0 <= f < 1, is one lag s of the correlation of eta on the nodes
-        moved by -f / N with eta on the nodes.  When step * N is an integer,
-        every point of the progression shares f, so one correlation of N + 1
-        by N samples serves all of them; for f = 0 (the lattices) it is the
-        autocorrelation of the node samples, kept for every later call.  Lags
-        where the moved samples miss the nodes give exact zeros.  The result
-        is the quadrature up to summation order (about 1e-16 absolute), with
-        the same exact zeros, since eta vanishes outside [-1/2, 1/2].  When
-        step * N is not an integer, this falls back to :meth:`khat`.
+        The midpoint rule on N = 4096 nodes at xi = (c + f) / N, c an integer
+        and 0 <= f < 1, is sum_m a[m - c] eta(node_m) / N, where a holds eta
+        on the nodes moved by -f / N: the dot of the overlap of a, shifted by
+        c, with the node samples, which is the lag N - 1 - c of their full
+        ``np.correlate`` bit for bit.  When step * N is an integer, every point
+        of the progression shares f, so one a serves all of them; for f = 0
+        (the lattices) it is ``_NODE_ETA`` itself.  Each point reads its own
+        lag, and no correlation is built or kept, so a call costs about 1-2 us
+        per point inside [-1, 1].  Points where the moved samples miss the
+        nodes give exact zeros.  The result is the quadrature up to summation
+        order (about 1e-16 absolute), with the same exact zeros, since eta
+        vanishes outside [-1/2, 1/2].  When step * N is not an integer, this
+        falls back to :meth:`khat`.
         """
         xi = np.asarray(xi, dtype=float)
         q = step * _QUAD_NODES
@@ -316,20 +306,21 @@ class Kernel:
         anchor = int(np.argmin(np.abs(xi)))
         c = xi[anchor] * _QUAD_NODES
         c0 = math.floor(c)
-        corr = self._autocorrelation if c == c0 else self._correlation(c - c0)
-        # correlate(a, v, "full")[N - 1 - s] = sum_m a[m - s] v[m]
-        idx = (_QUAD_NODES - 1) - (c0 + int(round(q)) * (np.arange(xi.size) - anchor))
-        inside = (idx >= 0) & (idx < corr.size)
+        a = _NODE_ETA if c == c0 else _eta(_NODES - (c - c0) / _QUAD_NODES)
+        cs = c0 + int(round(q)) * (np.arange(xi.size) - anchor)
+        inside = np.flatnonzero((cs > -a.size) & (cs < _QUAD_NODES))
         out = np.zeros(xi.size)
-        out[inside] = corr[idx[inside]]
+        for i, ci in zip(inside.tolist(), cs[inside].tolist()):
+            lo, hi = max(0, ci), min(_QUAD_NODES, a.size + ci)
+            out[i] = np.dot(a[lo - ci : hi - ci], _NODE_ETA[lo:hi]) / _QUAD_NODES
         return out
 
     def khat_lattice(self, k: int) -> np.ndarray:
         """khat(2^k xi_j) over the frequency axis.
 
-        Read from the autocorrelation of the quadrature nodes (see
-        :meth:`khat_progression`) when 2^k * 4096 / L is an integer, so the
-        lattice costs no quadrature; otherwise evaluated by :meth:`khat`.
+        Read lag by lag from the node samples (see :meth:`khat_progression`)
+        when 2^k * 4096 / L is an integer, so the lattice costs no quadrature;
+        otherwise evaluated by :meth:`khat`.
         """
         step = math.ldexp(1.0, k) * self.grid.dxi
         return self.khat_progression(step * (np.arange(self.grid.n) - self.grid.n // 2), step)
@@ -381,10 +372,9 @@ class ModelFunction:
         """phi_s(x, theta) for all grid x at one theta (any real frequency).
 
         The kernel transform is sampled at 2^k (theta - xi_j), a progression
-        with step -2^k / L, read from one correlation of the quadrature nodes
-        (see :meth:`Kernel.khat_progression`); on the frequency grid that is
-        the kernel's cached autocorrelation.  Exact up to summation order
-        when 2^k * 4096 / L is an integer, the quadrature otherwise.
+        with step -2^k / L, read lag by lag from the quadrature nodes (see
+        :meth:`Kernel.khat_progression`).  Exact up to summation order when
+        2^k * 4096 / L is an integer, the quadrature otherwise.
         """
         g = self.window.grid
         step = math.ldexp(1.0, self.tile.scale)

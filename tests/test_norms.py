@@ -131,20 +131,20 @@ class TestVariationalNorm:
 class TestIntervalWeight:
     def test_center_and_one_length(self):
         iv = Interval(2.0, 4.0)
-        assert interval_weight(iv, 3.0, 1.0) == pytest.approx(1.0)
-        assert interval_weight(iv, 5.0, 1.0) == pytest.approx(0.5)  # distance == length
+        assert interval_weight(iv, 3.0, 1.0, period=16.0) == pytest.approx(1.0)
+        assert interval_weight(iv, 5.0, 1.0, period=16.0) == pytest.approx(0.5)  # distance == length
 
     def test_monotone(self):
         iv = Interval(0.0, 1.0)
         xs = np.linspace(0.5, 10.0, 50)
-        w = interval_weight(iv, xs, power=4.0)
+        w = interval_weight(iv, xs, power=4.0, period=32.0)  # a period past twice every distance
         assert np.all(np.diff(w) <= 1e-15)
 
     def test_periodic_distance(self):
         iv = Interval(0.0, 1.0)  # center 0.5
         near_wrap = float(interval_weight(iv, 15.6, 1.0, period=16.0))
         assert near_wrap == pytest.approx(1.0 / (1.0 + 0.9), rel=1e-12)
-        plain = float(interval_weight(iv, 15.6, 1.0))
+        plain = float(interval_weight(iv, 15.6, 1.0, period=32.0))  # 32 - 15.1 > 15.1: no wrap
         assert plain == pytest.approx(1.0 / (1.0 + 15.1), rel=1e-12)
 
 

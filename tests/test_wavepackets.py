@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from timefreq import Grid, SampledFunction, dft, idft, lp_norm
@@ -393,6 +393,34 @@ class TestKernelCorrelation:
         got = mf.x_slice(theta)
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
         assert np.any(got) == np.any(expected) == (theta > 0)
+
+    # f = r / 2^20 keeps every point (c + f) / N exact, so the fraction read back is f itself
+    @given(st.integers(0, 2**20 - 1))
+    @example(0)
+    @settings(max_examples=25, deadline=None)
+    def test_each_lag_matches_full_correlation(self, r):
+        """At xi = (c + f) / N the read is lag N - 1 - c of the full np.correlate of eta on the nodes
+        moved by -f / N with eta on the nodes, bit for bit, at each of the 2N lags."""
+        n, f = 4096, r / 2**20
+        nodes = -0.5 + (np.arange(n + 1) + 0.5) / n
+        corr = np.correlate(_eta(nodes - f / n), _eta(nodes[:-1]), "full") / n
+        got = build_kernel(Grid(9, 8.0)).khat_progression((np.arange(-n, n) + f) / n, 1.0 / n)
+        assert np.array_equal(got, corr[::-1])
+
+    def test_no_correlation_built_or_kept(self, monkeypatch):
+        """With np.correlate refused, the lattice, a progression, a scaled kernel and an off-lattice
+        slice still run, and the kernel holds nothing but its grid."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("the kernel reads lags, not a full correlation")
+
+        monkeypatch.setattr(np, "correlate", refuse)
+        g = Grid(9, 8.0)
+        ker = build_kernel(g)
+        ker.khat_lattice(0)
+        ker.khat_progression(0.3 + g.dxi * np.arange(16), g.dxi)
+        ker.scaled_time(1)
+        model_function(build_window(g), ker, Tile(DyadicInterval(0, 3), DyadicInterval(0, 3))).x_slice(3.3)
+        assert vars(ker) == {"grid": g}
 
     def test_off_node_spacing_falls_back_to_quadrature(self):
         g = Grid(6, 8.0)

@@ -28,7 +28,7 @@ from .ergodic import (
     single_scale_blowup,
     tail_diagnostics,
 )
-from .exceptional import ParameterError, run_pipeline
+from .exceptional import run_pipeline
 from .grid import Grid, lp_norm, random_indicator
 from .multipliers import growth_scan
 from .trees import select_forests, tree_variation_report
@@ -94,7 +94,7 @@ def cmd_tree_select(args) -> int:
     out = _write_csv(args, dec.summary_rows())
     tiles_out = out.with_suffix(".tiles.txt")
     tiles_out.write_text(dec.to_text())
-    print(f"tree-select: {len(dec.levels)} levels over {len(tiles)} tiles -> {out}")
+    print(f"tree-select: {len(dec.levels)} levels over {len(set(tiles))} tiles -> {out}")
     return 0
 
 
@@ -400,7 +400,7 @@ def main(argv=None) -> int:
             sp.set_defaults(**_config_defaults(sp, args.config))
             args = ap.parse_args(argv)  # flags given on the command line win
         return args.func(args)
-    except (ParameterError, ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         why = f"{args.command} ran out of memory; lower its sizes" if isinstance(exc, MemoryError) else exc
         print(f"error: {why}", file=sys.stderr)
         return 2

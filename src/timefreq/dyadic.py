@@ -50,9 +50,6 @@ class Interval:
     def center(self) -> float:
         return 0.5 * (self.a + self.b)
 
-    def contains_point(self, x: float) -> bool:
-        return self.a <= x < self.b
-
     def contains(self, other: "Interval") -> bool:
         return self.a <= other.a and other.b <= self.b
 
@@ -88,9 +85,6 @@ class DyadicInterval:
     @property
     def center(self) -> float:
         return math.ldexp(self.m + 0.5, self.k)
-
-    def contains_point(self, x: float) -> bool:
-        return self.left <= x < self.right
 
     def contains(self, other: "DyadicInterval") -> bool:
         """Exact containment other subseteq self, decided by integer arithmetic."""
@@ -210,13 +204,6 @@ class Tree:
     def tiles_at_scale(self, k: int) -> list[Tile]:
         return sorted((s for s in self.tiles if s.scale == k), key=Tile.sort_key)
 
-    def find_top_tile(self) -> Optional[Tile]:
-        """The unique member above all others in the tile order, if present."""
-        for t in self.tiles:
-            if all(tile_le(s, t) for s in self.tiles):
-                return t
-        return None
-
 
 @dataclass(frozen=True)
 class Forest:
@@ -244,7 +231,7 @@ def saturation(tree: Tree, tiles: Iterable[Tile]) -> set[Tile]:
 
     No spatial restriction is applied; the tree must carry a top tile.
     """
-    top = tree.top_tile or tree.find_top_tile()
+    top = tree.top_tile
     if top is None:
         raise ValueError("saturation requires a tree with a top tile")
     return {s for s in tiles if s.freq.contains(top.freq)}
@@ -259,7 +246,7 @@ def window_partition(tiles: Iterable[Tile], tree: Tree, level: int) -> dict[int,
     (2^l + 2) I_T + 2^l m |I_T| and the frequency of the parent tree's top.
     Requires |I_s| <= |I_T| for every input tile.
     """
-    top = tree.top_tile or tree.find_top_tile()
+    top = tree.top_tile
     if top is None:
         raise ValueError("window partition requires a tree with a top tile")
     width = math.ldexp(1.0, top.time.k + level)

@@ -9,6 +9,7 @@ maps are exactly measure preserving on the sample lattice.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -45,12 +46,18 @@ def _to_float(nums: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CircleRotation:
-    """x -> x + alpha mod 1 in 64-bit fixed point; invertible and exact."""
+    """x -> x + alpha mod 1 in 64-bit fixed point; invertible and exact.  alpha must be finite."""
 
     alpha: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"rotation angle alpha must be finite, got {self.alpha}")
+
     def orbit(self, x0: float, n: int, start: int = 1) -> np.ndarray:
-        """Points tau^j x0 for j = start .. start + n - 1."""
+        """Points tau^j x0 for j = start .. start + n - 1; x0 must be finite."""
+        if not math.isfinite(x0):
+            raise ValueError(f"orbit start point x0 must be finite, got {x0}")
         step = _to_fixed(self.alpha)
         idx = np.arange(start, start + n, dtype=np.uint64)
         return _to_float(_to_fixed(x0) + idx * step)
@@ -217,22 +224,16 @@ def single_scale_blowup(p: float, q: float, j_list: Sequence[int]) -> list[Blowu
 # tail operators
 
 
-def integral_tail(f: SampledFunction, g: SampledFunction, x: float, t_list=None) -> float:
-    """sup over t > 1 of |(1/2t) integral_t^{t+1} f(x+y) g(x-y) dy|."""
+def integral_tail(f: SampledFunction, g: SampledFunction, x: float) -> float:
+    """sup over t = 2, 4, 8, ... with t + 1 < L/2 of |(1/2t) integral_t^{t+1} f(x+y) g(x-y) dy|."""
     grid = f.grid
-    if t_list is None:
-        t_list = []
-        t = 2.0
-        while t + 1.0 < grid.length / 2.0:
-            t_list.append(t)
-            t *= 2.0
     xi = _x_index(grid, x)
     best = 0.0
-    for t in t_list:
-        if t <= 1.0:
-            raise ValueError("tail windows require t > 1")
+    t = 2.0
+    while t + 1.0 < grid.length / 2.0:
         lo, hi = int(round(t / grid.dx)), int(round((t + 1.0) / grid.dx))
         best = np.maximum(best, _pair_average(f, g, xi, lo, hi, t))
+        t *= 2.0
     return float(best)
 
 

@@ -108,10 +108,6 @@ class SampledFunction:
         self.values = v
 
     @classmethod
-    def zero(cls, grid: Grid) -> "SampledFunction":
-        return cls(grid, np.zeros(grid.n, dtype=np.complex128))
-
-    @classmethod
     def indicator(cls, grid: Grid, intervals) -> "SampledFunction":
         """Indicator of a finite union of [a, b) intervals inside the box."""
         mask = np.zeros(grid.n, dtype=bool)
@@ -122,11 +118,6 @@ class SampledFunction:
 
     def __sub__(self, other):
         return SampledFunction(self.grid, self.values - other.values)
-
-    def __mul__(self, c):
-        return SampledFunction(self.grid, self.values * c)
-
-    __rmul__ = __mul__
 
 
 def random_indicator(grid: Grid, rng: np.random.Generator, pieces: Optional[int]) -> SampledFunction:
@@ -187,14 +178,14 @@ def _ifft(values: np.ndarray, dx: float) -> np.ndarray:
 def lp_norm(f: SampledFunction, p: float) -> float:
     """(sum |f|^p dx)^(1/p); the max of |f| for p = inf.
 
-    Raises for p < 1.
+    Raises for p < 1 and for NaN.
     """
     return lp_norm_values(f.values, f.grid.dx, p)
 
 
 def lp_norm_values(values: np.ndarray, dx: float, p: float) -> float:
     """:func:`lp_norm` of raw samples with cell width dx."""
-    if p < 1:
+    if not p >= 1:
         raise ValueError(f"lp_norm requires p >= 1, got {p}")
     a = np.abs(values)
     if math.isinf(p):

@@ -51,16 +51,16 @@ def covering_intervals(freqs: FrequencySet, k: int) -> list[DyadicInterval]:
 
 @dataclass
 class MultiplierFamily:
-    """Per-scale lists of (interval, bump, coefficient) triples.
+    """Per-scale lists of (bump, coefficient) pairs.
 
-    Intervals at scale k are the covering intervals of the frequency set;
-    each carries an :class:`AdaptedBump` scaled by a complex coefficient of
-    modulus at most one, so the family's adaptedness constant stays
-    comparable across set sizes.
+    The bumps at scale k sit on the covering intervals of the frequency set
+    (``bump.omega``); each is an :class:`AdaptedBump` scaled by a complex
+    coefficient of modulus at most one, so the family's adaptedness constant
+    stays comparable across set sizes.
     """
 
     grid: Grid
-    scales: dict[int, list[tuple[DyadicInterval, AdaptedBump, complex]]] = field(repr=False)
+    scales: dict[int, list[tuple[AdaptedBump, complex]]] = field(repr=False)
 
     def scale_list(self) -> list[int]:
         return sorted(self.scales)
@@ -69,10 +69,10 @@ class MultiplierFamily:
         """Row i is the scale-``ks[i]`` multiplier on the grid: all the scales' bumps come from one
         :func:`bump_values` call, and each scale's are added in list order, exactly the per-bump sum."""
         entries = [self.scales[k] for k in ks]
-        rows = iter(bump_values([b for entry in entries for _, b, _ in entry], self.grid.freqs()))
+        rows = iter(bump_values([b for entry in entries for b, _ in entry], self.grid.freqs()))
         out = np.zeros((len(entries), self.grid.n), dtype=np.complex128)
         for total, entry in zip(out, entries):
-            for _, _, coeff in entry:
+            for _, coeff in entry:
                 total += coeff * next(rows)
         return out
 
@@ -88,10 +88,10 @@ def random_family(
     for k in scales:
         entries = []
         for iv in covering_intervals(freqs, k):
-            bump = make_adapted_bump(iv.to_interval(), 1.0, modulation_index=int(rng.integers(0, 2)))
+            bump = make_adapted_bump(iv.to_interval(), modulation_index=int(rng.integers(0, 2)))
             mag = rng.uniform(0.5, 1.0)
             phase = np.exp(2j * np.pi * rng.uniform())
-            entries.append((iv, bump, complex(mag * phase)))
+            entries.append((bump, complex(mag * phase)))
         per_scale[int(k)] = entries
     return MultiplierFamily(grid, per_scale)
 
@@ -125,8 +125,8 @@ def scale_variation(fam: MultiplierFamily, freqs: FrequencySet, r: float) -> flo
     covered = []  # (row, column, bump, coefficient) per frequency a bump covers
     for row, k in enumerate(ks):
         free = np.ones(lams.size, dtype=bool)  # the first covering interval wins
-        for iv, bump, coeff in fam.scales[k]:
-            cols = np.flatnonzero(free & (iv.left <= lams) & (lams < iv.right))
+        for bump, coeff in fam.scales[k]:
+            cols = np.flatnonzero(free & (bump.omega.a <= lams) & (lams < bump.omega.b))
             free[cols] = False
             covered += [(row, col, bump, coeff) for col in cols]
     if covered:

@@ -90,7 +90,7 @@ class AdaptedBump:
     """Smooth bump supported on an interval with scale-invariant derivative bounds.
 
     Satisfies ||m||_inf <= C and ||m'||_inf <= C / |omega| for the adaptedness
-    constant C that :func:`make_adapted_bump` turns into ``amplitude``;
+    constant C = 1 that :func:`make_adapted_bump` turns into ``amplitude``;
     ``variant`` selects among translated/modulated members of the canonical
     family.
     """
@@ -99,33 +99,21 @@ class AdaptedBump:
     variant: int
     amplitude: float
 
-    def __call__(self, xi) -> np.ndarray:
-        xi = np.asarray(xi, dtype=float)
-        return bump_values([self], xi.reshape(-1))[0].reshape(xi.shape)
 
-    def samples(self, grid: Grid) -> np.ndarray:
-        return self(grid.freqs())
-
-
-def make_adapted_bump(omega: Interval, c_const: float, modulation_index: int) -> AdaptedBump:
-    """Canonical bump adapted to ``omega``.
+def make_adapted_bump(omega: Interval, modulation_index: int) -> AdaptedBump:
+    """Canonical bump adapted to ``omega`` with constant 1.
 
     ``modulation_index`` walks the fixed family (four sub-interval positions
     times modulations).  The amplitude is the largest keeping both the sup
-    and first-derivative bounds; a constant below 1e-6 leaves no room for a
-    smooth transition and raises.
+    and first-derivative bounds.
     """
-    if c_const < 1e-6:
-        raise ValueError(f"adaptedness constant {c_const} too small for a smooth transition")
     if modulation_index < 0:
         raise ValueError("modulation index must be >= 0")
-    d_rel = _variant_derivative_bound(modulation_index)
-    amp = c_const / max(1.0, d_rel)
-    return AdaptedBump(omega, modulation_index, amp)
+    return AdaptedBump(omega, modulation_index, 1.0 / max(1.0, _variant_derivative_bound(modulation_index)))
 
 
-def adapted_family(omega: Interval, c_const: float, family_size: int) -> list[AdaptedBump]:
-    return [make_adapted_bump(omega, c_const, v) for v in range(family_size)]
+def adapted_family(omega: Interval, family_size: int) -> list[AdaptedBump]:
+    return [make_adapted_bump(omega, v) for v in range(family_size)]
 
 
 def bump_values(bumps: Sequence[AdaptedBump], xi) -> np.ndarray:
@@ -291,7 +279,7 @@ def per_tile_sizes(
     for freq, group in by_freq.items():
         omega10 = freq.to_interval().dilate(10.0)
         omega10 = Interval(max(omega10.a, -fh_half), min(omega10.b, fh_half))
-        bumps = bump_values(adapted_family(omega10, 1.0, family_size), xi)
+        bumps = bump_values(adapted_family(omega10, family_size), xi)
         power = np.abs(idft_values(bumps * fhat, grid.dx)) ** 2
         norms = np.sqrt((power @ np.stack([weights2[s.time] for s in group]).T * grid.dx).max(axis=0))
         for s, norm in zip(group, norms):

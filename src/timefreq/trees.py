@@ -49,12 +49,6 @@ class ForestDecomposition:
     levels: tuple[Forest, ...]
     sizes: dict = field(repr=False)
 
-    def all_tiles(self) -> set[Tile]:
-        return set().union(*(forest.tiles() for forest in self.levels))
-
-    def level_map(self) -> dict[int, Forest]:
-        return {f.level: f for f in self.levels}
-
     def summary_rows(self) -> list[tuple]:
         """(level, tree count, tile count, sum of top lengths, max size) per level."""
         rows = []

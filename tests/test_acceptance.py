@@ -184,7 +184,7 @@ def test_criterion_4_forest_selection(lab_setup):
         for forest in dec.levels:
             if tile_size(forest.tiles(), f, 6) > math.ldexp(1.0, -forest.level) + 1e-15:
                 certified = False
-        forest = dec.level_map().get(target_level)
+        forest = {f.level: f for f in dec.levels}.get(target_level)
         assert forest is not None
         ratios.append(forest.top_length_sum() / (2.0 ** (2 * target_level) * lp_norm(f, 2) ** 2))
     spread = max(ratios) / min(ratios)

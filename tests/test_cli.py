@@ -58,6 +58,16 @@ def test_tree_select_round_trip(tmp_path):
     assert out1.with_suffix(".tiles.txt").exists()
 
 
+def test_tree_select_counts_duplicate_tile_lines_once(tmp_path, capsys):
+    tiles = tmp_path / "tiles.txt"
+    tiles.write_text("0 3 0 1\n0 3 0 1\n")
+    out = tmp_path / "sel.csv"
+    assert run(["tree-select", "--J", "8", "--L", "8", "--tiles", str(tiles), "--out", str(out)]) == 0
+    assert "1 levels over 1 tiles" in capsys.readouterr().out
+    assert [row.split(",")[2] for row in out.read_text().splitlines()[1:]] == ["1"]  # tile_count
+    assert len(out.with_suffix(".tiles.txt").read_text().splitlines()) == 1
+
+
 def test_tree_select_empty_input(tmp_path):
     tiles = tmp_path / "empty.txt"
     tiles.write_text("")

@@ -29,7 +29,7 @@ def T(kt, mt, mf):
 
 def is_proper(tree):
     """Oracle: I_s inside I_T and xi_T in omega_s for every tile s of the tree."""
-    return all(tree.top_interval.contains(s.time.to_interval()) and s.freq.contains_point(tree.top_freq)
+    return all(tree.top_interval.contains(s.time.to_interval()) and s.freq.left <= tree.top_freq < s.freq.right
                for s in tree.tiles)
 
 
@@ -134,7 +134,7 @@ class TestSaturation:
 
 def fraction_window_partition(tiles, tree, level):
     """Oracle: :func:`window_partition` in exact rational arithmetic."""
-    top = tree.top_tile or tree.find_top_tile()
+    top = tree.top_tile
     if top is None:
         raise ValueError("window partition requires a tree with a top tile")
     w = Fraction(2) ** top.time.k

@@ -55,6 +55,16 @@ class TestSystems:
         # orbits of uniquely ergodic systems land well under a lax threshold
         assert uniform_chisq(orbit) < 120.0
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_alpha_refused(self, alpha):
+        with pytest.raises(ValueError, match=f"alpha must be finite, got {alpha}"):
+            CircleRotation(alpha)
+
+    @pytest.mark.parametrize("x0", [math.nan, math.inf, -math.inf])
+    def test_non_finite_start_point_refused(self, x0):
+        with pytest.raises(ValueError, match=f"x0 must be finite, got {x0}"):
+            CircleRotation(GOLDEN).orbit(x0, 4)
+
     def test_orbit_exactness_no_drift(self):
         rot = CircleRotation(GOLDEN)
         one_step = rot.orbit(0.0, 1, start=10**6)[0]
@@ -248,24 +258,22 @@ class TestBilinearMax:
 class TestTails:
     def test_zero_function(self, corr_setup):
         g, _ = corr_setup
-        zero = SampledFunction.zero(g)
+        zero = SampledFunction(g, np.zeros(g.n))
         ones = SampledFunction(g, np.ones(g.n, dtype=complex))
         assert integral_tail(zero, ones, 4.0) == 0.0
 
     def test_integral_tail_windows(self, corr_setup):
         g, _ = corr_setup
         f = SampledFunction.indicator(g, [(0.0, 8.0)])
-        val = integral_tail(f, f, 4.0, t_list=[2.0])
+        val = integral_tail(f, f, 4.0)  # at L = 8 the only window is t = 2
         assert val == pytest.approx(1.0 / (2 * 2.0), rel=1e-9)
-        with pytest.raises(ValueError):
-            integral_tail(f, f, 4.0, t_list=[0.5])
 
-    def test_integral_tail_nan_kept(self, corr_setup):
-        # window t = 2 is finite (1/4); the NaN lies only in window t = 3
-        g, _ = corr_setup
+    def test_integral_tail_nan_kept(self):
+        # windows t = 2 and 4 at L = 16: t = 2 is finite (1/4); the NaN lies only in window t = 4
+        g = Grid(10, 16.0)
         f = SampledFunction(g, np.ones(g.n, dtype=complex))
-        f.values[64 + round(3.5 / g.dx)] = np.nan
-        assert math.isnan(integral_tail(f, f, 64 * g.dx, t_list=[2.0, 3.0]))
+        f.values[64 + round(4.5 / g.dx)] = np.nan
+        assert math.isnan(integral_tail(f, f, 64 * g.dx))
 
     def test_spike_sweep_empty_levels(self):
         assert heavy_tail_sweep([], CircleRotation(GOLDEN), 0.15, CircleRotation(SQRT2M1), 0.55, 100) == []

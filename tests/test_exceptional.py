@@ -115,7 +115,7 @@ class TestMaximalExceptionalSet:
 
     def test_empty_input(self, setup):
         g, _, _ = setup
-        es = maximal_exceptional_set(SampledFunction.zero(g), 0.5, 1.05)
+        es = maximal_exceptional_set(SampledFunction(g, np.zeros(g.n)), 0.5, 1.05)
         assert es.measure == 0.0
 
     def test_weak_type_measure_bound(self, setup):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from timefreq import Grid, SampledFunction, dft, hl_maximal, idft, lp_norm
-from timefreq.grid import MAX_J, dft_values, idft_values
+from timefreq.grid import MAX_J, dft_values, idft_values, lp_norm_values
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +90,7 @@ class TestLpNorm:
         g = Grid(8, 8.0)
         f = random_function(g, rng)
         for p in (1.0, 2.0, 3.5, np.inf):
-            assert lp_norm(2.0 * f, p) == pytest.approx(2.0 * lp_norm(f, p), rel=1e-12)
+            assert lp_norm(SampledFunction(g, 2.0 * f.values), p) == pytest.approx(2.0 * lp_norm(f, p), rel=1e-12)
 
     def test_parseval(self, rng):
         g = Grid(10, 16.0)
@@ -102,7 +102,14 @@ class TestLpNorm:
     def test_rejects_p_below_one(self):
         g = Grid(6, 8.0)
         with pytest.raises(ValueError):
-            lp_norm(SampledFunction.zero(g), 0.5)
+            lp_norm(SampledFunction(g, np.zeros(g.n)), 0.5)
+
+    def test_rejects_nan_p(self):
+        g = Grid(6, 8.0)
+        with pytest.raises(ValueError, match="p >= 1, got nan"):
+            lp_norm(SampledFunction(g, np.ones(g.n)), float("nan"))
+        with pytest.raises(ValueError, match="p >= 1, got nan"):
+            lp_norm_values(np.ones(g.n), g.dx, float("nan"))
 
 
 def brute_force_maximal(values, dx):

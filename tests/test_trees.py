@@ -55,7 +55,7 @@ class TestSelectForests:
         tiles = universe9.all_tiles()
         f = SampledFunction.indicator(g, [(1.0, 1.5), (4.0, 5.0)])
         dec = select_forests(tiles, f, family_size=6)
-        assert dec.all_tiles() == set(tiles)
+        assert set().union(*(forest.tiles() for forest in dec.levels)) == set(tiles)
         assert sum(len(forest.tiles()) for forest in dec.levels) == len(tiles)
         for forest in dec.levels:
             level_size = tile_size(forest.tiles(), f, 6)
@@ -75,7 +75,7 @@ class TestSelectForests:
 
     def test_zero_function_single_level(self, setup9, universe9):
         g, _, _ = setup9
-        dec = select_forests(universe9.all_tiles(), SampledFunction.zero(g), family_size=4)
+        dec = select_forests(universe9.all_tiles(), SampledFunction(g, np.zeros(g.n)), family_size=4)
         assert len(dec.levels) == 1
         assert dec.levels[0].level == ZERO_SIZE_LEVEL
         assert dec.levels[0].tiles() == set(universe9.all_tiles())
@@ -95,7 +95,7 @@ class TestSelectForests:
         bad = [Tile(DyadicInterval(0, 0), DyadicInterval(0, 0)),
                Tile(DyadicInterval(2, 0), DyadicInterval(-2, 0))]
         with pytest.raises(ValueError):
-            select_forests(bad, SampledFunction.zero(g), 8)
+            select_forests(bad, SampledFunction(g, np.zeros(g.n)), 8)
 
     def test_counting_data_recorded(self, setup9, universe9):
         g, _, _ = setup9
@@ -192,7 +192,7 @@ class TestTreeVariationReport:
     def test_zero_function(self, setup9):
         g, w, ker = setup9
         tree = left_aligned_tree(mt=3)
-        [rep] = tree_variation_report(tree, SampledFunction.zero(g), [1], 3.0, 2.0, w, ker)
+        [rep] = tree_variation_report(tree, SampledFunction(g, np.zeros(g.n)), [1], 3.0, 2.0, w, ker)
         assert rep.lhs == 0.0
 
     def test_single_tile_two_paths(self, setup9):
@@ -224,7 +224,7 @@ class TestTreeVariationReport:
     def test_parameter_validation(self, setup9):
         g, w, ker = setup9
         tree = left_aligned_tree(mt=3)
-        f = SampledFunction.zero(g)
+        f = SampledFunction(g, np.zeros(g.n))
         with pytest.raises(ValueError):
             tree_variation_report(tree, f, 0, 2.0, 2.0, w, ker)
         with pytest.raises(ValueError):

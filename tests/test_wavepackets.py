@@ -139,7 +139,7 @@ class TestWavePacket:
 class TestGaborFrame:
     def test_empty_set_zero_coefficients(self, coarse):
         g, w = coarse
-        coeffs = gabor_expand(w, SampledFunction.zero(g), 0)
+        coeffs = gabor_expand(w, SampledFunction(g, np.zeros(g.n)), 0)
         assert all(c == 0 for c in coeffs.ravel())
         recon = gabor_reconstruct(w, coeffs, 0)
         assert np.max(np.abs(recon.values)) == 0.0
@@ -283,7 +283,7 @@ class TestGaborOracles:
 
     def test_reconstruct_rejects_wrong_shape(self, coarse):
         g, w = coarse
-        coeffs = gabor_expand(w, SampledFunction.zero(g), 0)
+        coeffs = gabor_expand(w, SampledFunction(g, np.zeros(g.n)), 0)
         with pytest.raises(ValueError):
             gabor_reconstruct(w, coeffs.T, 0)
 

@@ -4,10 +4,11 @@
 
 REV and REV2 are git revisions; REV2 defaults to the working tree.  Each
 revision is checked out with ``git worktree add`` into a temporary directory,
-which is removed afterwards.  Each tree's ``src`` then writes the stored set of
-``tests/test_golden.py``, by that file's ``capture`` and ``acceptance6_text``
-as this checkout has them: the CSV of each of the eight subcommands at its
-default arguments, ``rtt_sim.plot.txt``, ``tree-select`` on
+which is removed afterwards.  Each tree then writes the stored set of its own
+``tests/test_golden.py``, by that file's ``capture`` and ``acceptance6_text``,
+with the tree's ``src`` and ``tests`` first on the path, so that each revision
+calls its library by its own signatures: the CSV of each of the eight
+subcommands at its default arguments, ``rtt_sim.plot.txt``, ``tree-select`` on
 ``tests/golden/tiles.txt`` with its ``.tiles.txt``, and ``acceptance6.json``.
 
 For each file the script prints whether the bytes are identical and, if not,
@@ -52,10 +53,11 @@ def worktree(rev: str, parent: Path):
         subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(path)], check=True)
 
 
-def capture(src: Path, out: Path) -> None:
-    """Write the stored set of outputs of the library in ``src`` into ``out``."""
+def capture(tree: Path, out: Path) -> None:
+    """Write the stored set of outputs of the checkout ``tree`` into ``out``, by its own tests."""
     out.mkdir()
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(ROOT / "tests")]))
+    src = tree / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(tree / "tests")]))
     subprocess.run([sys.executable, "-c", CAPTURE, str(src), str(out)], env=env, cwd=out,
                    check=True, stdout=subprocess.DEVNULL)
 
@@ -63,10 +65,10 @@ def capture(src: Path, out: Path) -> None:
 def capture_rev(rev: str | None, tmp: Path, label: str) -> Path:
     out = tmp / label
     if rev is None:
-        capture(ROOT / "src", out)
+        capture(ROOT, out)
     else:
         with tempfile.TemporaryDirectory(dir=tmp) as parent, worktree(rev, Path(parent)) as tree:
-            capture(tree / "src", out)
+            capture(tree, out)
     return out
 
 

@@ -32,7 +32,7 @@ from .exceptional import run_pipeline
 from .grid import Grid, lp_norm, random_indicator
 from .multipliers import growth_scan
 from .trees import select_forests, tree_variation_report
-from .wavepackets import build_kernel, build_window, gabor_expand, gabor_reconstruct
+from .wavepackets import build_window, gabor_expand, gabor_reconstruct
 
 _FLOAT_FMT = "{:.12g}"
 
@@ -102,8 +102,9 @@ def cmd_tree_bound(args) -> int:
     if args.L < 8:
         raise ValueError(f"tree-bound places its top tile at time 2..L-3 and needs --L >= 8, got {args.L:g}")
     grid = Grid(args.J, args.L)
-    window = build_window(grid)
-    kernel = build_kernel(grid)
+    if grid.freq_halfwidth < 4:
+        raise ValueError(f"tree-bound places tiles at frequencies up to 4 and needs 2^(J-1)/L >= 4, "
+                         f"got {grid.freq_halfwidth:g}; raise --J or lower --L")
     rng = np.random.default_rng(args.seed)
     rows = []
     for trial in range(args.trials):
@@ -114,7 +115,7 @@ def cmd_tree_bound(args) -> int:
             tiles.append(Tile(DyadicInterval(-1, 2 * mt + sub), DyadicInterval(1, mf // 2)))
         tree = Tree.with_top_tile(tiles[0], tiles, top_freq=float(mf))
         f = random_indicator(grid, rng, None)
-        reports = tree_variation_report(tree, f, args.l_list, args.r, args.t, window, kernel)
+        reports = tree_variation_report(tree, f, args.l_list, args.r, args.t)
         rows += [(trial, level, args.r, args.t, rep.lhs, rep.rhs_scale, rep.ratio)
                  for level, rep in zip(args.l_list, reports)]
     _write_csv(args, rows)
@@ -124,21 +125,18 @@ def cmd_tree_bound(args) -> int:
 
 def cmd_mm_scan(args) -> int:
     grid = Grid(args.J, args.L)
-    rows = growth_scan(grid, args.q, args.r, args.eps, args.N, args.trials, args.seed)
-    _write_csv(args, [(r.q, r.r, r.eps, r.n, r.trial_count, r.max_ratio, r.fitted_slope, r.max_numerator)
-                      for r in rows])
-    print(f"mm-scan: fitted slope {rows[-1].fitted_slope:.4f} over N = {args.N}")
+    rows, slope = growth_scan(grid, args.q, args.r, args.eps, args.N, args.trials, args.seed)
+    _write_csv(args, [(args.q, args.r, args.eps, n, args.trials, ratio, slope, num)
+                      for n, (ratio, num) in zip(args.N, rows)])
+    print(f"mm-scan: fitted slope {slope:.4f} over N = {args.N}")
     return 0
 
 
 def cmd_exceptional(args) -> int:
     grid = Grid(args.J, args.L)
-    window = build_window(grid)
-    kernel = build_kernel(grid)
     rows = []
     for run in range(args.runs):
-        rep = run_pipeline(grid, args.p, args.q, args.eps, args.lam,
-                           seed=args.seed + run, window=window, kernel=kernel)
+        rep = run_pipeline(grid, args.p, args.q, args.eps, args.lam, seed=args.seed + run)
         for (n, sigma, beta, gamma, m1, m2, rescale) in rep.level_rows:
             rows.append((n, sigma, beta, gamma, m1, m2, run, rescale,
                          rep.measure_e, rep.measure_estar, rep.estar_ratio,
@@ -215,9 +213,9 @@ def cmd_blowup(args) -> int:
     rows = single_scale_blowup(args.p, args.q, args.J_list)
     out_rows = []
     prev = None
-    for r in rows:
+    for j, r in zip(args.J_list, rows):
         growth = r.value / prev if prev else float("nan")
-        out_rows.append((r.j, r.value, r.delta_f, r.delta_g, growth))
+        out_rows.append((j, r.value, r.delta_f, r.delta_g, growth))
         prev = r.value
     _write_csv(args, out_rows)
     print(f"blowup: growth factors {[f'{r[4]:.3f}' for r in out_rows[1:]]}")

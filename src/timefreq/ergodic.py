@@ -166,14 +166,13 @@ def _pair_average(f: SampledFunction, g: SampledFunction, xi: int, lo: int, hi: 
 
 @dataclass(frozen=True)
 class BlowupRow:
-    j: int
     value: float
     delta_f: float
     delta_g: float
 
 
 def single_scale_blowup(p: float, q: float, j_list: Sequence[int]) -> list[BlowupRow]:
-    """Restricted single-scale proxy on the box [0, 8) across grid refinements.
+    """Restricted single-scale proxy on the box [0, 8) across grid refinements, one row per j, in order.
 
     For indicator pairs (F, G) of co-located spikes the proxy is the
     unit-energy-tested pairing energy
@@ -216,7 +215,7 @@ def single_scale_blowup(p: float, q: float, j_list: Sequence[int]) -> list[Blowu
                 val = num / (df ** (1.0 / p) * dg ** (1.0 / q)) ** 2
                 if val > best:
                     best, best_pair = val, (df, dg)
-        rows.append(BlowupRow(j, best, best_pair[0], best_pair[1]))
+        rows.append(BlowupRow(best, best_pair[0], best_pair[1]))
     return rows
 
 
@@ -225,8 +224,11 @@ def single_scale_blowup(p: float, q: float, j_list: Sequence[int]) -> list[Blowu
 
 
 def integral_tail(f: SampledFunction, g: SampledFunction, x: float) -> float:
-    """sup over t = 2, 4, 8, ... with t + 1 < L/2 of |(1/2t) integral_t^{t+1} f(x+y) g(x-y) dy|."""
+    """sup over t = 2, 4, 8, ... with t + 1 < L/2 (one at least, so L >= 8) of |(1/2t) integral_t^{t+1} f(x+y) g(x-y) dy|."""
     grid = f.grid
+    if grid.length < 8.0:  # L is a power of two, so t = 2 has t + 1 < L/2 exactly when L >= 8
+        raise ValueError(f"the integral tail has no window t = 2, 4, ... with t + 1 < L/2 at L = {grid.length:g}; "
+                         "raise --L to 8 or more")
     xi = _x_index(grid, x)
     best = 0.0
     t = 2.0

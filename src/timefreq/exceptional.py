@@ -15,7 +15,7 @@ from .dyadic import Interval, Tile, TileUniverse, Tree, saturation, window_parti
 from .grid import Grid, SampledFunction, dft_values, idft_values, lp_norm, random_indicator
 from .norms import maximal_multiplier_lower
 from .trees import select_forests, tail_variation, tree_coefficients
-from .wavepackets import Kernel, Window, tile_packet_hat
+from .wavepackets import Kernel, build_kernel, tile_packet_hat
 
 __all__ = [
     "ParameterError",
@@ -38,7 +38,6 @@ class ParameterError(ValueError):
 
 @dataclass(frozen=True)
 class LevelParams:
-    n: int
     sigma: float
     beta: float
     gamma: float
@@ -98,7 +97,7 @@ class ParamLedger:
         gamma = 2.0 ** (-n * ((2.0 + self.eps) * self.Q + self.eps)) * self.lam ** (
             1.0 - self.Q * self.p - 3.0 * self.eps
         )
-        return LevelParams(n, sigma, beta, gamma)
+        return LevelParams(sigma, beta, gamma)
 
 
 @dataclass
@@ -210,7 +209,6 @@ def variation_exceptional_set(
     gamma: float,
     r: float,
     sigma: float,
-    window: Window,
     kernel: Kernel,
     l_decay: float,
 ) -> GridSet:
@@ -225,7 +223,7 @@ def variation_exceptional_set(
     takes 3) leaves nontrivial complements at desk scale.  The window trees
     share one x-slice per (tile, top frequency).
     """
-    grid = window.grid
+    grid = kernel.grid
     worst = _coefficient_size(coeffs)
     if worst > sigma * (1.0 + 1e-9):
         raise ValueError(
@@ -238,7 +236,7 @@ def variation_exceptional_set(
         thresh = gamma * 2.0 ** (-l_decay * l) * (abs(m) + 1.0) ** (-2.0)
         for tree in trees:
             if tree.tiles:
-                mask |= tail_variation(tree, coeffs, alpha, r, window, kernel, slices) > thresh
+                mask |= tail_variation(tree, coeffs, alpha, r, kernel, slices) > thresh
     return GridSet(grid, mask)
 
 
@@ -249,7 +247,6 @@ def check_pointwise_bound(
     q: float,
     r: float,
     eps: float,
-    window: Window,
     kernel: Kernel,
     search_budget: int,
     seed: int,
@@ -271,10 +268,10 @@ def check_pointwise_bound(
     packets: dict[int, np.ndarray] = {}
     for s, a in coeffs.items():
         if a != 0.0:
-            packets[s.scale] = packets.get(s.scale, 0.0) + a * tile_packet_hat(window, s)
+            packets[s.scale] = packets.get(s.scale, 0.0) + a * tile_packet_hat(kernel.grid, s)
     if not packets:
         return lhs, rhs
-    g = window.grid
+    g = kernel.grid
     scales = sorted(packets)
     summed = idft_values(np.array([packets[k] for k in scales]), g.dx)
     kt = np.array([kernel.scaled_time(k) for k in scales])
@@ -295,19 +292,14 @@ def check_pointwise_bound(
 # end-to-end pipeline
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineReport:
-    p: float
-    lam: float
     measure_f: float
     measure_e: float
     measure_estar: float
-    level_rows: list = field(default_factory=list)
-    pointwise_ratios: list = field(default_factory=list)
-
-    @property
-    def estar_ratio(self) -> float:
-        return self.measure_estar * self.lam**self.p / self.measure_f
+    estar_ratio: float
+    level_rows: list
+    pointwise_ratios: list
 
     def pointwise_p95(self) -> float:
         if not self.pointwise_ratios:
@@ -322,8 +314,6 @@ def run_pipeline(
     eps: float,
     lam: float,
     seed: int,
-    window: Window,
-    kernel: Kernel,
 ) -> PipelineReport:
     """Random level-set experiment: build the exceptional sets and check the
     pointwise bound outside them.
@@ -346,6 +336,7 @@ def run_pipeline(
     if freq_max > grid.freq_halfwidth:
         raise ValueError(f"tile frequencies reach {freq_max:g}, past the frequency box half-width "
                          f"2^(J-1)/L = {grid.freq_halfwidth:g}; raise --J or lower --L")
+    kernel = build_kernel(grid)
     ledger = ParamLedger(p, q, eps, lam)
     rng = np.random.default_rng(seed)
     f = random_indicator(grid, rng, 3)
@@ -355,7 +346,7 @@ def run_pipeline(
     universe = TileUniverse(-1, 1, Interval(0.0, grid.length), Interval(0.0, freq_max))
     tiles = universe.all_tiles()
     escaping, _ = split_tiles(tiles, eset)
-    report = PipelineReport(p, lam, measure_f, eset.measure, 0.0)
+    level_rows, pointwise_ratios = [], []
 
     estar = GridSet(grid, eset.mask.copy())
     if escaping:
@@ -366,7 +357,7 @@ def run_pipeline(
             level_tiles = forest.tiles()
             coeffs = {}
             for tree in forest.trees:
-                coeffs.update(tree_coefficients(tree, f, window))
+                coeffs.update(tree_coefficients(tree, f))
             worst = _coefficient_size(coeffs)
             rescale = 1.0 if worst <= params.sigma else params.sigma / worst
             coeffs = {s: a * rescale for s, a in coeffs.items()}
@@ -378,13 +369,10 @@ def run_pipeline(
                 for l in range(3):
                     for m, wtree in window_partition(g_tiles, tree, l).items():
                         windows.setdefault((l, m), []).append(wtree)
-            e2 = variation_exceptional_set(windows, coeffs, params.gamma, r, params.sigma, window, kernel,
-                                           l_decay=3.0)
+            e2 = variation_exceptional_set(windows, coeffs, params.gamma, r, params.sigma, kernel, l_decay=3.0)
             estar = estar.union(e1).union(e2)
-            report.level_rows.append(
-                (forest.level, params.sigma, beta_eff, params.gamma,
-                 e1.measure, e2.measure, rescale)
-            )
+            level_rows.append((forest.level, params.sigma, beta_eff, params.gamma,
+                               e1.measure, e2.measure, rescale))
             if first_level is None:
                 first_level = (coeffs, replace(params, beta=beta_eff))
 
@@ -392,10 +380,10 @@ def run_pipeline(
             outside = estar.complement_indices()
             if outside.size:
                 picks = outside[np.linspace(0, outside.size - 1, min(24, outside.size)).astype(int)]
-                lhs, rhs = check_pointwise_bound(picks, *first_level, q, r, eps, window, kernel,
+                lhs, rhs = check_pointwise_bound(picks, *first_level, q, r, eps, kernel,
                                                  search_budget=30, seed=seed)
                 if rhs > 0:
-                    report.pointwise_ratios.extend(float(v / rhs) for v in lhs)
+                    pointwise_ratios = [float(v / rhs) for v in lhs]
 
-    report.measure_estar = estar.measure
-    return report
+    return PipelineReport(measure_f, eset.measure, estar.measure, estar.measure * lam**p / measure_f,
+                          level_rows, pointwise_ratios)

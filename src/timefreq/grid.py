@@ -210,9 +210,14 @@ def hl_maximal(f: SampledFunction) -> SampledFunction:
     of at most 128 samples take all their intervals directly.  Every candidate
     average is evaluated as (prefix[b] - prefix[a]) / (b - a), so the result
     is bit-identical to the exhaustive O(n^2) search whenever the hull tests
-    are exact, as they are for indicators (integer prefix sums).
+    are exact, as they are for indicators (integer prefix sums).  Non-finite
+    samples of f are refused, as the prefix differences across them are NaN.
     """
     a = np.abs(f.values)
+    finite = np.isfinite(a)
+    if not finite.all():
+        raise ValueError(f"hl_maximal needs finite samples of f, got {finite.size - np.count_nonzero(finite)} "
+                         f"inf or NaN of {finite.size}")
     prefix = np.concatenate([[0.0], np.cumsum(a)])
     out = np.zeros(a.size)
     _maximal_span(prefix, 0, a.size, out)

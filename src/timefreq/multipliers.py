@@ -20,7 +20,6 @@ __all__ = [
     "covering_intervals",
     "sup_over_scales",
     "scale_variation",
-    "ScanRow",
     "growth_scan",
 ]
 
@@ -135,18 +134,6 @@ def scale_variation(fam: MultiplierFamily, freqs: FrequencySet, r: float) -> flo
     return float(variational_norm(table, r).max())
 
 
-@dataclass(frozen=True)
-class ScanRow:
-    q: float
-    r: float
-    eps: float
-    n: int
-    trial_count: int
-    max_ratio: float
-    max_numerator: float
-    fitted_slope: float
-
-
 def growth_scan(
     grid: Grid,
     q: float,
@@ -155,11 +142,12 @@ def growth_scan(
     n_list,
     trials: int,
     seed: int,
-) -> list[ScanRow]:
+) -> tuple[list[tuple[float, float]], float]:
     """Scaling scan of the maximal projection norm in the frequency-set size.
 
-    For each N draws random (frequency set, family, input) triples, records
-    the max over trials of
+    Returns one (max ratio, max numerator) pair per N of ``n_list``, in order,
+    and the fitted slope.  For each N draws random (frequency set, family,
+    input) triples, records the max over trials of
 
         || sup_k |scale_k f| ||_q / (N^(1/q - 1/r + eps) (C + variation) ||f||_q)
 
@@ -204,12 +192,10 @@ def growth_scan(
                                  f"ratio {ratio:g} a normal double at N = {n}")
             max_ratio = max(max_ratio, ratio)
             max_num = max(max_num, num)
-        rows.append((n, trials, max_ratio, max_num))
+        rows.append((max_ratio, max_num))
     slope = float("nan")
     if len(set(n_list)) >= 2:
         slope = float(
-            np.polyfit(np.log2(np.asarray(n_list, dtype=float)), np.log2([row[3] for row in rows]), 1)[0]
+            np.polyfit(np.log2(np.asarray(n_list, dtype=float)), np.log2([num for _, num in rows]), 1)[0]
         )
-    return [
-        ScanRow(q, r, eps, n, tc, mr, mn, slope) for (n, tc, mr, mn) in rows
-    ]
+    return rows, slope

@@ -12,7 +12,7 @@ keeps every emitted level convex.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -20,7 +20,7 @@ import numpy as np
 from .dyadic import Forest, Tile, Tree, is_convex, tiles_to_text
 from .grid import Grid, SampledFunction, dft_values, lp_norm_values, wrapped_distance
 from .norms import per_tile_sizes, tile_size, variational_norm
-from .wavepackets import Kernel, Window, model_function, smooth_step, tile_packet_hat
+from .wavepackets import Kernel, ModelFunction, build_kernel, smooth_step, tile_packet_hat
 
 __all__ = [
     "ForestDecomposition",
@@ -152,35 +152,34 @@ class TreePieces:
     keeps the top-frequency mean of the local part plus everything outside,
     gains 2^(-M level) decay for every M, and is the piece entering the
     variational sums.  The two parts add back to the model function exactly.
-    Both slices take the model function's x-slice ``phi_vals`` at one theta.
-    The pieces depend on s only through I_s.
+    Both slices take the model function's x-slice ``phi_vals`` at one theta
+    and the tree's top frequency.  The pieces depend on s only through I_s.
     """
 
-    top_freq: float
     level: int
     grid: Grid = field(repr=False)
     cutoff: np.ndarray = field(repr=False)
-    cutoff_integral: float = 0.0
+    cutoff_integral: float
 
-    def _mean_term(self, phi_vals: np.ndarray) -> np.ndarray:
+    def _mean_term(self, phi_vals: np.ndarray, top_freq: float) -> np.ndarray:
         g = self.grid
-        osc = np.exp(-2j * np.pi * self.top_freq * g.xs())
+        osc = np.exp(-2j * np.pi * top_freq * g.xs())
         amount = np.sum(phi_vals * osc * self.cutoff) * g.dx
         return np.conj(osc) * self.cutoff * (amount / self.cutoff_integral)
 
-    def tail_slice(self, phi_vals: np.ndarray) -> np.ndarray:
+    def tail_slice(self, phi_vals: np.ndarray, top_freq: float) -> np.ndarray:
         if self.level == 0:
             return phi_vals
-        return self._mean_term(phi_vals) + phi_vals * (1.0 - self.cutoff)
+        return self._mean_term(phi_vals, top_freq) + phi_vals * (1.0 - self.cutoff)
 
-    def local_slice(self, phi_vals: np.ndarray) -> np.ndarray:
+    def local_slice(self, phi_vals: np.ndarray, top_freq: float) -> np.ndarray:
         if self.level == 0:
             return np.zeros_like(phi_vals)
-        return phi_vals * self.cutoff - self._mean_term(phi_vals)
+        return phi_vals * self.cutoff - self._mean_term(phi_vals, top_freq)
 
 
-def tree_decompose(s: Tile, tree: Tree, level: int, grid: Grid) -> TreePieces:
-    """Build the two pieces of the model function of s relative to the tree.
+def tree_decompose(s: Tile, level: int, grid: Grid) -> TreePieces:
+    """Build the two pieces of the model function of s relative to a tree containing it.
 
     At level zero the tail piece is the whole model function.  The local
     cutoff is the L-infinity-normalized dilation of the canonical time cutoff
@@ -192,22 +191,22 @@ def tree_decompose(s: Tile, tree: Tree, level: int, grid: Grid) -> TreePieces:
     width = math.ldexp(s.time.length, level)
     cutoff = time_cutoff(wrapped_distance(grid.xs(), s.time.center, grid.length) / width)
     integral = float(np.sum(cutoff) * grid.dx)
-    return TreePieces(tree.top_freq, level, grid, cutoff, integral)
+    return TreePieces(level, grid, cutoff, integral)
 
 
-def tree_coefficients(tree: Tree, f: SampledFunction, window: Window) -> dict[Tile, complex]:
+def tree_coefficients(tree: Tree, f: SampledFunction) -> dict[Tile, complex]:
     """Packet coefficients <f, packet_s> for every tile of a tree.
 
     By Parseval, each is dxi * sum(fhat * conj(packet_hat)) over the
     frequency grid, from one transform of f.
     """
     fhat = dft_values(f.values, f.grid.dx)
-    return {s: complex(f.grid.dxi * np.sum(fhat * np.conj(tile_packet_hat(window, s))))
+    return {s: complex(f.grid.dxi * np.sum(fhat * np.conj(tile_packet_hat(f.grid, s))))
             for s in sorted(tree.tiles, key=Tile.sort_key)}
 
 
-def tail_variation(tree: Tree, coeffs: dict[Tile, complex], level: int, r: float, window: Window,
-                   kernel: Kernel, slice_cache: dict) -> np.ndarray:
+def tail_variation(tree: Tree, coeffs: dict[Tile, complex], level: int, r: float, kernel: Kernel,
+                   slice_cache: dict) -> np.ndarray:
     """V^r over the tree's scales k of the field sum_s a_s tail_s(x, top frequency), s of scale k.
 
     Tail pieces are taken at ``level``; tiles that ``coeffs`` lacks or maps to
@@ -216,7 +215,8 @@ def tail_variation(tree: Tree, coeffs: dict[Tile, complex], level: int, r: float
     level), so trees and levels sharing a cache build each once.  The tree must have a tile.
     """
     scales = tree.scales()
-    fields = np.zeros((len(scales), window.grid.n), dtype=np.complex128)
+    grid = kernel.grid
+    fields = np.zeros((len(scales), grid.n), dtype=np.complex128)
     for i, k in enumerate(scales):
         for s in tree.tiles_at_scale(k):
             a = coeffs.get(s, 0.0)
@@ -224,12 +224,12 @@ def tail_variation(tree: Tree, coeffs: dict[Tile, complex], level: int, r: float
                 continue
             key = (s, tree.top_freq)
             if key not in slice_cache:
-                slice_cache[key] = model_function(window, kernel, s).x_slice(tree.top_freq)
+                slice_cache[key] = ModelFunction(s, kernel, tile_packet_hat(grid, s)).x_slice(tree.top_freq)
             tail = slice_cache[key]
             if level != 0:
                 if (s.time, level) not in slice_cache:
-                    slice_cache[s.time, level] = tree_decompose(s, tree, level, window.grid)
-                tail = replace(slice_cache[s.time, level], top_freq=tree.top_freq).tail_slice(tail)
+                    slice_cache[s.time, level] = tree_decompose(s, level, grid)
+                tail = slice_cache[s.time, level].tail_slice(tail, tree.top_freq)
             fields[i] += a * tail
     return variational_norm(fields, r)
 
@@ -250,8 +250,6 @@ def tree_variation_report(
     levels: Iterable[int],
     r: float,
     t: float,
-    window: Window,
-    kernel: Kernel,
 ) -> list[TreeVariationReport]:
     """L^t norm of the scalewise r-variation of the tree's tail sums, one report per level, in order.
 
@@ -266,13 +264,14 @@ def tree_variation_report(
         raise ValueError("variation exponent must exceed 2")
     if not 1 < t < math.inf:
         raise ValueError("integrability exponent must lie in (1, inf)")
-    coeffs = tree_coefficients(tree, f, window)
+    kernel = build_kernel(f.grid)
+    coeffs = tree_coefficients(tree, f)
     size = tile_size(tree.tiles, f, 8)
     cache: dict = {}
     reports = []
     for level in levels:
-        vr = tail_variation(tree, coeffs, level, r, window, kernel, cache)
-        lhs = lp_norm_values(vr, window.grid.dx, t)
+        vr = tail_variation(tree, coeffs, level, r, kernel, cache)
+        lhs = lp_norm_values(vr, f.grid.dx, t)
         rhs = 2.0 ** (-4 * level) * size * tree.top_interval.length ** (1.0 / t)
         reports.append(TreeVariationReport(lhs, rhs))
     return reports

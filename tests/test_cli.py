@@ -277,6 +277,8 @@ def test_csv_header_matches_help_epilog(tmp_path, capsys, sub):
     (["blowup", "--J-list", "3"], "--J-list entry >= 6, got 3"),
     (["blowup", "--J-list", "4"], "--J-list entry >= 6, got 4"),
     (["blowup", "--J-list", "8,5"], "--J-list entry >= 6, got 5"),
+    (["tree-bound", "--J", "7", "--L", "32", "--trials", "1"], "needs 2^(J-1)/L >= 4, got 2; raise --J or lower --L"),
+    (["tails", "--J", "8", "--L", "4", "--n-max", "9"], "no window t = 2, 4, ... with t + 1 < L/2 at L = 4; raise --L"),
 ])
 def test_too_small_grid_diagnosed(tmp_path, capsys, argv, message):
     out = tmp_path / "x.csv"

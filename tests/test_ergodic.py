@@ -275,6 +275,14 @@ class TestTails:
         f.values[64 + round(4.5 / g.dx)] = np.nan
         assert math.isnan(integral_tail(f, f, 64 * g.dx))
 
+    @pytest.mark.parametrize("length", [2.0, 4.0])
+    def test_integral_tail_without_window_refused(self, length):
+        # below L = 8 no window t = 2, 4, ... has t + 1 < L/2; a sup over none is not the value 0
+        g = Grid(8, length)
+        f = SampledFunction(g, np.ones(g.n, dtype=complex))
+        with pytest.raises(ValueError, match="raise --L to 8 or more"):
+            integral_tail(f, f, 0.0)
+
     def test_spike_sweep_empty_levels(self):
         assert heavy_tail_sweep([], CircleRotation(GOLDEN), 0.15, CircleRotation(SQRT2M1), 0.55, 100) == []
 

@@ -90,7 +90,7 @@ class TestParamLedger:
 
     def test_level_params_helper(self):
         lv = ParamLedger(1.8, 1.5, 0.01, 0.5).level(3)
-        assert lv.n == 3 and lv.sigma == 0.125
+        assert lv.sigma == 0.125
 
     def test_checks_hold_for_every_accepted_input(self):
         for p in (1.1, 1.4, 1.7, 1.9):
@@ -299,14 +299,14 @@ class TestVariationSet:
         g, w, ker = setup
         windows, members = self._window_trees(g)
         coeffs = {s: 0.0 for s in members}
-        es = variation_exceptional_set(windows, coeffs, 0.5, 3.0, 1.0, w, ker, l_decay=10.0)
+        es = variation_exceptional_set(windows, coeffs, 0.5, 3.0, 1.0, ker, l_decay=10.0)
         assert es.measure == 0.0
 
     def test_huge_threshold(self, setup):
         g, w, ker = setup
         windows, members = self._window_trees(g)
         coeffs = {s: 0.5 * math.sqrt(s.time.length) for s in members}
-        es = variation_exceptional_set(windows, coeffs, 1e9, 3.0, 1.0, w, ker, l_decay=10.0)
+        es = variation_exceptional_set(windows, coeffs, 1e9, 3.0, 1.0, ker, l_decay=10.0)
         assert es.measure == 0.0
 
     def test_normalization_enforced(self, setup):
@@ -314,7 +314,7 @@ class TestVariationSet:
         windows, members = self._window_trees(g)
         coeffs = {s: 5.0 * math.sqrt(s.time.length) for s in members}
         with pytest.raises(ValueError, match="normalization"):
-            variation_exceptional_set(windows, coeffs, 0.5, 3.0, 1.0, w, ker, l_decay=10.0)
+            variation_exceptional_set(windows, coeffs, 0.5, 3.0, 1.0, ker, l_decay=10.0)
 
     def test_mask_matches_pointwise_recomputation(self, setup):
         g, w, ker = setup
@@ -323,14 +323,15 @@ class TestVariationSet:
         coeffs = {s: complex(rng.uniform(0.2, 0.9)) * math.sqrt(s.time.length)
                   for s in members}
         gamma = 0.05
-        es = variation_exceptional_set(windows, coeffs, gamma, 3.0, 1.0, w, ker, l_decay=10.0)
+        es = variation_exceptional_set(windows, coeffs, gamma, 3.0, 1.0, ker, l_decay=10.0)
         tree = windows[(0, 0)][0]
         scales = tree.scales()
         fields = np.zeros((len(scales), g.n), dtype=np.complex128)
         for i, k in enumerate(scales):
             for s in tree.tiles_at_scale(k):
-                pieces = tree_decompose(s, tree, 0, g)
-                fields[i] += coeffs[s] * pieces.tail_slice(model_function(w, ker, s).x_slice(tree.top_freq))
+                pieces = tree_decompose(s, 0, g)
+                phi = model_function(w, ker, s).x_slice(tree.top_freq)
+                fields[i] += coeffs[s] * pieces.tail_slice(phi, tree.top_freq)
         for xin in rng.integers(0, g.n, 50):
             vr = variational_norm(fields[:, xin], 3.0)
             assert (vr > gamma) == bool(es.mask[xin])
@@ -339,8 +340,8 @@ class TestVariationSet:
         g, w, ker = setup
         windows, members = self._window_trees(g)
         coeffs = {s: 0.5 * math.sqrt(s.time.length) for s in members}
-        lo = variation_exceptional_set(windows, coeffs, 0.02, 3.0, 1.0, w, ker, l_decay=10.0)
-        hi = variation_exceptional_set(windows, coeffs, 0.08, 3.0, 1.0, w, ker, l_decay=10.0)
+        lo = variation_exceptional_set(windows, coeffs, 0.02, 3.0, 1.0, ker, l_decay=10.0)
+        hi = variation_exceptional_set(windows, coeffs, 0.08, 3.0, 1.0, ker, l_decay=10.0)
         assert np.all(hi.mask <= lo.mask)
 
 
@@ -348,7 +349,7 @@ class TestPointwiseBound:
     def test_zero_coefficients(self, setup):
         g, w, ker = setup
         params = ParamLedger(1.6, 1.5, 0.01, 0.5).level(4)
-        (lhs,), rhs = check_pointwise_bound([10], {}, params, 1.5, 3.0, 0.01, w, ker,
+        (lhs,), rhs = check_pointwise_bound([10], {}, params, 1.5, 3.0, 0.01, ker,
                                             search_budget=40, seed=0)
         assert lhs == 0.0 and rhs > 0.0
 
@@ -358,7 +359,7 @@ class TestPointwiseBound:
         params = ParamLedger(1.6, 1.5, 0.01, 0.5).level(2)
         coeffs = {s: params.sigma * math.sqrt(s.time.length)}
         xin = round(s.time.center / g.dx)
-        (lhs,), rhs = check_pointwise_bound([xin], coeffs, params, 1.5, 3.0, 0.01, w, ker,
+        (lhs,), rhs = check_pointwise_bound([xin], coeffs, params, 1.5, 3.0, 0.01, ker,
                                             search_budget=25, seed=1)
         assert 0.0 < lhs and rhs > 0.0
         assert lhs / rhs < 10.0  # calibration ratio stays moderate
@@ -380,9 +381,9 @@ class TestPointwiseBound:
 
         with monkeypatch.context() as mp:
             mp.setattr(exceptional_mod, "maximal_multiplier_lower", counted)
-            lhs, rhs = check_pointwise_bound(xs, coeffs, params, 1.5, 3.0, 0.01, w, ker, search_budget=30, seed=3)
+            lhs, rhs = check_pointwise_bound(xs, coeffs, params, 1.5, 3.0, 0.01, ker, search_budget=30, seed=3)
         assert blocks == [6, 6, 1]
-        alone = [check_pointwise_bound([x], coeffs, params, 1.5, 3.0, 0.01, w, ker, search_budget=30, seed=3)
+        alone = [check_pointwise_bound([x], coeffs, params, 1.5, 3.0, 0.01, ker, search_budget=30, seed=3)
                  for x in xs]
         assert lhs.tolist() == [one[0][0] for one in alone]
         assert all(one[1] == rhs for one in alone)
@@ -458,7 +459,7 @@ class TestPointwiseOracle:
         params = ParamLedger(1.6, 1.5, 0.01, 0.5).level(2)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(exceptional_mod, "maximal_multiplier_lower", capture)
-            check_pointwise_bound(x_indices, coeffs, params, 1.5, 3.0, 0.01, w, ker, search_budget=40, seed=0)
+            check_pointwise_bound(x_indices, coeffs, params, 1.5, 3.0, 0.01, ker, search_budget=40, seed=0)
         families = np.concatenate(captured)
         assert len(families) == len(x_indices)
         # a block stacks at most 192 KiB of fields, scales + 1 rows per point: 6 points of one scale at J = 10
@@ -476,7 +477,7 @@ class TestPipeline:
         g, w, ker = setup
         ratios = []
         for seed in range(4):
-            rep = run_pipeline(g, 1.6, 1.5, 0.01, 0.5, seed=seed, window=w, kernel=ker)
+            rep = run_pipeline(g, 1.6, 1.5, 0.01, 0.5, seed=seed)
             assert rep.measure_estar <= g.length
             assert rep.measure_f > 0
             ratios.append(rep.estar_ratio)
@@ -486,4 +487,4 @@ class TestPipeline:
     def test_rejects_bad_exponents(self, setup):
         g, w, ker = setup
         with pytest.raises(ParameterError):
-            run_pipeline(g, 1.2, 1.4, 0.01, 0.5, seed=0, window=w, kernel=ker)
+            run_pipeline(g, 1.2, 1.4, 0.01, 0.5, seed=0)

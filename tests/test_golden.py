@@ -34,7 +34,6 @@ from timefreq import Grid, ParamLedger, maximal_exceptional_set, run_pipeline, s
 from timefreq.cli import main
 from timefreq.dyadic import Interval, TileUniverse
 from timefreq.grid import random_indicator
-from timefreq.wavepackets import build_kernel, build_window
 
 from test_exceptional import group_by_escape_level
 
@@ -70,12 +69,11 @@ def level_set_record(g: Grid, p: float, q: float, eps: float, lam: float, seed: 
 def acceptance6_text() -> str:
     """The criterion-6 runs as JSON, one run per line."""
     g = Grid(9, 8.0)
-    w, ker = build_window(g), build_kernel(g)
     exponents = (1.6, 1.5, 0.01)  # p, q, eps
     runs = []
     for lam in (0.5, 0.25):
         for seed in range(10):
-            rep = run_pipeline(g, *exponents, lam, seed=seed, window=w, kernel=ker)
+            rep = run_pipeline(g, *exponents, lam, seed=seed)
             runs.append({
                 "lam": lam, "seed": seed, "measure_f": float(rep.measure_f), "measure_e": float(rep.measure_e),
                 "measure_estar": float(rep.measure_estar), "estar_ratio": float(rep.estar_ratio),

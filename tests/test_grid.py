@@ -186,6 +186,15 @@ class TestMaximal:
         at2 = m.values.real[round(2.0 / g.dx)]
         assert at2 == pytest.approx(0.5, abs=2 * g.dx)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(np.inf, 0.0)])
+    def test_non_finite_samples_refused(self, bad):
+        # one such sample would turn the maximal function NaN at most points, with RuntimeWarnings
+        g = Grid(8, 8.0)
+        f = SampledFunction(g, np.ones(g.n, dtype=complex))
+        f.values[100] = bad
+        with pytest.raises(ValueError, match="hl_maximal needs finite samples of f, got 1 inf or NaN of 256"):
+            hl_maximal(f)
+
     def test_matches_brute_force(self, rng):
         g = Grid(6, 8.0)
         f = random_function(g, rng)

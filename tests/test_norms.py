@@ -528,7 +528,7 @@ class TestTileSize:
 
         g, w = size_setup
         s = Tile(DyadicInterval(0, 3), DyadicInterval(0, 2))
-        f = SampledFunction(g, idft_values(tile_packet_hat(w, s), g.dx))
+        f = SampledFunction(g, idft_values(tile_packet_hat(g, s), g.dx))
         got = tile_size([s], f, 8)
         omega10 = s.freq.to_interval().dilate(10.0)
         omega10 = Interval(max(omega10.a, -g.freq_halfwidth), min(omega10.b, g.freq_halfwidth))

@@ -1,4 +1,3 @@
-import functools
 import math
 
 import numpy as np
@@ -83,7 +82,7 @@ class TestSelectForests:
     def test_packet_input_selects_its_tile_first(self, setup9, universe9):
         g, w, _ = setup9
         s0 = Tile(DyadicInterval(0, 3), DyadicInterval(0, 2))
-        f = SampledFunction(g, idft_values(tile_packet_hat(w, s0), g.dx))
+        f = SampledFunction(g, idft_values(tile_packet_hat(g, s0), g.dx))
         dec = select_forests(universe9.all_tiles(), f, family_size=6)
         first = dec.levels[0]
         assert any(s0 in tree.tiles for tree in first.trees)
@@ -115,29 +114,29 @@ class TestTreeDecompose:
             mf = model_function(w, ker, s)
             sup = mf.theta_support
             for level in (0, 1, 2, 3):
-                pieces = tree_decompose(s, tree, level, g)
+                pieces = tree_decompose(s, level, g)
                 for frac in (0.25, 0.7):
                     theta = sup.a + frac * sup.length
                     phi = mf.x_slice(theta)
-                    total = pieces.local_slice(phi) + pieces.tail_slice(phi)
+                    total = pieces.local_slice(phi, tree.top_freq) + pieces.tail_slice(phi, tree.top_freq)
                     assert np.max(np.abs(total - phi)) <= 1e-12 * max(1.0, np.max(np.abs(phi)))
 
     def test_level_zero_is_whole_model(self, setup11):
         g, w, ker = setup11
         tree = left_aligned_tree(mt=14)
         s = next(iter(tree.tiles))
-        pieces = tree_decompose(s, tree, 0, g)
+        pieces = tree_decompose(s, 0, g)
         phi = model_function(w, ker, s).x_slice(tree.top_freq)
-        assert np.array_equal(pieces.tail_slice(phi), phi)
-        assert np.max(np.abs(pieces.local_slice(phi))) == 0.0
+        assert np.array_equal(pieces.tail_slice(phi, tree.top_freq), phi)
+        assert np.max(np.abs(pieces.local_slice(phi, tree.top_freq))) == 0.0
 
     def test_local_piece_support(self, setup11):
         g, w, ker = setup11
         tree = left_aligned_tree(mt=14)
         s = tree.top_tile
         for level in (1, 2, 3):
-            pieces = tree_decompose(s, tree, level, g)
-            loc = pieces.local_slice(model_function(w, ker, s).x_slice(tree.top_freq))
+            pieces = tree_decompose(s, level, g)
+            loc = pieces.local_slice(model_function(w, ker, s).x_slice(tree.top_freq), tree.top_freq)
             dist = wrapped_distance(g.xs(), s.time.center, g.length)
             outside = dist > math.ldexp(s.time.length, level - 1) + g.dx
             assert np.max(np.abs(loc[outside])) == 0.0
@@ -151,10 +150,10 @@ class TestTreeDecompose:
             mf = model_function(w, ker, s)
             sup = mf.theta_support
             for level in (1, 2, 3):
-                pieces = tree_decompose(s, tree, level, g)
+                pieces = tree_decompose(s, level, g)
                 for frac in (0.3, 0.6):
                     theta = sup.a + frac * sup.length
-                    tail = pieces.tail_slice(mf.x_slice(theta))
+                    tail = pieces.tail_slice(mf.x_slice(theta), tree.top_freq)
                     mean = abs(np.sum(tail * osc) * g.dx)
                     l1 = np.sum(np.abs(tail)) * g.dx
                     assert mean <= 1e-8 * l1
@@ -166,8 +165,8 @@ class TestTreeDecompose:
             weight = interval_weight(s.time.to_interval(), g.xs(), 4.0, period=g.length)
             envs = []
             for level in range(1, 5):
-                pieces = tree_decompose(s, tree, level, g)
-                tail = pieces.tail_slice(model_function(w, ker, s).x_slice(tree.top_freq))
+                pieces = tree_decompose(s, level, g)
+                tail = pieces.tail_slice(model_function(w, ker, s).x_slice(tree.top_freq), tree.top_freq)
                 envs.append(np.max(np.abs(tail) * weight) * math.sqrt(s.time.length))
             slope = np.polyfit(range(1, 5), np.log2(envs), 1)[0]
             assert slope <= -3.5
@@ -180,8 +179,8 @@ class TestTreeDecompose:
         mf = model_function(w, ker, s)
         h = g.dxi / 4.0
         theta0 = tree.top_freq + 0.3
-        pieces = tree_decompose(s, tree, 1, g)
-        tail_plus, tail_minus = (pieces.tail_slice(mf.x_slice(theta0 + d)) for d in (h, -h))
+        pieces = tree_decompose(s, 1, g)
+        tail_plus, tail_minus = (pieces.tail_slice(mf.x_slice(theta0 + d), tree.top_freq) for d in (h, -h))
         d_tail = (tail_plus - tail_minus) / (2 * h)
         weight = interval_weight(s.time.to_interval(), g.xs(), 4.0, period=g.length)
         env = np.max(np.abs(d_tail) * weight) / math.sqrt(s.time.length)
@@ -192,7 +191,7 @@ class TestTreeVariationReport:
     def test_zero_function(self, setup9):
         g, w, ker = setup9
         tree = left_aligned_tree(mt=3)
-        [rep] = tree_variation_report(tree, SampledFunction(g, np.zeros(g.n)), [1], 3.0, 2.0, w, ker)
+        [rep] = tree_variation_report(tree, SampledFunction(g, np.zeros(g.n)), [1], 3.0, 2.0)
         assert rep.lhs == 0.0
 
     def test_single_tile_two_paths(self, setup9):
@@ -200,8 +199,8 @@ class TestTreeVariationReport:
         s = Tile(DyadicInterval(0, 3), DyadicInterval(0, 4))
         tree = Tree.with_top_tile(s, [s], top_freq=4.0)
         f = SampledFunction.indicator(g, [(2.75, 4.0)])
-        [rep] = tree_variation_report(tree, f, [0], 3.0, 2.0, w, ker)
-        coeffs = tree_coefficients(tree, f, w)
+        [rep] = tree_variation_report(tree, f, [0], 3.0, 2.0)
+        coeffs = tree_coefficients(tree, f)
         field = coeffs[s] * model_function(w, ker, s).x_slice(4.0)
         # one-term scale sequence: variation norm equals the absolute value
         direct = (np.sum(np.abs(field) ** 2) * g.dx) ** 0.5
@@ -216,7 +215,7 @@ class TestTreeVariationReport:
             tree = left_aligned_tree(mt=mt, sub_offset=int(rng.integers(0, 4)))
             a = mt + rng.uniform(-0.5, 0.5)
             f = SampledFunction.indicator(g, [(max(a, 0.0), min(a + rng.uniform(0.3, 1.5), 8.0))])
-            for rep in tree_variation_report(tree, f, (0, 1, 2), 3.0, 2.0, w, ker):
+            for rep in tree_variation_report(tree, f, (0, 1, 2), 3.0, 2.0):
                 if rep.rhs_scale > 0:
                     ratios.append(rep.ratio)
         assert max(ratios) <= 150.0  # single fitted constant
@@ -226,9 +225,9 @@ class TestTreeVariationReport:
         tree = left_aligned_tree(mt=3)
         f = SampledFunction(g, np.zeros(g.n))
         with pytest.raises(ValueError):
-            tree_variation_report(tree, f, 0, 2.0, 2.0, w, ker)
+            tree_variation_report(tree, f, 0, 2.0, 2.0)
         with pytest.raises(ValueError):
-            tree_variation_report(tree, f, 0, 3.0, 1.0, w, ker)
+            tree_variation_report(tree, f, 0, 3.0, 1.0)
 
     def test_levels_equal_one_call_per_level(self, setup9):
         """One call over levels [2, 0, 1, 1], sharing its coefficients, size and slice cache, equals
@@ -244,10 +243,10 @@ class TestTreeVariationReport:
             a = rng.uniform(0.0, 6.0)
             f = SampledFunction.indicator(g, [(a, a + rng.uniform(0.3, 2.0))])
             levels = [2, 0, 1, 1]
-            got = tree_variation_report(tree, f, levels, 3.0, 2.0, w, ker)
-            assert got == [tree_variation_report(tree, f, [level], 3.0, 2.0, w, ker)[0]
+            got = tree_variation_report(tree, f, levels, 3.0, 2.0)
+            assert got == [tree_variation_report(tree, f, [level], 3.0, 2.0)[0]
                            for level in levels]
-        assert tree_variation_report(trees[0], f, [], 3.0, 2.0, w, ker) == []
+        assert tree_variation_report(trees[0], f, [], 3.0, 2.0) == []
 
 
 def loop_tail_variation(tree, coeffs, level, r, window, kernel):
@@ -257,7 +256,7 @@ def loop_tail_variation(tree, coeffs, level, r, window, kernel):
         for s in tree.tiles_at_scale(k):
             if coeffs.get(s, 0.0) != 0.0:
                 phi = model_function(window, kernel, s).x_slice(tree.top_freq)
-                fields[i] += coeffs[s] * tree_decompose(s, tree, level, window.grid).tail_slice(phi)
+                fields[i] += coeffs[s] * tree_decompose(s, level, window.grid).tail_slice(phi, tree.top_freq)
     return variational_norm(fields, r)
 
 
@@ -274,32 +273,26 @@ def test_tail_variation_shared_cache_bit_identical_to_per_tile_loop(setup9, monk
     coeffs[Tile(DyadicInterval(-1, 7), DyadicInterval(1, 2))] = 0.0
     calls = []
 
-    def counted(s, tree, level, grid):
+    def counted(s, level, grid):
         calls.append((s.time, level))
-        return tree_decompose(s, tree, level, grid)
+        return tree_decompose(s, level, grid)
 
     monkeypatch.setattr(trees, "tree_decompose", counted)
     cache = {}
     for level in (1, 0, 2, 1):
         for tree in tree_list:
-            got = tail_variation(tree, coeffs, level, 3.0, w, ker, cache)
+            got = tail_variation(tree, coeffs, level, 3.0, ker, cache)
             assert np.array_equal(got, loop_tail_variation(tree, coeffs, level, 3.0, w, ker))
     assert len(calls) == len(set(calls)) == 2 * len({s.time for t in tree_list for s in t.tiles if coeffs[s] != 0.0})
 
 
-def loop_tree_coefficients(tree, f, window):
+def loop_tree_coefficients(tree, f):
     """Oracle: each <f, packet_s> as a time-domain sum against the inverse-transformed packet."""
     out = {}
     for s in sorted(tree.tiles, key=Tile.sort_key):
-        pk = idft_values(tile_packet_hat(window, s), f.grid.dx)
+        pk = idft_values(tile_packet_hat(f.grid, s), f.grid.dx)
         out[s] = complex(np.sum(f.values * np.conj(pk)) * f.grid.dx)
     return out
-
-
-@functools.lru_cache(maxsize=None)
-def _window(j, length):
-    g = Grid(j, length)
-    return build_window(g)
 
 
 @st.composite
@@ -328,8 +321,7 @@ class TestTreeCoefficientsOracle:
     @given(coefficient_cases())
     def test_matches_time_domain_loop(self, case):
         j, length, tiles, kind, seed = case
-        w = _window(j, length)
-        g = w.grid
+        g = Grid(j, length)
         rng = np.random.default_rng(seed)
         if kind == "indicator":
             iv = tiles[0].time
@@ -338,8 +330,8 @@ class TestTreeCoefficientsOracle:
         else:
             f = SampledFunction(g, rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n))
         tree = Tree(Interval(0.0, length), 0.0, frozenset(tiles))
-        got = tree_coefficients(tree, f, w)
-        want = loop_tree_coefficients(tree, f, w)
+        got = tree_coefficients(tree, f)
+        want = loop_tree_coefficients(tree, f)
         assert list(got) == list(want)
         scale = max(abs(c) for c in want.values())
         assert max(abs(got[s] - want[s]) for s in want) <= 1e-12 * scale
@@ -352,9 +344,8 @@ class TestTailVariation:
 
         g, w, ker = setup9
         built, sliced = [], []
-        real_build, real_slice = trees_mod.model_function, ModelFunction.x_slice
-        monkeypatch.setattr(trees_mod, "model_function",
-                            lambda window, kernel, s: built.append(s) or real_build(window, kernel, s))
+        real_build, real_slice = trees_mod.tile_packet_hat, ModelFunction.x_slice
+        monkeypatch.setattr(trees_mod, "tile_packet_hat", lambda grid, s: built.append(s) or real_build(grid, s))
         monkeypatch.setattr(ModelFunction, "x_slice",
                             lambda mf, theta: sliced.append((mf.tile, theta)) or real_slice(mf, theta))
         tree = left_aligned_tree(mt=3)
@@ -363,7 +354,7 @@ class TestTailVariation:
         coeffs = {s: (0.0 if s == zero else 0.3) * math.sqrt(s.time.length) for s in tree.tiles}
         # the same tree under two window keys, and the same tiles under a second top frequency
         windows = {(0, 0): [tree], (1, 0): [tree, other]}
-        variation_exceptional_set(windows, coeffs, 0.05, 3.0, 1.0, w, ker, l_decay=10.0)
+        variation_exceptional_set(windows, coeffs, 0.05, 3.0, 1.0, ker, l_decay=10.0)
         distinct = {(s, t.top_freq) for t in (tree, other) for s in t.tiles if s != zero}
         assert len(built) == len(sliced) == len(distinct) == 6
         assert set(sliced) == distinct

@@ -460,7 +460,7 @@ def random_tile(g, rng, freq_max=8.0):
 def theta_slice(mf, x_index):
     """Oracle: phi_s(x, theta) over all grid thetas at one grid x, one FFT of the shifted packet
     times the scaled kernel; the tile-by-tile form of the check_pointwise_bound families."""
-    g = mf.window.grid
+    g = mf.kernel.grid
     shifted = np.roll(idft_values(mf.packet_hat, g.dx), -x_index)
     return dft_values(shifted * mf.kernel.scaled_time(mf.tile.scale), g.dx)
 
@@ -511,7 +511,7 @@ class TestModelFunction:
         g, w, ker = fine
         s = Tile(DyadicInterval(0, 31), DyadicInterval(0, 2))
         mf = model_function(w, ker, s)
-        packet = idft_values(tile_packet_hat(w, s), g.dx)
+        packet = idft_values(tile_packet_hat(g, s), g.dx)
         kk = ker.scaled_time(s.scale)
         ys = g.xs()
         rng = np.random.default_rng(4)
@@ -529,7 +529,7 @@ class TestTilePacket:
     def test_unit_norm_and_support(self, fine):
         g, w, _ = fine
         s = Tile(DyadicInterval(0, 20), DyadicInterval(0, 5))
-        pk = SampledFunction(g, idft_values(tile_packet_hat(w, s), g.dx))
+        pk = SampledFunction(g, idft_values(tile_packet_hat(g, s), g.dx))
         assert lp_norm(pk, 2) == pytest.approx(1.0, abs=1e-9)
         ph = dft(pk).values
         xi = g.freqs()
@@ -539,7 +539,7 @@ class TestTilePacket:
     def test_vanishes_at_interval_multiples(self, fine):
         g, w, _ = fine
         s = Tile(DyadicInterval(0, 20), DyadicInterval(0, 5))
-        ph = tile_packet_hat(w, s)
+        ph = tile_packet_hat(g, s)
         for xi_val in (5.0, 6.0, 4.0):
             j = round(xi_val / g.dxi) + g.n // 2
             assert abs(ph[j]) < 1e-12

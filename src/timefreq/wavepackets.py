@@ -257,7 +257,7 @@ class Kernel:
 
     eta is the one fixed profile :func:`_eta`, the partition bump of order
     ``DEFAULT_ORDER`` on [-1/2, 1/2]: smooth, supported there, with nonzero
-    integral.  So the transform of K is the autocorrelation eta * eta~,
+    integral.  So the transform of K, khat, is the autocorrelation eta * eta~,
     supported in [-1, 1], and K(0) = (integral of eta)^2 > 0.
     """
 
@@ -269,58 +269,53 @@ class Kernel:
         eta = np.asarray(_eta(self.grid.freqs()), dtype=np.complex128)
         return SampledFunction(self.grid, np.abs(idft_values(eta, self.grid.dx)) ** 2)
 
-    def khat(self, xi) -> np.ndarray:
-        """Autocorrelation (eta * eta~)(xi) by quadrature on the profile."""
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        out = np.empty(xi.shape, dtype=float)
-        chunk = 1 << 12
-        for i in range(0, xi.size, chunk):
-            block = xi[i : i + chunk]
-            shifted = _eta(_NODES[None, :-1] - block[:, None])
-            out[i : i + chunk] = (shifted * _NODE_ETA[None, :-1]).sum(axis=1) / _QUAD_NODES
-        return out
-
     def khat_progression(self, xi: np.ndarray, step: float) -> np.ndarray:
-        """:meth:`khat` at an arithmetic progression ``xi`` with spacing ``step``.
+        """khat at an arithmetic progression ``xi`` with spacing ``step``, by the midpoint rule.
 
-        The midpoint rule on N = 4096 nodes at xi = (c + f) / N, c an integer
-        and 0 <= f < 1, is sum_m a[m - c] eta(node_m) / N, where a holds eta
-        on the nodes moved by -f / N: the dot of the overlap of a, shifted by
-        c, with the node samples, which is the lag N - 1 - c of their full
-        ``np.correlate`` bit for bit.  When step * N is an integer, every point
-        of the progression shares f, so one a serves all of them; for f = 0
-        (the lattices) it is ``_NODE_ETA`` itself.  Each point reads its own
-        lag, and no correlation is built or kept, so a call costs about 1-2 us
-        per point inside [-1, 1].  Points where the moved samples miss the
-        nodes give exact zeros.  The result is the quadrature up to summation
-        order (about 1e-16 absolute), with the same exact zeros, since eta
-        vanishes outside [-1/2, 1/2].  When step * N is not an integer, this
-        falls back to :meth:`khat`.
+        The rule on N = 4096 nodes at xi = (c + f) / N, c an integer and
+        0 <= f < 1, is sum_m a[m - c] eta(node_m) / N, where a holds eta on
+        the nodes moved by -f / N: the dot of the overlap of a, shifted by c,
+        with the node samples, which is the lag N - 1 - c of their full
+        ``np.correlate`` bit for bit.  When q = step * N is an integer, every
+        point of the progression shares f, so one a serves all of them; for
+        f = 0 (the lattices) it is ``_NODE_ETA`` itself.  Otherwise, with p
+        the least power of two for which q * p is an integer (at most the
+        number of points), the p interleaved sub-progressions ``xi[r::p]``
+        each have the integer spacing q * p, and a one-point sub-progression
+        takes any spacing.  Each point reads its own lag, and no correlation
+        is built or kept, so a call costs about 1-2 us per point inside
+        [-1, 1] and one eta sampling per sub-progression.  Points where the
+        moved samples miss the nodes give exact zeros.  The result is the
+        point-by-point quadrature up to summation order (about 1e-16
+        absolute), with the same exact zeros, as eta vanishes outside
+        [-1/2, 1/2].
         """
         xi = np.asarray(xi, dtype=float)
-        q = step * _QUAD_NODES
-        if q != round(q):
-            return self.khat(xi)
-        # anchor at the smallest |xi|, where xi itself carries the least rounding
-        anchor = int(np.argmin(np.abs(xi)))
-        c = xi[anchor] * _QUAD_NODES
-        c0 = math.floor(c)
-        a = _NODE_ETA if c == c0 else _eta(_NODES - (c - c0) / _QUAD_NODES)
-        cs = c0 + int(round(q)) * (np.arange(xi.size) - anchor)
-        inside = np.flatnonzero((cs > -a.size) & (cs < _QUAD_NODES))
+        if not np.all(np.isfinite(xi)):
+            raise ValueError("khat_progression needs finite xi")
+        if not math.isfinite(step):
+            raise ValueError(f"khat_progression needs a finite step, got {step}")
+        q, p = step * _QUAD_NODES, 1
+        while p < xi.size and q * p != round(q * p):
+            p *= 2
+        p = min(p, xi.size)  # no sub-progression for an empty xi
         out = np.zeros(xi.size)
-        for i, ci in zip(inside.tolist(), cs[inside].tolist()):
-            lo, hi = max(0, ci), min(_QUAD_NODES, a.size + ci)
-            out[i] = np.dot(a[lo - ci : hi - ci], _NODE_ETA[lo:hi]) / _QUAD_NODES
+        for r in range(p):
+            sub = xi[r::p]
+            # anchor at the smallest |xi|, where xi itself carries the least rounding
+            anchor = int(np.argmin(np.abs(sub)))
+            c = sub[anchor] * _QUAD_NODES
+            c0 = math.floor(c)
+            a = _NODE_ETA if c == c0 else _eta(_NODES - (c - c0) / _QUAD_NODES)
+            cs = c0 + round(q * p) * (np.arange(sub.size) - anchor)
+            inside = np.flatnonzero((cs > -a.size) & (cs < _QUAD_NODES))
+            for i, ci in zip(inside.tolist(), cs[inside].tolist()):
+                lo, hi = max(0, ci), min(_QUAD_NODES, a.size + ci)
+                out[r + p * i] = np.dot(a[lo - ci : hi - ci], _NODE_ETA[lo:hi]) / _QUAD_NODES
         return out
 
     def khat_lattice(self, k: int) -> np.ndarray:
-        """khat(2^k xi_j) over the frequency axis.
-
-        Read lag by lag from the node samples (see :meth:`khat_progression`)
-        when 2^k * 4096 / L is an integer, so the lattice costs no quadrature;
-        otherwise evaluated by :meth:`khat`.
-        """
+        """khat(2^k xi_j) over the frequency axis, read lag by lag (see :meth:`khat_progression`)."""
         step = math.ldexp(1.0, k) * self.grid.dxi
         return self.khat_progression(step * (np.arange(self.grid.n) - self.grid.n // 2), step)
 
@@ -371,9 +366,10 @@ class ModelFunction:
 
         The kernel transform is sampled at 2^k (theta - xi_j), a progression
         with step -2^k / L, read lag by lag from the quadrature nodes (see
-        :meth:`Kernel.khat_progression`).  Exact up to summation order when
-        2^k * 4096 / L is an integer, the quadrature otherwise.
+        :meth:`Kernel.khat_progression`).
         """
+        if not math.isfinite(theta):
+            raise ValueError(f"x_slice needs a finite theta, got {theta}")
         g = self.kernel.grid
         step = math.ldexp(1.0, self.tile.scale)
         kv = self.kernel.khat_progression(step * (theta - g.freqs()), -step * g.dxi)

@@ -6,11 +6,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import timefreq.wavepackets as wavepackets
 from timefreq import Grid, SampledFunction, dft, idft, lp_norm
 from timefreq.dyadic import DyadicInterval, Tile
 from timefreq.grid import dft_values, idft_values
 from timefreq.norms import interval_weight
 from timefreq.wavepackets import (
+    _NODE_ETA,
+    _NODES,
+    _QUAD_NODES,
     _STEP_STACK,
     DEFAULT_ORDER,
     FRAME_CONSTANT,
@@ -305,7 +309,7 @@ class TestKernel:
     def test_two_quadratures_agree(self, fine):
         g, _, ker = fine
         grid_val = dft(ker.K).values[g.n // 2].real
-        quad_val = float(ker.khat(np.array([0.0]))[0])
+        quad_val = float(quadrature_khat(np.array([0.0]))[0])
         assert abs(grid_val - quad_val) <= 1e-8
 
     def test_eta_support_and_integral(self):
@@ -332,18 +336,35 @@ class TestKernel:
         assert all(ker == build_kernel(g) for ker in kernels)
 
 
+def quadrature_khat(xi):
+    """The test oracle: khat = (eta * eta~)(xi) by the midpoint rule on the 4096 nodes, point by point."""
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    out = np.empty(xi.shape, dtype=float)
+    chunk = 1 << 12
+    for i in range(0, xi.size, chunk):
+        block = xi[i : i + chunk]
+        shifted = _eta(_NODES[None, :-1] - block[:, None])
+        out[i : i + chunk] = (shifted * _NODE_ETA[None, :-1]).sum(axis=1) / _QUAD_NODES
+    return out
+
+
 def assert_same_as_quadrature(fast, slow):
     assert np.max(np.abs(fast - slow)) <= 1e-15
     assert np.array_equal(fast == 0.0, slow == 0.0)
 
 
 @st.composite
-def kernel_cases(draw):
-    """A kernel on a random grid with a scale k whose lattice is on the nodes."""
-    j = draw(st.integers(6, 9))
+def kernel_cases(draw, fractional=False):
+    """A kernel on a random grid with a scale k whose lattice is on the nodes, or, with ``fractional``,
+    one whose lattice spacing 2^k * 4096 / L is 1/2, 1/4, 1/8 or 1/16 of a node spacing: up to
+    J = 15, so the lattice runs past [-1, 1] when q = 1/2 and J = 15."""
+    j = draw(st.integers(6, 15 if fractional else 9))
     log_len = draw(st.integers(0, j - 1))  # the frequency box contains [-1, 1]
-    # a scale-k tile at the origin fits the box in time and in frequency
-    k = draw(st.integers(max(-3, log_len + 1 - j), min(3, log_len)))
+    if fractional:
+        k = log_len - 12 - draw(st.integers(1, 4))
+    else:
+        # a scale-k tile at the origin fits the box in time and in frequency
+        k = draw(st.integers(max(-3, log_len + 1 - j), min(3, log_len)))
     length = 2.0 ** log_len
     g = Grid(j, length)
     return g, build_kernel(g), k
@@ -354,7 +375,19 @@ class TestKernelCorrelation:
     @settings(max_examples=25, deadline=None)
     def test_lattice_matches_quadrature(self, case):
         g, ker, k = case
-        assert_same_as_quadrature(ker.khat_lattice(k), ker.khat(math.ldexp(1.0, k) * g.freqs()))
+        assert_same_as_quadrature(ker.khat_lattice(k), quadrature_khat(math.ldexp(1.0, k) * g.freqs()))
+
+    # the sub-progressions of a fractional spacing, on the lattice and off it, against the
+    # quadrature at up to 32 drawn points (the quadrature of a whole J = 15 lattice takes seconds)
+    @given(kernel_cases(fractional=True), st.floats(-1.0, 1.0), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_fractional_spacing_matches_quadrature(self, case, where, data):
+        g, ker, k = case
+        idx = np.array(data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=32)))
+        step = math.ldexp(1.0, k) * g.dxi
+        assert_same_as_quadrature(ker.khat_lattice(k)[idx], quadrature_khat(math.ldexp(1.0, k) * g.freqs()[idx]))
+        xi = math.ldexp(1.0, k) * (where * g.freq_halfwidth - g.freqs())
+        assert_same_as_quadrature(ker.khat_progression(xi, -step)[idx], quadrature_khat(xi[idx]))
 
     # where = +-1 is the edge of the frequency box, so thetas past it are drawn too
     @given(kernel_cases(), st.floats(-3.0, 3.0), st.booleans())
@@ -367,7 +400,7 @@ class TestKernelCorrelation:
         if on_lattice:
             theta = round(theta / g.dxi) * g.dxi
         xi = math.ldexp(1.0, k) * (theta - g.freqs())
-        slow = ker.khat(xi)
+        slow = quadrature_khat(xi)
         assert_same_as_quadrature(ker.khat_progression(xi, -math.ldexp(1.0, k) * g.dxi), slow)
         mf = model_function(w, ker, s)
         expected = idft(SampledFunction(g, mf.packet_hat * slow)).values
@@ -378,7 +411,7 @@ class TestKernelCorrelation:
         g = Grid(6, 1.0)
         ker, k, theta = build_kernel(g), -1, 1e-12 * g.freq_halfwidth
         mf = model_function(build_window(g), ker, Tile(DyadicInterval(k, 0), DyadicInterval(-k, 0)))
-        slow = ker.khat(math.ldexp(1.0, k) * (theta - g.freqs()))
+        slow = quadrature_khat(math.ldexp(1.0, k) * (theta - g.freqs()))
         expected = idft(SampledFunction(g, mf.packet_hat * slow)).values
         assert np.max(np.abs(mf.x_slice(theta) - expected)) <= 1e-12 * np.max(np.abs(expected))
 
@@ -389,7 +422,7 @@ class TestKernelCorrelation:
         g = Grid(9, 8.0)
         ker = build_kernel(g)
         mf = model_function(build_window(g), ker, Tile(DyadicInterval(0, 3), DyadicInterval(0, 31)))
-        expected = idft(SampledFunction(g, mf.packet_hat * ker.khat(theta - g.freqs()))).values
+        expected = idft(SampledFunction(g, mf.packet_hat * quadrature_khat(theta - g.freqs()))).values
         got = mf.x_slice(theta)
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
         assert np.any(got) == np.any(expected) == (theta > 0)
@@ -422,13 +455,44 @@ class TestKernelCorrelation:
         model_function(build_window(g), ker, Tile(DyadicInterval(0, 3), DyadicInterval(0, 3))).x_slice(3.3)
         assert vars(ker) == {"grid": g}
 
-    def test_off_node_spacing_falls_back_to_quadrature(self):
+    def test_off_node_spacing_matches_quadrature(self):
         g = Grid(6, 8.0)
         ker = build_kernel(g)
         k = -10  # 2^k * 4096 / L = 1/2
-        assert np.array_equal(ker.khat_lattice(k), ker.khat(math.ldexp(1.0, k) * g.freqs()))
+        assert_same_as_quadrature(ker.khat_lattice(k), quadrature_khat(math.ldexp(1.0, k) * g.freqs()))
         xi = 0.3 + math.ldexp(1.0, k) * np.arange(5) / 3
-        assert np.array_equal(ker.khat_progression(xi, math.ldexp(1.0, k) / 3), ker.khat(xi))
+        assert_same_as_quadrature(ker.khat_progression(xi, math.ldexp(1.0, k) / 3), quadrature_khat(xi))
+
+    def test_fractional_spacing_samples_eta_once_per_sub_progression(self, monkeypatch):
+        """At q = 2^k * 4096 / L = 1/2 the lattice is two sub-progressions of spacing 1: eta is sampled
+        on the nodes at most once for each (the one at f = 0 reads the stored node samples), not on
+        4096 nodes for each of the 64 points."""
+        sizes = []
+        eta = wavepackets._eta
+        monkeypatch.setattr(wavepackets, "_eta", lambda xi: sizes.append(np.size(xi)) or eta(xi))
+        build_kernel(Grid(6, 8.0)).khat_lattice(-10)
+        assert sum(sizes) <= 2 * (_QUAD_NODES + 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_xi_refused(self, bad):
+        with pytest.raises(ValueError, match="finite xi"):
+            build_kernel(Grid(9, 8.0)).khat_progression(np.array([bad, 0.1]), 0.01)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_step_refused(self, bad):
+        with pytest.raises(ValueError, match="finite step"):
+            build_kernel(Grid(9, 8.0)).khat_progression(np.array([0.0, 0.1]), bad)
+
+    def test_empty_progression(self):
+        got = build_kernel(Grid(9, 8.0)).khat_progression(np.array([]), 0.25)
+        assert got.shape == (0,) and got.dtype == float
+
+    @pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
+    def test_x_slice_non_finite_theta_refused(self, theta):
+        g = Grid(9, 8.0)
+        mf = model_function(build_window(g), build_kernel(g), Tile(DyadicInterval(0, 3), DyadicInterval(0, 3)))
+        with pytest.raises(ValueError, match="finite theta"):
+            mf.x_slice(theta)
 
 
 def extended_lattice_slice(ker, k):
@@ -438,7 +502,7 @@ def extended_lattice_slice(ker, k):
     return ker.khat_progression(step * np.arange(-(n - 1), n), step)[(n - 1) + np.arange(n) - n // 2]
 
 
-# (J, L, k): the correlation path, and at J, L = 6, 8 with k = -10, -11 the quadrature fallback
+# (J, L, k): integer lattice spacings, and at J, L = 6, 8 with k = -10, -11 the spacings 1/2 and 1/4
 @pytest.mark.parametrize("j,length,k", [
     *((j, length, k) for j, length in ((9, 8.0), (11, 32.0), (12, 64.0), (6, 1.0)) for k in range(-2, 2)),
     (6, 8.0, -10), (6, 8.0, -11),

@@ -12,7 +12,9 @@ subcommands at its default arguments, ``rtt_sim.plot.txt``, ``tree-select`` on
 ``tests/golden/tiles.txt`` with its ``.tiles.txt``, and ``acceptance6.json``.
 
 For each file the script prints whether the bytes are identical and, if not,
-the first line that differs.  It exits with 1 when any file differs.
+the first line that differs.  It exits with 1 when any file differs.  ``-h`` or
+``--help`` prints this text; any other argument that starts with ``-`` is
+refused with exit code 2, before anything is checked out.
 """
 
 from __future__ import annotations
@@ -83,6 +85,13 @@ def first_difference(a: bytes, b: bytes) -> str:
 
 
 def main(argv: list[str]) -> int:
+    if "-h" in argv or "--help" in argv:
+        print(__doc__)
+        return 0
+    options = [a for a in argv if a.startswith("-")]
+    if options:
+        print(f"error: unknown option {options[0]}; see --help", file=sys.stderr)
+        return 2
     if not 1 <= len(argv) <= 2:
         print(__doc__, file=sys.stderr)
         return 2

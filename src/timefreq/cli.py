@@ -281,13 +281,16 @@ _count = _int_from(1, None)
 MAX_LOG2_N = 22
 
 
-def _subcommand(sub, name: str, func, help: str, columns: list[str], grid=None, seed: bool = True):
-    """Add subcommand ``name`` writing a CSV with ``columns``, listed in its ``--help`` epilog.
+def _subcommand(sub, names, name: str, func, help: str, columns: list[str], grid=None, seed: bool = True):
+    """Add subcommand ``name`` writing a CSV with ``columns``, listed in its ``--help`` epilog, and
+    return its parser; return None, adding nothing, if ``names`` (None: all) does not hold ``name``.
 
     Options ``--J``/``--L`` (defaults ``grid`` = (J, L); none for None), ``--seed``
     (if ``seed``) and ``--out``; :func:`_write_csv` reads the columns and the file
     name ``<name>.csv`` from the parsed arguments.
     """
+    if names is not None and name not in names:
+        return None
     sp = sub.add_parser(name, help=help, epilog="CSV columns: " + ", ".join(columns))
     if grid is not None:
         sp.add_argument("--J", type=int, default=grid[0], help="grid refinement: 2^J samples")
@@ -299,75 +302,91 @@ def _subcommand(sub, name: str, func, help: str, columns: list[str], grid=None, 
     return sp
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="timefreq",
-        description="Seeded time-frequency and ergodic-average experiments with CSV outputs.",
-    )
+def _parser(parser_class, names) -> argparse.ArgumentParser:
+    """A ``parser_class`` parser of the subcommands that ``names`` holds (None: all eight)."""
+    ap = parser_class(prog="timefreq",
+                      description="Seeded time-frequency and ergodic-average experiments with CSV outputs.")
     ap.add_argument("--config", help="JSON file with option defaults (flags win)")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sp = _subcommand(sub, "frame-check", cmd_frame_check, "Gabor expansion/reconstruction error report",
-                     ["set_index", "k", "recon_rel_error", "frame_deviation"], grid=(12, 64.0))
-    sp.add_argument("--k-list", type=_list_of(int), default="-2,-1,0,1,2")
-    sp.add_argument("--num-sets", type=_count, default=20)
+    if sp := _subcommand(sub, names, "frame-check", cmd_frame_check, "Gabor expansion/reconstruction error report",
+                         ["set_index", "k", "recon_rel_error", "frame_deviation"], grid=(12, 64.0)):
+        sp.add_argument("--k-list", type=_list_of(int), default="-2,-1,0,1,2")
+        sp.add_argument("--num-sets", type=_count, default=20)
 
-    sp = _subcommand(sub, "tree-select", cmd_tree_select, "forest selection of a tile file",
-                     ["level", "tree_count", "tile_count", "top_length_sum", "max_size"], grid=(9, 8.0))
-    sp.add_argument("--tiles", help="tile file: lines of k_time m_time k_freq m_freq")
-    sp.add_argument("--family-size", type=_count, default=6)
+    if sp := _subcommand(sub, names, "tree-select", cmd_tree_select, "forest selection of a tile file",
+                         ["level", "tree_count", "tile_count", "top_length_sum", "max_size"], grid=(9, 8.0)):
+        sp.add_argument("--tiles", help="tile file: lines of k_time m_time k_freq m_freq")
+        sp.add_argument("--family-size", type=_count, default=6)
 
-    sp = _subcommand(sub, "tree-bound", cmd_tree_bound, "tree variation norm vs its size bound",
-                     ["trial", "level", "r", "t", "lhs", "rhs_scale", "ratio"], grid=(10, 16.0))
-    sp.add_argument("--l-list", type=_list_of(_int_from(0, None)), default="0,1,2")
-    sp.add_argument("--r", type=_finite, default=3.0)
-    sp.add_argument("--t", type=_finite, default=2.0)
-    sp.add_argument("--trials", type=_count, default=5)
+    if sp := _subcommand(sub, names, "tree-bound", cmd_tree_bound, "tree variation norm vs its size bound",
+                         ["trial", "level", "r", "t", "lhs", "rhs_scale", "ratio"], grid=(10, 16.0)):
+        sp.add_argument("--l-list", type=_list_of(_int_from(0, None)), default="0,1,2")
+        sp.add_argument("--r", type=_finite, default=3.0)
+        sp.add_argument("--t", type=_finite, default=2.0)
+        sp.add_argument("--trials", type=_count, default=5)
 
-    sp = _subcommand(sub, "mm-scan", cmd_mm_scan, "maximal multiplier growth scan in N",
-                     ["q", "r", "eps", "N", "trial_count", "max_ratio", "fitted_slope", "max_numerator"],
-                     grid=(10, 8.0))
-    sp.add_argument("--q", type=_finite, default=1.5)
-    sp.add_argument("--r", type=_finite, default=3.0)
-    sp.add_argument("--eps", type=_finite, default=0.01)
-    sp.add_argument("--N", type=_list_of(_count), default="2,4,8,16,32")
-    sp.add_argument("--trials", type=_count, default=50)
+    if sp := _subcommand(sub, names, "mm-scan", cmd_mm_scan, "maximal multiplier growth scan in N",
+                         ["q", "r", "eps", "N", "trial_count", "max_ratio", "fitted_slope", "max_numerator"],
+                         grid=(10, 8.0)):
+        sp.add_argument("--q", type=_finite, default=1.5)
+        sp.add_argument("--r", type=_finite, default=3.0)
+        sp.add_argument("--eps", type=_finite, default=0.01)
+        sp.add_argument("--N", type=_list_of(_count), default="2,4,8,16,32")
+        sp.add_argument("--trials", type=_count, default=50)
 
-    sp = _subcommand(sub, "exceptional", cmd_exceptional, "exceptional-set pipeline report",
-                     ["n", "sigma_n", "beta_n", "gamma_n", "measure_E1", "measure_E2", "run",
-                      "coeff_rescale", "measure_E", "measure_Estar", "estar_ratio", "pointwise_p95"],
-                     grid=(9, 8.0))
-    sp.add_argument("--p", type=_finite, default=1.6)
-    sp.add_argument("--q", type=_finite, default=1.5)
-    sp.add_argument("--eps", type=_finite, default=0.01)
-    sp.add_argument("--lam", type=_finite, default=0.5)
-    sp.add_argument("--runs", type=_count, default=5)
+    if sp := _subcommand(sub, names, "exceptional", cmd_exceptional, "exceptional-set pipeline report",
+                         ["n", "sigma_n", "beta_n", "gamma_n", "measure_E1", "measure_E2", "run",
+                          "coeff_rescale", "measure_E", "measure_Estar", "estar_ratio", "pointwise_p95"],
+                         grid=(9, 8.0)):
+        sp.add_argument("--p", type=_finite, default=1.6)
+        sp.add_argument("--q", type=_finite, default=1.5)
+        sp.add_argument("--eps", type=_finite, default=0.01)
+        sp.add_argument("--lam", type=_finite, default=0.5)
+        sp.add_argument("--runs", type=_count, default=5)
 
-    sp = _subcommand(sub, "rtt-sim", cmd_rtt_sim, "return-times averages for rotation pairs",
-                     ["N", "A_N", "oscillation", "vr"])
-    sp.add_argument("--alpha", type=_finite, default=(math.sqrt(5) - 1) / 2)
-    sp.add_argument("--beta", type=_finite, default=math.sqrt(2) - 1)
-    sp.add_argument("--x", type=_finite, default=0.2)
-    sp.add_argument("--y", type=_finite, default=0.7)
-    sp.add_argument("--log2-n-max", type=_int_from(1, MAX_LOG2_N), default=17,
-                    help=f"averages at N = 2, 4, ..., 2^this (at most {MAX_LOG2_N})")
-    sp.add_argument("--r", type=_finite, default=3.0)
+    if sp := _subcommand(sub, names, "rtt-sim", cmd_rtt_sim, "return-times averages for rotation pairs",
+                         ["N", "A_N", "oscillation", "vr"]):
+        sp.add_argument("--alpha", type=_finite, default=(math.sqrt(5) - 1) / 2)
+        sp.add_argument("--beta", type=_finite, default=math.sqrt(2) - 1)
+        sp.add_argument("--x", type=_finite, default=0.2)
+        sp.add_argument("--y", type=_finite, default=0.7)
+        sp.add_argument("--log2-n-max", type=_int_from(1, MAX_LOG2_N), default=17,
+                        help=f"averages at N = 2, 4, ..., 2^this (at most {MAX_LOG2_N})")
+        sp.add_argument("--r", type=_finite, default=3.0)
 
-    sp = _subcommand(sub, "blowup", cmd_blowup, "single-scale threshold refinement scan",
-                     ["J", "proxy_value", "delta_f", "delta_g", "growth_factor"], seed=False)
-    sp.add_argument("--p", type=_finite, default=1.25)
-    sp.add_argument("--q", type=_finite, default=2.0)
-    sp.add_argument("--J-list", type=_list_of(int), default="8,10,12")
+    if sp := _subcommand(sub, names, "blowup", cmd_blowup, "single-scale threshold refinement scan",
+                         ["J", "proxy_value", "delta_f", "delta_g", "growth_factor"], seed=False):
+        sp.add_argument("--p", type=_finite, default=1.25)
+        sp.add_argument("--q", type=_finite, default=2.0)
+        sp.add_argument("--J-list", type=_list_of(int), default="8,10,12")
 
-    sp = _subcommand(sub, "tails", cmd_tails, "tail-operator statistics and heavy-tail stress",
-                     ["statistic", "sharpness", "value"], grid=(10, 16.0))
-    sp.add_argument("--x", type=_finite, default=0.15)
-    sp.add_argument("--y", type=_finite, default=0.55)
-    sp.add_argument("--n-max", type=_int_from(1, 1 << MAX_LOG2_N), default=20000,
-                    help=f"orbit steps of the tail statistics (at most {1 << MAX_LOG2_N})")
-    sp.add_argument("--sharpness", type=_list_of(_finite), default="0.04,0.02,0.01,0.005")
+    if sp := _subcommand(sub, names, "tails", cmd_tails, "tail-operator statistics and heavy-tail stress",
+                         ["statistic", "sharpness", "value"], grid=(10, 16.0)):
+        sp.add_argument("--x", type=_finite, default=0.15)
+        sp.add_argument("--y", type=_finite, default=0.55)
+        sp.add_argument("--n-max", type=_int_from(1, 1 << MAX_LOG2_N), default=20000,
+                        help=f"orbit steps of the tail statistics (at most {1 << MAX_LOG2_N})")
+        sp.add_argument("--sharpness", type=_list_of(_finite), default="0.04,0.02,0.01,0.005")
 
     return ap
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of all eight subcommands, whose usage and messages :func:`main` prints."""
+    return _parser(argparse.ArgumentParser, None)
+
+
+class _Quiet(argparse.ArgumentParser):
+    """A parser that raises :class:`_Quiet.Refused` where argparse would print help, usage or an error."""
+
+    class Refused(Exception):
+        pass
+
+    def error(self, *args):
+        raise _Quiet.Refused
+
+    print_help = error
 
 
 def _config_defaults(sp: argparse.ArgumentParser, path: str) -> dict:
@@ -388,15 +407,25 @@ def _config_defaults(sp: argparse.ArgumentParser, path: str) -> dict:
     return defaults
 
 
-def main(argv=None) -> int:
-    ap = build_parser()
+def _parse(ap: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """``argv`` parsed by ``ap``: the options in a ``--config`` file, and the flags over them."""
     args = ap.parse_args(argv)
+    if args.config:
+        sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+        sp = sub.choices[args.command]
+        sp.set_defaults(**_config_defaults(sp, args.config))
+        args = ap.parse_args(argv)  # flags given on the command line win
+    return args
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        if args.config:
-            sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
-            sp = sub.choices[args.command]
-            sp.set_defaults(**_config_defaults(sp, args.config))
-            args = ap.parse_args(argv)  # flags given on the command line win
+        # a parser of only the subcommands argv names; the full one prints every message
+        try:
+            args = _parse(_parser(_Quiet, argv), argv)
+        except _Quiet.Refused:
+            args = _parse(build_parser(), argv)
         return args.func(args)
     except (ValueError, OSError, MemoryError) as exc:
         why = f"{args.command} ran out of memory; lower its sizes" if isinstance(exc, MemoryError) else exc

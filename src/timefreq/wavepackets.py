@@ -295,7 +295,8 @@ class Kernel:
             raise ValueError("khat_progression needs finite xi")
         if not math.isfinite(step):
             raise ValueError(f"khat_progression needs a finite step, got {step}")
-        q, p = step * _QUAD_NODES, 1
+        # past 2^60 nodes apart, at most one point of a progression reaches the nodes: q stays finite
+        q, p = min(max(step * _QUAD_NODES, -2.0**60), 2.0**60), 1
         while p < xi.size and q * p != round(q * p):
             p *= 2
         p = min(p, xi.size)  # no sub-progression for an empty xi
@@ -304,12 +305,14 @@ class Kernel:
             sub = xi[r::p]
             # anchor at the smallest |xi|, where xi itself carries the least rounding
             anchor = int(np.argmin(np.abs(sub)))
+            if abs(sub[anchor]) >= 2:  # all of sub lies outside the support [-1, 1]
+                continue
             c = sub[anchor] * _QUAD_NODES
             c0 = math.floor(c)
             a = _NODE_ETA if c == c0 else _eta(_NODES - (c - c0) / _QUAD_NODES)
-            cs = c0 + round(q * p) * (np.arange(sub.size) - anchor)
+            cs = c0 + q * p * (np.arange(sub.size) - anchor)  # in floats: exact wherever a point is read
             inside = np.flatnonzero((cs > -a.size) & (cs < _QUAD_NODES))
-            for i, ci in zip(inside.tolist(), cs[inside].tolist()):
+            for i, ci in zip(inside.tolist(), cs[inside].astype(int).tolist()):
                 lo, hi = max(0, ci), min(_QUAD_NODES, a.size + ci)
                 out[r + p * i] = np.dot(a[lo - ci : hi - ci], _NODE_ETA[lo:hi]) / _QUAD_NODES
         return out

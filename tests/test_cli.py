@@ -267,6 +267,57 @@ def test_csv_header_matches_help_epilog(tmp_path, capsys, sub):
     assert ", ".join(header) == listed
 
 
+@pytest.mark.parametrize("sub", sorted(_HEADER_ARGV))
+def test_one_subparser_per_call(tmp_path, monkeypatch, sub):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def spy(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    assert run([sub, *_HEADER_ARGV[sub], "--out", str(tmp_path / "x.csv")]) == 0
+    assert built == [sub]
+
+
+def outcome(argv, capsys):
+    """(exit code, stdout, stderr) of ``main(argv)``."""
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["nope"], ["--help"],
+    ["tails", "--help"], ["tails", "--he"],
+    ["--bogus", "tails"], ["tails", "--bogus"], ["blowup", "--J-list", "x"],
+    ["--config", "CFG"], ["--config", "tails", "rtt-sim"], ["--config", "BAD", "exceptional"],
+    ["tails", "--J", "8", "--n-max", "50"],
+    ["--config", "blowup", "tails", "--J", "8", "--n-max", "50"],  # a config file named like a subcommand
+], ids=lambda argv: " ".join(argv) or "no arguments")
+def test_messages_and_outputs_as_with_the_full_parser(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("TIMEFREQ_OUTDIR", raising=False)
+    (tmp_path / "cfg.json").write_text(json.dumps({"J": 8}))
+    (tmp_path / "bad.json").write_text(json.dumps({"Jx": 9}))
+    (tmp_path / "blowup").write_text(json.dumps({"x": 0.2}))
+    argv = [{"CFG": "cfg.json", "BAD": "bad.json"}.get(a, a) for a in argv]
+    reduced = outcome(argv, capsys)
+    full_parser = cli._parser
+
+    def full_only(parser_class, names):
+        if parser_class is cli._Quiet:
+            raise cli._Quiet.Refused
+        return full_parser(parser_class, names)
+
+    monkeypatch.setattr(cli, "_parser", full_only)
+    assert reduced == outcome(argv, capsys)
+
+
 @pytest.mark.parametrize("argv,message", [
     (["tails", "--J", "5", "--L", "2"], "(J >= 6), got J = 5"),
     (["tree-select", "--J", "4", "--L", "2"], "(J >= 6), got J = 4"),

@@ -487,6 +487,12 @@ class TestKernelCorrelation:
         got = build_kernel(Grid(9, 8.0)).khat_progression(np.array([]), 0.25)
         assert got.shape == (0,) and got.dtype == float
 
+    # far outside the support [-1, 1]: the node offsets overflow the integers, and the first step * 4096 is inf
+    @pytest.mark.parametrize("xi,step", [([1e306, 2e306], 1e306), ([0.0, 1e17], 1e17), ([3e15, 3e15 + 0.5], 0.5)])
+    def test_huge_finite_progression_matches_quadrature(self, xi, step):
+        got = build_kernel(Grid(9, 8.0)).khat_progression(np.array(xi), step)
+        assert_same_as_quadrature(got, quadrature_khat(xi))
+
     @pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
     def test_x_slice_non_finite_theta_refused(self, theta):
         g = Grid(9, 8.0)

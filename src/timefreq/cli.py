@@ -65,7 +65,7 @@ def cmd_frame_check(args) -> int:
     for idx in range(args.num_sets):
         f = random_indicator(grid, rng, None)
         for k in args.k_list:
-            coeffs = gabor_expand(window, f, k)
+            coeffs = gabor_expand(f, k)
             recon = gabor_reconstruct(window, coeffs, k)
             err = lp_norm(recon - f, 2) / lp_norm(f, 2)
             rows.append((idx, k, err, dev))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .grid import Grid, SampledFunction, wrapped_distance
 from .norms import variational_norm
-from .wavepackets import build_window, gabor_expand
+from .wavepackets import gabor_expand
 
 __all__ = [
     "CircleRotation",
@@ -202,12 +202,11 @@ def single_scale_blowup(p: float, q: float, j_list: Sequence[int]) -> list[Blowu
                          f"(|F|^(1/p) |G|^(1/q))^2 underflows at spike width {d:g}; raise --{name}")
     rows = []
     for j, grid in zip(j_list, grids):
-        window = build_window(grid)
         # widths 1, 1/4, 1/16, ... down to the last one of at least 8 cells of width 8/2^j
         deltas = [0.25**i for i in range((j - 6) // 2 + 1)]
         center = 4.0
         spikes = {d: SampledFunction.indicator(grid, [(center, center + d)]) for d in deltas}
-        tables = {d: np.abs(gabor_expand(window, ind, 0).ravel()) for d, ind in spikes.items()}
+        tables = {d: np.abs(gabor_expand(ind, 0).ravel()) for d, ind in spikes.items()}
         best, best_pair = 0.0, (deltas[0], deltas[0])
         for df in deltas:
             for dg in deltas:
@@ -226,6 +225,8 @@ def single_scale_blowup(p: float, q: float, j_list: Sequence[int]) -> list[Blowu
 def integral_tail(f: SampledFunction, g: SampledFunction, x: float) -> float:
     """sup over t = 2, 4, 8, ... with t + 1 < L/2 (one at least, so L >= 8) of |(1/2t) integral_t^{t+1} f(x+y) g(x-y) dy|."""
     grid = f.grid
+    if g.grid != grid:
+        raise ValueError(f"g must lie on f's grid {grid}, got {g.grid}")
     if grid.length < 8.0:  # L is a power of two, so t = 2 has t + 1 < L/2 exactly when L >= 8
         raise ValueError(f"the integral tail has no window t = 2, 4, ... with t + 1 < L/2 at L = {grid.length:g}; "
                          "raise --L to 8 or more")

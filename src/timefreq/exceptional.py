@@ -6,7 +6,7 @@ sets, the pointwise bound check outside them, and the end-to-end pipeline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -243,35 +243,33 @@ def variation_exceptional_set(
 def check_pointwise_bound(
     x_indices: Sequence[int],
     coeffs: dict[Tile, complex],
-    params: LevelParams,
     q: float,
-    r: float,
-    eps: float,
     kernel: Kernel,
     search_budget: int,
     seed: int,
-) -> tuple[np.ndarray, float]:
-    """Lower bounds of the maximal-multiplier norm at grid points vs their target.
+) -> np.ndarray:
+    """Lower bounds of the maximal-multiplier norm at grid points.
 
-    At each point x of ``x_indices`` the multiplier family collects, scale by
-    scale, theta -> sum of a_s phi_s(x, theta) over tiles of that scale; the
-    returned pair is (array of certified lower bounds of their norms, one per
-    point, beta^(1/q - 1/r + eps) (gamma + sigma)).  Model functions are linear
-    in the packet, so each scale's packets are summed and transformed back once;
-    the family at x is the theta-slice of the sums, which the per-tile oracle
-    ``theta_slice`` of ``tests/test_wavepackets.py`` computes tile by tile.  Points
-    are searched in stacked blocks (see the byte budget below), each getting the bound it gets alone.
+    At each point x of ``x_indices``, a sample index in [0, n), the multiplier
+    family collects, scale by scale, theta -> sum of a_s phi_s(x, theta) over
+    tiles of that scale; the result holds certified lower bounds of their
+    norms, one per point.  Model functions are linear in the packet, so each
+    scale's packets are summed and transformed back once; the family at x is
+    the theta-slice of the sums, which the per-tile oracle ``theta_slice`` of
+    ``tests/test_wavepackets.py`` computes tile by tile.  Points are searched in
+    stacked blocks (see the byte budget below), each getting the bound it gets alone.
     """
+    g = kernel.grid
     xs = np.asarray(x_indices, dtype=int).reshape(-1)
-    rhs = params.beta ** (1.0 / q - 1.0 / r + eps) * (params.gamma + params.sigma)
+    if not np.all((xs >= 0) & (xs < g.n)):
+        raise ValueError(f"x_indices must be sample indices in [0, {g.n}), got {xs.min()} to {xs.max()}")
     lhs = np.zeros(xs.size)
     packets: dict[int, np.ndarray] = {}
     for s, a in coeffs.items():
         if a != 0.0:
-            packets[s.scale] = packets.get(s.scale, 0.0) + a * tile_packet_hat(kernel.grid, s)
+            packets[s.scale] = packets.get(s.scale, 0.0) + a * tile_packet_hat(g, s)
     if not packets:
-        return lhs, rhs
-    g = kernel.grid
+        return lhs
     scales = sorted(packets)
     summed = idft_values(np.array([packets[k] for k in scales]), g.dx)
     kt = np.array([kernel.scaled_time(k) for k in scales])
@@ -285,7 +283,7 @@ def check_pointwise_bound(
         rolled = summed[rows, (np.arange(g.n) + xs[i : i + block, None, None]) % g.n]
         ms = dft_values(rolled * kt, g.dx)
         lhs[i : i + block] = maximal_multiplier_lower(ms, g, q, search_budget=search_budget, seed=seed)
-    return lhs, rhs
+    return lhs
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +349,7 @@ def run_pipeline(
     estar = GridSet(grid, eset.mask.copy())
     if escaping:
         dec = select_forests(escaping, f, family_size=6, check_convexity=False)
-        first_level = None  # (coefficients, parameters) of the first level
+        first_level = None  # (coefficients, pointwise target) of the first level
         for forest in dec.levels[:3]:
             params = ledger.level(forest.level)
             level_tiles = forest.tiles()
@@ -373,17 +371,16 @@ def run_pipeline(
             estar = estar.union(e1).union(e2)
             level_rows.append((forest.level, params.sigma, beta_eff, params.gamma,
                                e1.measure, e2.measure, rescale))
-            if first_level is None:
-                first_level = (coeffs, replace(params, beta=beta_eff))
+            if first_level is None:  # the target is beta^(1/q - 1/r + eps) (gamma + sigma)
+                first_level = (coeffs, beta_eff ** (1.0 / q - 1.0 / r + eps) * (params.gamma + params.sigma))
 
         if first_level is not None:
             outside = estar.complement_indices()
             if outside.size:
                 picks = outside[np.linspace(0, outside.size - 1, min(24, outside.size)).astype(int)]
-                lhs, rhs = check_pointwise_bound(picks, *first_level, q, r, eps, kernel,
-                                                 search_budget=30, seed=seed)
-                if rhs > 0:
-                    pointwise_ratios = [float(v / rhs) for v in lhs]
+                first_coeffs, rhs = first_level
+                lhs = check_pointwise_bound(picks, first_coeffs, q, kernel, search_budget=30, seed=seed)
+                pointwise_ratios = [float(v / rhs) for v in lhs]
 
     return PipelineReport(measure_f, eset.measure, estar.measure, estar.measure * lam**p / measure_f,
                           level_rows, pointwise_ratios)

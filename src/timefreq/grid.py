@@ -117,6 +117,8 @@ class SampledFunction:
         return cls(grid, mask.astype(np.complex128))
 
     def __sub__(self, other):
+        if other.grid != self.grid:
+            raise ValueError(f"other must lie on the grid {self.grid}, got {other.grid}")
         return SampledFunction(self.grid, self.values - other.values)
 
 

@@ -55,33 +55,28 @@ class MultiplierFamily:
     The bumps at scale k sit on the covering intervals of the frequency set
     (``bump.omega``); each is an :class:`AdaptedBump` scaled by a complex
     coefficient of modulus at most one, so the family's adaptedness constant
-    stays comparable across set sizes.
+    stays comparable across set sizes.  The family holds no grid; it is sampled
+    on the grid :meth:`scale_multipliers` is given.
     """
 
-    grid: Grid
     scales: dict[int, list[tuple[AdaptedBump, complex]]] = field(repr=False)
 
     def scale_list(self) -> list[int]:
         return sorted(self.scales)
 
-    def scale_multipliers(self, ks) -> np.ndarray:
-        """Row i is the scale-``ks[i]`` multiplier on the grid: all the scales' bumps come from one
+    def scale_multipliers(self, ks, grid: Grid) -> np.ndarray:
+        """Row i is the scale-``ks[i]`` multiplier on ``grid``: all the scales' bumps come from one
         :func:`bump_values` call, and each scale's are added in list order, exactly the per-bump sum."""
         entries = [self.scales[k] for k in ks]
-        rows = iter(bump_values([b for entry in entries for b, _ in entry], self.grid.freqs()))
-        out = np.zeros((len(entries), self.grid.n), dtype=np.complex128)
+        rows = iter(bump_values([b for entry in entries for b, _ in entry], grid.freqs()))
+        out = np.zeros((len(entries), grid.n), dtype=np.complex128)
         for total, entry in zip(out, entries):
             for _, coeff in entry:
                 total += coeff * next(rows)
         return out
 
 
-def random_family(
-    grid: Grid,
-    freqs: FrequencySet,
-    scales,
-    rng: np.random.Generator,
-) -> MultiplierFamily:
+def random_family(freqs: FrequencySet, scales, rng: np.random.Generator) -> MultiplierFamily:
     """Adapted bumps of constant 1 on the covering intervals, with random coefficients in [1/2, 1]."""
     per_scale = {}
     for k in scales:
@@ -92,7 +87,7 @@ def random_family(
             phase = np.exp(2j * np.pi * rng.uniform())
             entries.append((bump, complex(mag * phase)))
         per_scale[int(k)] = entries
-    return MultiplierFamily(grid, per_scale)
+    return MultiplierFamily(per_scale)
 
 
 def sup_over_scales(fam: MultiplierFamily, f: SampledFunction) -> SampledFunction:
@@ -103,7 +98,7 @@ def sup_over_scales(fam: MultiplierFamily, f: SampledFunction) -> SampledFunctio
     products; each row equals the per-scale oracle ``apply_scale`` of
     ``tests/test_multipliers.py`` exactly.
     """
-    mults = fam.scale_multipliers(fam.scale_list())
+    mults = fam.scale_multipliers(fam.scale_list(), f.grid)
     fields = idft_values(mults * dft(f).values, f.grid.dx)
     return SampledFunction(f.grid, np.abs(fields).max(axis=0, initial=0.0))
 
@@ -179,7 +174,7 @@ def growth_scan(
             while len(set(lam)) < n:
                 lam = rng.uniform(-lam_box, lam_box, size=n)
             freqs = FrequencySet(tuple(lam))
-            fam = random_family(grid, freqs, range(0, 6), rng)
+            fam = random_family(freqs, range(0, 6), rng)
             f = SampledFunction(
                 grid, rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
             )

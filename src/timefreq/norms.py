@@ -202,6 +202,8 @@ def maximal_multiplier_lower(
         raise ValueError("q must be >= 1")
     n, dx = grid.n, grid.dx
     ms = np.asarray(multipliers, dtype=np.complex128)
+    if ms.size and not (0 < ms.ndim <= 3 and ms.shape[-1] == n):
+        raise ValueError(f"multipliers must have shape (m, {n}) or (P, m, {n}) on the grid, got {ms.shape}")
     single = ms.ndim < 3
     ms = ms.reshape(1, -1, n) if single else ms
     count, m = ms.shape[:2]

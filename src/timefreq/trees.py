@@ -159,7 +159,10 @@ class TreePieces:
     level: int
     grid: Grid = field(repr=False)
     cutoff: np.ndarray = field(repr=False)
-    cutoff_integral: float
+    cutoff_integral: float = field(init=False)
+
+    def __post_init__(self):
+        self.cutoff_integral = float(np.sum(self.cutoff) * self.grid.dx)
 
     def _mean_term(self, phi_vals: np.ndarray, top_freq: float) -> np.ndarray:
         g = self.grid
@@ -190,8 +193,7 @@ def tree_decompose(s: Tile, level: int, grid: Grid) -> TreePieces:
         raise ValueError("decomposition level must be >= 0")
     width = math.ldexp(s.time.length, level)
     cutoff = time_cutoff(wrapped_distance(grid.xs(), s.time.center, grid.length) / width)
-    integral = float(np.sum(cutoff) * grid.dx)
-    return TreePieces(level, grid, cutoff, integral)
+    return TreePieces(level, grid, cutoff)
 
 
 def tree_coefficients(tree: Tree, f: SampledFunction) -> dict[Tile, complex]:
@@ -224,7 +226,7 @@ def tail_variation(tree: Tree, coeffs: dict[Tile, complex], level: int, r: float
                 continue
             key = (s, tree.top_freq)
             if key not in slice_cache:
-                slice_cache[key] = ModelFunction(s, kernel, tile_packet_hat(grid, s)).x_slice(tree.top_freq)
+                slice_cache[key] = ModelFunction(s, kernel).x_slice(tree.top_freq)
             tail = slice_cache[key]
             if level != 0:
                 if (s.time, level) not in slice_cache:

@@ -14,7 +14,7 @@ enlarged by one reciprocal length on each side.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -204,8 +204,8 @@ def _lattice(w: Window, k: int) -> tuple[np.ndarray, np.ndarray]:
     return idx, w.packet_profile(k)
 
 
-def gabor_expand(w: Window, f: SampledFunction, k: int) -> np.ndarray:
-    """Frame coefficients <f, phi_{k,m,l2/2}> over the full scale-k lattice.
+def gabor_expand(f: SampledFunction, k: int) -> np.ndarray:
+    """Frame coefficients <f, phi_{k,m,l2/2}> over the full scale-k lattice of ``f``'s grid.
 
     An ``(n_freq, w0)`` array: row l2 is the doubled modulation index over
     the 2N/(L 2^-k) periodized modulations, column m the L 2^-k time
@@ -213,13 +213,13 @@ def gabor_expand(w: Window, f: SampledFunction, k: int) -> np.ndarray:
     grid.  One gather of the transform onto the lattice, then the sums
     over t of exp(2 pi i m t / w0) times the gathered row: the phase of
     offset w0 equals that of offset 0, so the sums are one stacked
-    length-w0 inverse FFT.
+    length-w0 inverse FFT.  The window is :func:`build_window` on the grid.
     """
-    idx, prof = _lattice(w, k)
+    idx, prof = _lattice(build_window(f.grid), k)
     rows = dft(f).values[idx] * prof
     rows[:, 0] += rows[:, -1]
     w0 = prof.size - 1
-    return 2.0 ** (k / 2.0) / w.grid.length * w0 * np.fft.ifft(rows[:, :-1], axis=-1)
+    return 2.0 ** (k / 2.0) / f.grid.length * w0 * np.fft.ifft(rows[:, :-1], axis=-1)
 
 
 def gabor_reconstruct(w: Window, coeffs: np.ndarray, k: int) -> SampledFunction:
@@ -355,7 +355,6 @@ class ModelFunction:
 
     tile: Tile
     kernel: Kernel
-    packet_hat: np.ndarray = field(repr=False)
 
     @property
     def theta_support(self) -> Interval:
@@ -376,7 +375,7 @@ class ModelFunction:
         g = self.kernel.grid
         step = math.ldexp(1.0, self.tile.scale)
         kv = self.kernel.khat_progression(step * (theta - g.freqs()), -step * g.dxi)
-        return idft_values(self.packet_hat * kv, g.dx)
+        return idft_values(tile_packet_hat(g, self.tile) * kv, g.dx)
 
 
 def model_function(w: Window, ker: Kernel, s: Tile) -> ModelFunction:
@@ -384,4 +383,4 @@ def model_function(w: Window, ker: Kernel, s: Tile) -> ModelFunction:
     checked to share the kernel's grid: the signature stays because ``perfbench/workloads.py`` calls it."""
     if w.grid != ker.grid:
         raise ValueError("window and kernel must share a grid")
-    return ModelFunction(s, ker, tile_packet_hat(ker.grid, s))
+    return ModelFunction(s, ker)

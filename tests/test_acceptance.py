@@ -67,7 +67,7 @@ def test_criterion_1_gabor_identity(fine_setup):
             ivs.append((a, a + rng.uniform(0.05, 2.0)))
         f = SampledFunction.indicator(g, ivs)
         for k in (-2, -1, 0, 1, 2):
-            recon = gabor_reconstruct(w, gabor_expand(w, f, k), k)
+            recon = gabor_reconstruct(w, gabor_expand(f, k), k)
             worst = max(worst, lp_norm(recon - f, 2) / lp_norm(f, 2))
     elapsed = time.monotonic() - t0
     ok = worst <= 1e-6 and dev <= 1e-8 and elapsed <= 30.0

@@ -285,6 +285,14 @@ class TestTails:
         with pytest.raises(ValueError, match="raise --L to 8 or more"):
             integral_tail(f, f, 0.0)
 
+    @pytest.mark.parametrize("j, length", [(11, 16.0), (9, 16.0), (10, 32.0)])
+    def test_integral_tail_other_grid_refused(self, j, length):
+        # g on another grid used to be read with f's step and return 0.0
+        f = SampledFunction(Grid(10, 16.0), np.ones(1 << 10, dtype=complex))
+        g = SampledFunction(Grid(j, length), np.ones(1 << j, dtype=complex))
+        with pytest.raises(ValueError, match="g must lie on f's grid"):
+            integral_tail(f, g, 4.0)
+
     def test_spike_sweep_empty_levels(self):
         assert heavy_tail_sweep([], CircleRotation(GOLDEN), 0.15, CircleRotation(SQRT2M1), 0.55, 100) == []
 

@@ -348,10 +348,8 @@ class TestVariationSet:
 class TestPointwiseBound:
     def test_zero_coefficients(self, setup):
         g, w, ker = setup
-        params = ParamLedger(1.6, 1.5, 0.01, 0.5).level(4)
-        (lhs,), rhs = check_pointwise_bound([10], {}, params, 1.5, 3.0, 0.01, ker,
-                                            search_budget=40, seed=0)
-        assert lhs == 0.0 and rhs > 0.0
+        (lhs,) = check_pointwise_bound([10], {}, 1.5, ker, search_budget=40, seed=0)
+        assert lhs == 0.0
 
     def test_single_tile_calibration(self, setup):
         g, w, ker = setup
@@ -359,10 +357,18 @@ class TestPointwiseBound:
         params = ParamLedger(1.6, 1.5, 0.01, 0.5).level(2)
         coeffs = {s: params.sigma * math.sqrt(s.time.length)}
         xin = round(s.time.center / g.dx)
-        (lhs,), rhs = check_pointwise_bound([xin], coeffs, params, 1.5, 3.0, 0.01, ker,
-                                            search_budget=25, seed=1)
-        assert 0.0 < lhs and rhs > 0.0
+        (lhs,) = check_pointwise_bound([xin], coeffs, 1.5, ker, search_budget=25, seed=1)
+        rhs = params.beta ** (1.0 / 1.5 - 1.0 / 3.0 + 0.01) * (params.gamma + params.sigma)
+        assert 0.0 < lhs
         assert lhs / rhs < 10.0  # calibration ratio stays moderate
+
+    @pytest.mark.parametrize("x", [517, -507, 512])
+    def test_points_off_the_grid_refused(self, setup, x):
+        # at J = 9, 517 and -507 used to be read as the sample 5
+        g, w, ker = setup
+        coeffs = {Tile(DyadicInterval(0, 3), DyadicInterval(0, 2)): 1.0}
+        with pytest.raises(ValueError, match=r"x_indices must be sample indices in \[0, 512\)"):
+            check_pointwise_bound([5, x], coeffs, 1.5, ker, search_budget=25, seed=1)
 
     def test_points_together_match_points_alone(self, setup, monkeypatch):
         # 3 scales at J = 9 make blocks of 6 points, so 13 points run as blocks of 6, 6 and 1
@@ -371,7 +377,6 @@ class TestPointwiseBound:
         tiles = [Tile(DyadicInterval(-1, 5), DyadicInterval(1, 3)), Tile(DyadicInterval(0, 2), DyadicInterval(0, 1)),
                  Tile(DyadicInterval(0, 6), DyadicInterval(0, -3)), Tile(DyadicInterval(1, 1), DyadicInterval(-1, 0))]
         coeffs = {s: complex(rng.standard_normal(), rng.standard_normal()) for s in tiles}
-        params = ParamLedger(1.6, 1.5, 0.01, 0.5).level(2)
         xs = [0, 40, 77, 120, 200, 263, 301, 350, 400, 450, 470, 490, 511]
         blocks = []
 
@@ -381,12 +386,10 @@ class TestPointwiseBound:
 
         with monkeypatch.context() as mp:
             mp.setattr(exceptional_mod, "maximal_multiplier_lower", counted)
-            lhs, rhs = check_pointwise_bound(xs, coeffs, params, 1.5, 3.0, 0.01, ker, search_budget=30, seed=3)
+            lhs = check_pointwise_bound(xs, coeffs, 1.5, ker, search_budget=30, seed=3)
         assert blocks == [6, 6, 1]
-        alone = [check_pointwise_bound([x], coeffs, params, 1.5, 3.0, 0.01, ker, search_budget=30, seed=3)
-                 for x in xs]
-        assert lhs.tolist() == [one[0][0] for one in alone]
-        assert all(one[1] == rhs for one in alone)
+        alone = [check_pointwise_bound([x], coeffs, 1.5, ker, search_budget=30, seed=3) for x in xs]
+        assert lhs.tolist() == [one[0] for one in alone]
         assert np.all(lhs > 0.0)
 
 
@@ -456,10 +459,9 @@ class TestPointwiseOracle:
             captured.append(np.array(ms))
             return 0.0
 
-        params = ParamLedger(1.6, 1.5, 0.01, 0.5).level(2)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(exceptional_mod, "maximal_multiplier_lower", capture)
-            check_pointwise_bound(x_indices, coeffs, params, 1.5, 3.0, 0.01, ker, search_budget=40, seed=0)
+            check_pointwise_bound(x_indices, coeffs, 1.5, ker, search_budget=40, seed=0)
         families = np.concatenate(captured)
         assert len(families) == len(x_indices)
         # a block stacks at most 192 KiB of fields, scales + 1 rows per point: 6 points of one scale at J = 10

@@ -68,6 +68,14 @@ class TestDft:
             assert np.array_equal(inv[i], idft(SampledFunction(g, row)).values)
 
 
+class TestSampledFunction:
+    def test_difference_across_grids_refused(self):
+        # equal sample counts on boxes of different length used to keep the left grid
+        f = SampledFunction(Grid(8, 8.0), np.ones(256))
+        with pytest.raises(ValueError, match="other must lie on the grid"):
+            f - SampledFunction(Grid(8, 16.0), np.ones(256))
+
+
 class TestGridExponent:
     def test_cap_accepts_largest_and_rejects_beyond(self):
         # constructing a Grid allocates nothing, so the cap is checked without arrays

@@ -337,6 +337,12 @@ class TestMaximalMultiplierLower:
             with pytest.raises(ValueError, match="multiplier family 2 has a non-finite entry"):
                 maximal_multiplier_lower(bad, g, 1.5, 30, 1)
 
+    @pytest.mark.parametrize("shape", [(6, 512), (2, 3, 512), (512,)])
+    def test_family_off_the_grid_refused(self, shape):
+        # rows of 512 samples on a 256-sample grid: (6, 512) used to be read as (1, 12, 256)
+        with pytest.raises(ValueError, match=r"multipliers must have shape \(m, 256\)"):
+            maximal_multiplier_lower(np.ones(shape, dtype=complex), Grid(8, 8.0), 1.5, 20, 0)
+
     def test_identity_family(self):
         g = Grid(8, 8.0)
         val = maximal_multiplier_lower([np.ones(g.n, dtype=complex)], g, 1.5, 20, 0)

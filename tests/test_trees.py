@@ -339,13 +339,13 @@ class TestTreeCoefficientsOracle:
 
 class TestTailVariation:
     def test_one_model_function_per_tile_and_top(self, setup9, monkeypatch):
-        import timefreq.trees as trees_mod
+        import timefreq.wavepackets as wavepackets_mod
         from timefreq.exceptional import variation_exceptional_set
 
         g, w, ker = setup9
         built, sliced = [], []
-        real_build, real_slice = trees_mod.tile_packet_hat, ModelFunction.x_slice
-        monkeypatch.setattr(trees_mod, "tile_packet_hat", lambda grid, s: built.append(s) or real_build(grid, s))
+        real_build, real_slice = wavepackets_mod.tile_packet_hat, ModelFunction.x_slice
+        monkeypatch.setattr(wavepackets_mod, "tile_packet_hat", lambda grid, s: built.append(s) or real_build(grid, s))
         monkeypatch.setattr(ModelFunction, "x_slice",
                             lambda mf, theta: sliced.append((mf.tile, theta)) or real_slice(mf, theta))
         tree = left_aligned_tree(mt=3)

@@ -143,7 +143,7 @@ class TestWavePacket:
 class TestGaborFrame:
     def test_empty_set_zero_coefficients(self, coarse):
         g, w = coarse
-        coeffs = gabor_expand(w, SampledFunction(g, np.zeros(g.n)), 0)
+        coeffs = gabor_expand(SampledFunction(g, np.zeros(g.n)), 0)
         assert all(c == 0 for c in coeffs.ravel())
         recon = gabor_reconstruct(w, coeffs, 0)
         assert np.max(np.abs(recon.values)) == 0.0
@@ -151,21 +151,21 @@ class TestGaborFrame:
     def test_parseval(self, coarse):
         g, w = coarse
         f = SampledFunction.indicator(g, [(0.5, 1.25), (9.0, 9.75)])
-        coeffs = gabor_expand(w, f, 0)
+        coeffs = gabor_expand(f, 0)
         total = sum(abs(c) ** 2 for c in coeffs.ravel())
         assert total == pytest.approx(FRAME_CONSTANT * lp_norm(f, 2) ** 2, rel=1e-6)
 
     def test_reconstruction_unit_interval(self, coarse):
         g, w = coarse
         f = SampledFunction.indicator(g, [(0.0, 1.0)])
-        recon = gabor_reconstruct(w, gabor_expand(w, f, 0), 0)
+        recon = gabor_reconstruct(w, gabor_expand(f, 0), 0)
         assert lp_norm(recon - f, 2) / lp_norm(f, 2) <= 1e-6
 
     def test_reconstruction_scale_independent(self, coarse):
         g, w = coarse
         f = SampledFunction.indicator(g, [(2.0, 3.5)])
-        r0 = gabor_reconstruct(w, gabor_expand(w, f, 0), 0)
-        r2 = gabor_reconstruct(w, gabor_expand(w, f, 2), 2)
+        r0 = gabor_reconstruct(w, gabor_expand(f, 0), 0)
+        r2 = gabor_reconstruct(w, gabor_expand(f, 2), 2)
         assert lp_norm(r0 - r2, 2) / lp_norm(f, 2) <= 1e-6
 
     def test_random_unions_all_scales(self, coarse):
@@ -178,13 +178,13 @@ class TestGaborFrame:
                 ivs.append((a, min(a + rng.uniform(0.1, 1.5), 16.0)))
             f = SampledFunction.indicator(g, ivs)
             for k in (-2, 0, 2):
-                recon = gabor_reconstruct(w, gabor_expand(w, f, k), k)
+                recon = gabor_reconstruct(w, gabor_expand(f, k), k)
                 assert lp_norm(recon - f, 2) / lp_norm(f, 2) <= 1e-6
 
     def test_coefficient_decay(self, fine):
         g, w, _ = fine
         f = SampledFunction.indicator(g, [(0.0, 1.0)])
-        coeffs = gabor_expand(w, f, 0)
+        coeffs = gabor_expand(f, 0)
         w0 = round(g.length)
         worst = max(
             abs(c) * (1 + min(m, w0 - m)) ** 3 for (l2, m), c in np.ndenumerate(coeffs)
@@ -269,7 +269,7 @@ class TestGaborOracles:
     @given(_frame_case())
     def test_expand_matches_loop(self, case):
         w, f, k = case
-        got = gabor_expand(w, f, k)
+        got = gabor_expand(f, k)
         want = loop_gabor_expand(w, f, k)
         w0, n_freq = w.lattice_sizes(k)
         assert got.shape == (n_freq, w0)
@@ -280,14 +280,14 @@ class TestGaborOracles:
     @given(_frame_case())
     def test_reconstruct_matches_loop(self, case):
         w, f, k = case
-        coeffs = gabor_expand(w, f, k)
+        coeffs = gabor_expand(f, k)
         got = gabor_reconstruct(w, coeffs, k).values
         want = loop_gabor_reconstruct(w, {(m, l2): c for (l2, m), c in np.ndenumerate(coeffs)}, k).values
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_reconstruct_rejects_wrong_shape(self, coarse):
         g, w = coarse
-        coeffs = gabor_expand(w, SampledFunction(g, np.zeros(g.n)), 0)
+        coeffs = gabor_expand(SampledFunction(g, np.zeros(g.n)), 0)
         with pytest.raises(ValueError):
             gabor_reconstruct(w, coeffs.T, 0)
 
@@ -403,7 +403,7 @@ class TestKernelCorrelation:
         slow = quadrature_khat(xi)
         assert_same_as_quadrature(ker.khat_progression(xi, -math.ldexp(1.0, k) * g.dxi), slow)
         mf = model_function(w, ker, s)
-        expected = idft(SampledFunction(g, mf.packet_hat * slow)).values
+        expected = idft(SampledFunction(g, tile_packet_hat(g, mf.tile) * slow)).values
         assert np.max(np.abs(mf.x_slice(theta) - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     def test_x_slice_near_lattice_not_snapped(self):
@@ -412,7 +412,7 @@ class TestKernelCorrelation:
         ker, k, theta = build_kernel(g), -1, 1e-12 * g.freq_halfwidth
         mf = model_function(build_window(g), ker, Tile(DyadicInterval(k, 0), DyadicInterval(-k, 0)))
         slow = quadrature_khat(math.ldexp(1.0, k) * (theta - g.freqs()))
-        expected = idft(SampledFunction(g, mf.packet_hat * slow)).values
+        expected = idft(SampledFunction(g, tile_packet_hat(g, mf.tile) * slow)).values
         assert np.max(np.abs(mf.x_slice(theta) - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     # lattice thetas past the box [-32, 32): 32 meets the tile [31, 32) within the kernel
@@ -422,7 +422,7 @@ class TestKernelCorrelation:
         g = Grid(9, 8.0)
         ker = build_kernel(g)
         mf = model_function(build_window(g), ker, Tile(DyadicInterval(0, 3), DyadicInterval(0, 31)))
-        expected = idft(SampledFunction(g, mf.packet_hat * quadrature_khat(theta - g.freqs()))).values
+        expected = idft(SampledFunction(g, tile_packet_hat(g, mf.tile) * quadrature_khat(theta - g.freqs()))).values
         got = mf.x_slice(theta)
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
         assert np.any(got) == np.any(expected) == (theta > 0)
@@ -531,7 +531,7 @@ def theta_slice(mf, x_index):
     """Oracle: phi_s(x, theta) over all grid thetas at one grid x, one FFT of the shifted packet
     times the scaled kernel; the tile-by-tile form of the check_pointwise_bound families."""
     g = mf.kernel.grid
-    shifted = np.roll(idft_values(mf.packet_hat, g.dx), -x_index)
+    shifted = np.roll(idft_values(tile_packet_hat(g, mf.tile), g.dx), -x_index)
     return dft_values(shifted * mf.kernel.scaled_time(mf.tile.scale), g.dx)
 
 

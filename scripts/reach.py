@@ -4,7 +4,8 @@
 
 Run from the root of a checkout.  Under ``sys.setprofile`` the script runs
 each ``timefreq`` subcommand once at small arguments, ``tree-select`` again on
-``tests/golden/tiles.txt``, one ``--config`` run, and units 0-3 of both
+``tests/golden/tiles.txt``, one ``--config`` run, one help call and one parse
+error (each ended by argparse's ``SystemExit``), and units 0-3 of both
 benchmark workloads (``perfbench/workloads.py``, library steps summarised by
 its ``library_table``), all writing into a temporary directory.  It then
 prints each function or method defined in ``src/timefreq`` that no run called,
@@ -72,6 +73,20 @@ def runs(tmp: Path):
                  ["tails", "--n-max", "2000"]):
         yield " ".join(argv), subcommand(argv)
     yield "--config tails", lambda: cli.main(["--config", str(config), "tails", "--out", str(tmp / "config.csv")])
+
+    def exits(argv, code):
+        """A run that argparse ends with ``SystemExit(code)``; its message goes nowhere."""
+        def run():
+            try:
+                with contextlib.redirect_stderr(io.StringIO()):
+                    cli.main(argv)
+            except SystemExit as exc:
+                return 0 if exc.code == code else 1
+            return 1
+        return run
+
+    yield "tails --help", exits(["tails", "--help"], 0)
+    yield "tails --n-max 0", exits(["tails", "--n-max", "0"], 2)
 
     def unit(workload, index):
         def run():

@@ -20,14 +20,15 @@ from .dyadic import (
     window_partition,
 )
 from .wavepackets import (
-    Kernel,
-    ModelFunction,
-    Window,
-    build_kernel,
-    build_window,
+    frame_deviation,
     gabor_expand,
     gabor_reconstruct,
-    model_function,
+    kernel_samples,
+    khat_lattice,
+    khat_progression,
+    scaled_kernel,
+    theta_support,
+    x_slice,
 )
 from .norms import (
     AdaptedBump,

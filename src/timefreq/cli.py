@@ -32,7 +32,7 @@ from .exceptional import run_pipeline
 from .grid import Grid, lp_norm, random_indicator
 from .multipliers import growth_scan
 from .trees import select_forests, tree_variation_report
-from .wavepackets import build_window, gabor_expand, gabor_reconstruct
+from .wavepackets import frame_deviation, gabor_expand, gabor_reconstruct
 
 _FLOAT_FMT = "{:.12g}"
 
@@ -58,15 +58,14 @@ def _write_csv(args, rows) -> Path:
 
 def cmd_frame_check(args) -> int:
     grid = Grid(args.J, args.L)
-    window = build_window(grid)
     rng = np.random.default_rng(args.seed)
     rows = []
-    dev = window.frame_deviation()
+    dev = frame_deviation(grid)
     for idx in range(args.num_sets):
         f = random_indicator(grid, rng, None)
         for k in args.k_list:
             coeffs = gabor_expand(f, k)
-            recon = gabor_reconstruct(window, coeffs, k)
+            recon = gabor_reconstruct(grid, coeffs, k)
             err = lp_norm(recon - f, 2) / lp_norm(f, 2)
             rows.append((idx, k, err, dev))
     _write_csv(args, rows)

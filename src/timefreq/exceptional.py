@@ -15,7 +15,7 @@ from .dyadic import Interval, Tile, TileUniverse, Tree, saturation, window_parti
 from .grid import Grid, SampledFunction, dft_values, idft_values, lp_norm, random_indicator
 from .norms import maximal_multiplier_lower
 from .trees import select_forests, tail_variation, tree_coefficients
-from .wavepackets import Kernel, build_kernel, tile_packet_hat
+from .wavepackets import scaled_kernel, tile_packet_hat
 
 __all__ = [
     "ParameterError",
@@ -209,7 +209,7 @@ def variation_exceptional_set(
     gamma: float,
     r: float,
     sigma: float,
-    kernel: Kernel,
+    grid: Grid,
     l_decay: float,
 ) -> GridSet:
     """Union over window trees of scalewise-variation level sets.
@@ -223,7 +223,6 @@ def variation_exceptional_set(
     takes 3) leaves nontrivial complements at desk scale.  The window trees
     share one x-slice per (tile, top frequency).
     """
-    grid = kernel.grid
     worst = _coefficient_size(coeffs)
     if worst > sigma * (1.0 + 1e-9):
         raise ValueError(
@@ -236,7 +235,7 @@ def variation_exceptional_set(
         thresh = gamma * 2.0 ** (-l_decay * l) * (abs(m) + 1.0) ** (-2.0)
         for tree in trees:
             if tree.tiles:
-                mask |= tail_variation(tree, coeffs, alpha, r, kernel, slices) > thresh
+                mask |= tail_variation(tree, coeffs, alpha, r, grid, slices) > thresh
     return GridSet(grid, mask)
 
 
@@ -244,7 +243,7 @@ def check_pointwise_bound(
     x_indices: Sequence[int],
     coeffs: dict[Tile, complex],
     q: float,
-    kernel: Kernel,
+    grid: Grid,
     search_budget: int,
     seed: int,
 ) -> np.ndarray:
@@ -259,30 +258,29 @@ def check_pointwise_bound(
     ``tests/test_wavepackets.py`` computes tile by tile.  Points are searched in
     stacked blocks (see the byte budget below), each getting the bound it gets alone.
     """
-    g = kernel.grid
     xs = np.asarray(x_indices, dtype=int).reshape(-1)
-    if not np.all((xs >= 0) & (xs < g.n)):
-        raise ValueError(f"x_indices must be sample indices in [0, {g.n}), got {xs.min()} to {xs.max()}")
+    if not np.all((xs >= 0) & (xs < grid.n)):
+        raise ValueError(f"x_indices must be sample indices in [0, {grid.n}), got {xs.min()} to {xs.max()}")
     lhs = np.zeros(xs.size)
     packets: dict[int, np.ndarray] = {}
     for s, a in coeffs.items():
         if a != 0.0:
-            packets[s.scale] = packets.get(s.scale, 0.0) + a * tile_packet_hat(g, s)
+            packets[s.scale] = packets.get(s.scale, 0.0) + a * tile_packet_hat(grid, s)
     if not packets:
         return lhs
     scales = sorted(packets)
-    summed = idft_values(np.array([packets[k] for k in scales]), g.dx)
-    kt = np.array([kernel.scaled_time(k) for k in scales])
+    summed = idft_values(np.array([packets[k] for k in scales]), grid.dx)
+    kt = np.array([scaled_kernel(grid, k) for k in scales])
     rows = np.arange(len(scales))[:, None]
     # blocks of points searched together, each stacked complex array at most 192 KiB (6 points of
     # 3 scales at J = 9): larger blocks search faster, but once glibc has raised its mmap threshold
     # the search's arrays come from the heap, whose high-water mark (peak RSS) grows with the block
-    block = max(1, 3 * 2**16 // ((len(scales) + 1) * g.n * 16))
+    block = max(1, 3 * 2**16 // ((len(scales) + 1) * grid.n * 16))
     for i in range(0, xs.size, block):
         # row k of point x is np.roll(summed[k], -x)
-        rolled = summed[rows, (np.arange(g.n) + xs[i : i + block, None, None]) % g.n]
-        ms = dft_values(rolled * kt, g.dx)
-        lhs[i : i + block] = maximal_multiplier_lower(ms, g, q, search_budget=search_budget, seed=seed)
+        rolled = summed[rows, (np.arange(grid.n) + xs[i : i + block, None, None]) % grid.n]
+        ms = dft_values(rolled * kt, grid.dx)
+        lhs[i : i + block] = maximal_multiplier_lower(ms, grid, q, search_budget=search_budget, seed=seed)
     return lhs
 
 
@@ -334,7 +332,6 @@ def run_pipeline(
     if freq_max > grid.freq_halfwidth:
         raise ValueError(f"tile frequencies reach {freq_max:g}, past the frequency box half-width "
                          f"2^(J-1)/L = {grid.freq_halfwidth:g}; raise --J or lower --L")
-    kernel = build_kernel(grid)
     ledger = ParamLedger(p, q, eps, lam)
     rng = np.random.default_rng(seed)
     f = random_indicator(grid, rng, 3)
@@ -367,7 +364,7 @@ def run_pipeline(
                 for l in range(3):
                     for m, wtree in window_partition(g_tiles, tree, l).items():
                         windows.setdefault((l, m), []).append(wtree)
-            e2 = variation_exceptional_set(windows, coeffs, params.gamma, r, params.sigma, kernel, l_decay=3.0)
+            e2 = variation_exceptional_set(windows, coeffs, params.gamma, r, params.sigma, grid, l_decay=3.0)
             estar = estar.union(e1).union(e2)
             level_rows.append((forest.level, params.sigma, beta_eff, params.gamma,
                                e1.measure, e2.measure, rescale))
@@ -379,7 +376,7 @@ def run_pipeline(
             if outside.size:
                 picks = outside[np.linspace(0, outside.size - 1, min(24, outside.size)).astype(int)]
                 first_coeffs, rhs = first_level
-                lhs = check_pointwise_bound(picks, first_coeffs, q, kernel, search_budget=30, seed=seed)
+                lhs = check_pointwise_bound(picks, first_coeffs, q, grid, search_budget=30, seed=seed)
                 pointwise_ratios = [float(v / rhs) for v in lhs]
 
     return PipelineReport(measure_f, eset.measure, estar.measure, estar.measure * lam**p / measure_f,

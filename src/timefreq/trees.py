@@ -20,7 +20,7 @@ import numpy as np
 from .dyadic import Forest, Tile, Tree, is_convex, tiles_to_text
 from .grid import Grid, SampledFunction, dft_values, lp_norm_values, wrapped_distance
 from .norms import per_tile_sizes, tile_size, variational_norm
-from .wavepackets import Kernel, ModelFunction, build_kernel, smooth_step, tile_packet_hat
+from .wavepackets import _KERNEL_SUPPORT, _require_box, smooth_step, tile_packet_hat, x_slice
 
 __all__ = [
     "ForestDecomposition",
@@ -207,7 +207,7 @@ def tree_coefficients(tree: Tree, f: SampledFunction) -> dict[Tile, complex]:
             for s in sorted(tree.tiles, key=Tile.sort_key)}
 
 
-def tail_variation(tree: Tree, coeffs: dict[Tile, complex], level: int, r: float, kernel: Kernel,
+def tail_variation(tree: Tree, coeffs: dict[Tile, complex], level: int, r: float, grid: Grid,
                    slice_cache: dict) -> np.ndarray:
     """V^r over the tree's scales k of the field sum_s a_s tail_s(x, top frequency), s of scale k.
 
@@ -217,7 +217,6 @@ def tail_variation(tree: Tree, coeffs: dict[Tile, complex], level: int, r: float
     level), so trees and levels sharing a cache build each once.  The tree must have a tile.
     """
     scales = tree.scales()
-    grid = kernel.grid
     fields = np.zeros((len(scales), grid.n), dtype=np.complex128)
     for i, k in enumerate(scales):
         for s in tree.tiles_at_scale(k):
@@ -226,7 +225,7 @@ def tail_variation(tree: Tree, coeffs: dict[Tile, complex], level: int, r: float
                 continue
             key = (s, tree.top_freq)
             if key not in slice_cache:
-                slice_cache[key] = ModelFunction(s, kernel).x_slice(tree.top_freq)
+                slice_cache[key] = x_slice(grid, s, tree.top_freq)
             tail = slice_cache[key]
             if level != 0:
                 if (s.time, level) not in slice_cache:
@@ -266,13 +265,13 @@ def tree_variation_report(
         raise ValueError("variation exponent must exceed 2")
     if not 1 < t < math.inf:
         raise ValueError("integrability exponent must lie in (1, inf)")
-    kernel = build_kernel(f.grid)
+    _require_box(f.grid, _KERNEL_SUPPORT)
     coeffs = tree_coefficients(tree, f)
     size = tile_size(tree.tiles, f, 8)
     cache: dict = {}
     reports = []
     for level in levels:
-        vr = tail_variation(tree, coeffs, level, r, kernel, cache)
+        vr = tail_variation(tree, coeffs, level, r, f.grid, cache)
         lhs = lp_norm_values(vr, f.grid.dx, t)
         rhs = 2.0 ** (-4 * level) * size * tree.top_interval.length ** (1.0 / t)
         reports.append(TreeVariationReport(lhs, rhs))

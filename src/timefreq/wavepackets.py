@@ -1,6 +1,6 @@
-"""Window construction, Gabor wave packets, frame expansion and
-reconstruction, the positive averaging kernel, and the kernel-smoothed model
-functions attached to tiles.
+"""The frame window, Gabor wave packets, frame expansion and reconstruction,
+the positive averaging kernel, and the kernel-smoothed model functions
+attached to tiles, each a function of the grid it is sampled on.
 
 The window transform is the square root of a smooth partition of unity with
 half-integer frequency shifts, which makes the frame constant exactly one and
@@ -8,13 +8,16 @@ the grid expansion identity exact up to roundoff.  Model functions pair a
 tile with a packet whose transform fills the tile's frequency interval and
 smear it in theta with a kernel whose transform is supported in [-1, 1];
 their theta-support therefore stays inside the tile's frequency interval
-enlarged by one reciprocal length on each side.
+enlarged by one reciprocal length on each side.  Window and kernel are fixed
+profiles, so no object holds them: a function that samples one on a grid
+refuses a frequency box that does not contain its support.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -22,13 +25,17 @@ from .dyadic import Interval, Tile
 from .grid import Grid, SampledFunction, dft, idft, idft_values
 
 __all__ = [
-    "Window",
-    "Kernel",
-    "ModelFunction",
-    "build_window",
-    "build_kernel",
+    "frame_deviation",
     "gabor_expand",
     "gabor_reconstruct",
+    "kernel_samples",
+    "khat_progression",
+    "khat_lattice",
+    "scaled_kernel",
+    "x_slice",
+    "theta_support",
+    "build_window",
+    "build_kernel",
     "model_function",
 ]
 
@@ -112,57 +119,32 @@ def partition_bump(xi) -> np.ndarray:
     return out
 
 
-@dataclass
-class Window:
-    """Frame window: phat = sqrt(b) for the canonical partition bump b."""
-
-    grid: Grid
-
-    def phat_profile(self, xi) -> np.ndarray:
-        return np.sqrt(partition_bump(xi))
-
-    def frame_deviation(self) -> float:
-        """max over grid frequencies of |sum_l |phat(xi - l/2)|^2 - C|.
-
-        The half-integer shifts must be whole grid steps, so L must be at least 2.
-        """
-        if self.grid.length < 2:
-            raise ValueError(f"the frame deviation needs box length L >= 2, got L = {self.grid.length:g}")
-        b = partition_bump(self.grid.freqs())
-        shift = round(0.5 / self.grid.dxi)
-        total = np.zeros_like(b)
-        for l in range(self.grid.n // shift):
-            total += np.roll(b, l * shift)
-        return float(np.max(np.abs(total - FRAME_CONSTANT)))
-
-    def lattice_sizes(self, k: int) -> tuple[int, int]:
-        """(time positions, doubled frequency positions) of the scale-k lattice."""
-        w0 = self.grid.length * math.ldexp(1.0, -k)
-        if w0 != round(w0) or round(w0) < 2 or round(w0) % 2:
-            raise ValueError(f"scale {k} has no even integer lattice on this grid")
-        w0 = int(round(w0))
-        n_freq = (2 * self.grid.n) // w0
-        if n_freq * w0 != 2 * self.grid.n:
-            raise ValueError(f"scale {k} lattice does not divide the frequency torus")
-        return w0, n_freq
-
-    def packet_profile(self, k: int) -> np.ndarray:
-        """sqrt(b) at the w0+1 relative frequency offsets of a scale-k packet."""
-        w0, _ = self.lattice_sizes(k)
-        return self.phat_profile(np.arange(w0 + 1) / w0)
+# the supports that a frequency box must contain to sample the window (phat = sqrt(b) for the
+# partition bump b) or the kernel transform; both reach frequency 1
+_WINDOW_SUPPORT, _KERNEL_SUPPORT = "[0, 1]", "the kernel support [-1, 1]"
 
 
-def build_window(grid: Grid) -> Window:
-    """Construct the canonical window with frame constant one.
-
-    The transition is flat to order ``DEFAULT_ORDER`` (that many derivatives
-    vanish at the support edges), which sets the polynomial decay order of the
-    window in time.  The transform is supported in [0, 1], which the frequency
-    box must contain.
-    """
+def _require_box(grid: Grid, support: str) -> Grid:
+    """``grid``, refused unless its frequency box contains ``support``."""
     if grid.freq_halfwidth < 1.0:
-        raise ValueError("frequency box must contain [0, 1]")
-    return Window(grid)
+        raise ValueError(f"frequency box must contain {support}")
+    return grid
+
+
+def frame_deviation(grid: Grid) -> float:
+    """max over grid frequencies of |sum_l |phat(xi - l/2)|^2 - C| for the window phat = sqrt(b).
+
+    The half-integer shifts must be whole grid steps, so L must be at least 2.
+    """
+    _require_box(grid, _WINDOW_SUPPORT)
+    if grid.length < 2:
+        raise ValueError(f"the frame deviation needs box length L >= 2, got L = {grid.length:g}")
+    b = partition_bump(grid.freqs())
+    shift = round(0.5 / grid.dxi)
+    total = np.zeros_like(b)
+    for l in range(grid.n // shift):
+        total += np.roll(b, l * shift)
+    return float(np.max(np.abs(total - FRAME_CONSTANT)))
 
 
 TILE_PROFILE_POWER = 4
@@ -192,16 +174,23 @@ def tile_packet_hat(g: Grid, s: Tile) -> np.ndarray:
     return amp * _tile_profile(u) * phase
 
 
-def _lattice(w: Window, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Scale-k lattice: the ``(n_freq, w0+1)`` grid indices and the packet profile.
+def _lattice(grid: Grid, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Scale-k lattice: the ``(n_freq, w0+1)`` grid indices and the window sqrt(b) at the w0+1
+    relative frequency offsets of a packet, for w0 = L 2^-k time positions.
 
     Row l2 of the index matrix holds the frequency samples, at offsets
     t = 0..w0, under the packets of doubled modulation index l2.
     """
-    g = w.grid
-    w0, n_freq = w.lattice_sizes(k)
-    idx = (g.n // 2 + (w0 // 2) * np.arange(n_freq)[:, None] + np.arange(w0 + 1)) % g.n
-    return idx, w.packet_profile(k)
+    _require_box(grid, _WINDOW_SUPPORT)
+    w0 = grid.length * math.ldexp(1.0, -k)
+    if w0 != round(w0) or round(w0) < 2 or round(w0) % 2:
+        raise ValueError(f"scale {k} has no even integer lattice on this grid")
+    w0 = int(round(w0))
+    n_freq = (2 * grid.n) // w0
+    if n_freq * w0 != 2 * grid.n:
+        raise ValueError(f"scale {k} lattice does not divide the frequency torus")
+    idx = (grid.n // 2 + (w0 // 2) * np.arange(n_freq)[:, None] + np.arange(w0 + 1)) % grid.n
+    return idx, np.sqrt(partition_bump(np.arange(w0 + 1) / w0))
 
 
 def gabor_expand(f: SampledFunction, k: int) -> np.ndarray:
@@ -213,33 +202,36 @@ def gabor_expand(f: SampledFunction, k: int) -> np.ndarray:
     grid.  One gather of the transform onto the lattice, then the sums
     over t of exp(2 pi i m t / w0) times the gathered row: the phase of
     offset w0 equals that of offset 0, so the sums are one stacked
-    length-w0 inverse FFT.  The window is :func:`build_window` on the grid.
+    length-w0 inverse FFT.
     """
-    idx, prof = _lattice(build_window(f.grid), k)
+    idx, prof = _lattice(f.grid, k)
     rows = dft(f).values[idx] * prof
     rows[:, 0] += rows[:, -1]
     w0 = prof.size - 1
     return 2.0 ** (k / 2.0) / f.grid.length * w0 * np.fft.ifft(rows[:, :-1], axis=-1)
 
 
-def gabor_reconstruct(w: Window, coeffs: np.ndarray, k: int) -> SampledFunction:
-    """Sum of coeff * packet over the scale-k lattice; inverts :func:`gabor_expand`.
+def gabor_reconstruct(grid: Grid, coeffs: np.ndarray, k: int) -> SampledFunction:
+    """Sum of coeff * packet over the scale-k lattice of ``grid``; inverts :func:`gabor_expand`.
 
     One stacked FFT gives each packet row's transform at offsets 0..w0
     (offset w0 repeats offset 0), then one scatter-add in row (l2) order.
     """
-    idx, prof = _lattice(w, k)
+    idx, prof = _lattice(grid, k)
     shape = (idx.shape[0], prof.size - 1)
     if np.shape(coeffs) != shape:
         raise ValueError(f"scale {k} coefficients must have shape {shape}, got {np.shape(coeffs)}")
     spectra = np.take(np.fft.fft(coeffs, axis=-1), np.arange(shape[1] + 1), axis=1, mode="wrap")
-    recon_hat = np.zeros(w.grid.n, dtype=np.complex128)
+    recon_hat = np.zeros(grid.n, dtype=np.complex128)
     np.add.at(recon_hat, idx.ravel(), (2.0 ** (k / 2.0) * prof * spectra).ravel())
-    return idft(SampledFunction(w.grid, recon_hat))
+    return idft(SampledFunction(grid, recon_hat))
 
 
 # ---------------------------------------------------------------------------
-# kernel
+# kernel: the positive averaging kernel K = |inverse transform of eta|^2.  eta is the one fixed
+# profile :func:`_eta`, the partition bump of order ``DEFAULT_ORDER`` on [-1/2, 1/2]: smooth,
+# supported there, with nonzero integral.  So the transform of K, khat, is the autocorrelation
+# eta * eta~, supported in [-1, 1], and K(0) = (integral of eta)^2 > 0.
 
 
 def _eta(xi) -> np.ndarray:
@@ -251,136 +243,119 @@ def _eta(xi) -> np.ndarray:
 _NODE_ETA = _eta(_NODES)
 
 
-@dataclass(frozen=True)
-class Kernel:
-    """Positive averaging kernel K = |inverse transform of eta|^2.
+def kernel_samples(grid: Grid) -> SampledFunction:
+    """Samples of K on the grid."""
+    _require_box(grid, _KERNEL_SUPPORT)
+    eta = np.asarray(_eta(grid.freqs()), dtype=np.complex128)
+    return SampledFunction(grid, np.abs(idft_values(eta, grid.dx)) ** 2)
 
-    eta is the one fixed profile :func:`_eta`, the partition bump of order
-    ``DEFAULT_ORDER`` on [-1/2, 1/2]: smooth, supported there, with nonzero
-    integral.  So the transform of K, khat, is the autocorrelation eta * eta~,
-    supported in [-1, 1], and K(0) = (integral of eta)^2 > 0.
+
+def khat_progression(xi: np.ndarray, step: float) -> np.ndarray:
+    """khat at an arithmetic progression ``xi`` with spacing ``step``, by the midpoint rule.
+
+    The rule on N = 4096 nodes at xi = (c + f) / N, c an integer and
+    0 <= f < 1, is sum_m a[m - c] eta(node_m) / N, where a holds eta on
+    the nodes moved by -f / N: the dot of the overlap of a, shifted by c,
+    with the node samples, which is the lag N - 1 - c of their full
+    ``np.correlate`` bit for bit.  When q = step * N is an integer, every
+    point of the progression shares f, so one a serves all of them; for
+    f = 0 (the lattices) it is ``_NODE_ETA`` itself.  Otherwise, with p
+    the least power of two for which q * p is an integer (at most the
+    number of points), the p interleaved sub-progressions ``xi[r::p]``
+    each have the integer spacing q * p, and a one-point sub-progression
+    takes any spacing.  Each point reads its own lag, and no correlation
+    is built or kept, so a call costs about 1-2 us per point inside
+    [-1, 1] and one eta sampling per sub-progression.  Points where the
+    moved samples miss the nodes give exact zeros.  The result is the
+    point-by-point quadrature up to summation order (about 1e-16
+    absolute), with the same exact zeros, as eta vanishes outside
+    [-1/2, 1/2].
     """
-
-    grid: Grid
-
-    @property
-    def K(self) -> SampledFunction:
-        """Samples of K on the grid."""
-        eta = np.asarray(_eta(self.grid.freqs()), dtype=np.complex128)
-        return SampledFunction(self.grid, np.abs(idft_values(eta, self.grid.dx)) ** 2)
-
-    def khat_progression(self, xi: np.ndarray, step: float) -> np.ndarray:
-        """khat at an arithmetic progression ``xi`` with spacing ``step``, by the midpoint rule.
-
-        The rule on N = 4096 nodes at xi = (c + f) / N, c an integer and
-        0 <= f < 1, is sum_m a[m - c] eta(node_m) / N, where a holds eta on
-        the nodes moved by -f / N: the dot of the overlap of a, shifted by c,
-        with the node samples, which is the lag N - 1 - c of their full
-        ``np.correlate`` bit for bit.  When q = step * N is an integer, every
-        point of the progression shares f, so one a serves all of them; for
-        f = 0 (the lattices) it is ``_NODE_ETA`` itself.  Otherwise, with p
-        the least power of two for which q * p is an integer (at most the
-        number of points), the p interleaved sub-progressions ``xi[r::p]``
-        each have the integer spacing q * p, and a one-point sub-progression
-        takes any spacing.  Each point reads its own lag, and no correlation
-        is built or kept, so a call costs about 1-2 us per point inside
-        [-1, 1] and one eta sampling per sub-progression.  Points where the
-        moved samples miss the nodes give exact zeros.  The result is the
-        point-by-point quadrature up to summation order (about 1e-16
-        absolute), with the same exact zeros, as eta vanishes outside
-        [-1/2, 1/2].
-        """
-        xi = np.asarray(xi, dtype=float)
-        if not np.all(np.isfinite(xi)):
-            raise ValueError("khat_progression needs finite xi")
-        if not math.isfinite(step):
-            raise ValueError(f"khat_progression needs a finite step, got {step}")
-        # past 2^60 nodes apart, at most one point of a progression reaches the nodes: q stays finite
-        q, p = min(max(step * _QUAD_NODES, -2.0**60), 2.0**60), 1
-        while p < xi.size and q * p != round(q * p):
-            p *= 2
-        p = min(p, xi.size)  # no sub-progression for an empty xi
-        out = np.zeros(xi.size)
-        for r in range(p):
-            sub = xi[r::p]
-            # anchor at the smallest |xi|, where xi itself carries the least rounding
-            anchor = int(np.argmin(np.abs(sub)))
-            if abs(sub[anchor]) >= 2:  # all of sub lies outside the support [-1, 1]
-                continue
-            c = sub[anchor] * _QUAD_NODES
-            c0 = math.floor(c)
-            a = _NODE_ETA if c == c0 else _eta(_NODES - (c - c0) / _QUAD_NODES)
-            cs = c0 + q * p * (np.arange(sub.size) - anchor)  # in floats: exact wherever a point is read
-            inside = np.flatnonzero((cs > -a.size) & (cs < _QUAD_NODES))
-            for i, ci in zip(inside.tolist(), cs[inside].astype(int).tolist()):
-                lo, hi = max(0, ci), min(_QUAD_NODES, a.size + ci)
-                out[r + p * i] = np.dot(a[lo - ci : hi - ci], _NODE_ETA[lo:hi]) / _QUAD_NODES
-        return out
-
-    def khat_lattice(self, k: int) -> np.ndarray:
-        """khat(2^k xi_j) over the frequency axis, read lag by lag (see :meth:`khat_progression`)."""
-        step = math.ldexp(1.0, k) * self.grid.dxi
-        return self.khat_progression(step * (np.arange(self.grid.n) - self.grid.n // 2), step)
-
-    def scaled_time(self, k: int) -> np.ndarray:
-        """Samples of 2^-k K(2^-k y): the inverse transform of khat(2^k xi)."""
-        return idft_values(self.khat_lattice(k), self.grid.dx)
+    xi = np.asarray(xi, dtype=float)
+    if not np.all(np.isfinite(xi)):
+        raise ValueError("khat_progression needs finite xi")
+    if not math.isfinite(step):
+        raise ValueError(f"khat_progression needs a finite step, got {step}")
+    # past 2^60 nodes apart, at most one point of a progression reaches the nodes: q stays finite
+    q, p = min(max(step * _QUAD_NODES, -2.0**60), 2.0**60), 1
+    while p < xi.size and q * p != round(q * p):
+        p *= 2
+    p = min(p, xi.size)  # no sub-progression for an empty xi
+    out = np.zeros(xi.size)
+    for r in range(p):
+        sub = xi[r::p]
+        # anchor at the smallest |xi|, where xi itself carries the least rounding
+        anchor = int(np.argmin(np.abs(sub)))
+        if abs(sub[anchor]) >= 2:  # all of sub lies outside the support [-1, 1]
+            continue
+        c = sub[anchor] * _QUAD_NODES
+        c0 = math.floor(c)
+        a = _NODE_ETA if c == c0 else _eta(_NODES - (c - c0) / _QUAD_NODES)
+        cs = c0 + q * p * (np.arange(sub.size) - anchor)  # in floats: exact wherever a point is read
+        inside = np.flatnonzero((cs > -a.size) & (cs < _QUAD_NODES))
+        for i, ci in zip(inside.tolist(), cs[inside].astype(int).tolist()):
+            lo, hi = max(0, ci), min(_QUAD_NODES, a.size + ci)
+            out[r + p * i] = np.dot(a[lo - ci : hi - ci], _NODE_ETA[lo:hi]) / _QUAD_NODES
+    return out
 
 
-def build_kernel(grid: Grid) -> Kernel:
-    """Build the averaging kernel on ``grid``; see :class:`Kernel`.
+def khat_lattice(grid: Grid, k: int) -> np.ndarray:
+    """khat(2^k xi_j) over the frequency axis, read lag by lag (see :func:`khat_progression`)."""
+    _require_box(grid, _KERNEL_SUPPORT)
+    step = math.ldexp(1.0, k) * grid.dxi
+    return khat_progression(step * (np.arange(grid.n) - grid.n // 2), step)
 
-    The kernel transform is supported in [-1, 1], which the frequency box must
-    contain.
-    """
-    if grid.freq_halfwidth < 1.0:
-        raise ValueError("frequency box must contain the kernel support [-1, 1]")
-    return Kernel(grid)
+
+def scaled_kernel(grid: Grid, k: int) -> np.ndarray:
+    """Samples of 2^-k K(2^-k y): the inverse transform of khat(2^k xi)."""
+    return idft_values(khat_lattice(grid, k), grid.dx)
 
 
 # ---------------------------------------------------------------------------
-# model functions
+# model functions: for a tile s of scale k with packet p, the model function is
+# phi_s(x, theta) = F_y[p(x + y) 2^-k K(y / 2^k)](theta): the packet correlated against the scaled
+# kernel and transformed in the offset variable.  Its theta-support sits inside the packet support
+# enlarged by 2^-k on each side, and in x it inherits the packet decay at scale |I_s|.
 
 
-@dataclass
-class ModelFunction:
-    """Two-argument model function of a tile, evaluated lazily.
+def theta_support(tile: Tile) -> Interval:
+    """The tile's frequency interval enlarged by 2^-k on each side, k its scale."""
+    pad = math.ldexp(1.0, -tile.scale)
+    return Interval(tile.freq.left - pad, tile.freq.right + pad)
 
-    For a tile of scale k with packet p, this is
-    F_y[p(x + y) 2^-k K(y / 2^k)](theta): the packet correlated against the
-    scaled kernel and transformed in the offset variable.  Its theta-support
-    sits inside the packet support enlarged by 2^-k on each side, and in x it
-    inherits the packet decay at scale |I_s|.
+
+def x_slice(grid: Grid, tile: Tile, theta: float) -> np.ndarray:
+    """phi_s(x, theta) of ``tile`` for all grid x at one theta (any real frequency).
+
+    The kernel transform is sampled at 2^k (theta - xi_j), a progression
+    with step -2^k / L, read lag by lag from the quadrature nodes (see
+    :func:`khat_progression`).
     """
-
-    tile: Tile
-    kernel: Kernel
-
-    @property
-    def theta_support(self) -> Interval:
-        k = self.tile.scale
-        lo = self.tile.freq.left - math.ldexp(1.0, -k)
-        hi = self.tile.freq.right + math.ldexp(1.0, -k)
-        return Interval(lo, hi)
-
-    def x_slice(self, theta: float) -> np.ndarray:
-        """phi_s(x, theta) for all grid x at one theta (any real frequency).
-
-        The kernel transform is sampled at 2^k (theta - xi_j), a progression
-        with step -2^k / L, read lag by lag from the quadrature nodes (see
-        :meth:`Kernel.khat_progression`).
-        """
-        if not math.isfinite(theta):
-            raise ValueError(f"x_slice needs a finite theta, got {theta}")
-        g = self.kernel.grid
-        step = math.ldexp(1.0, self.tile.scale)
-        kv = self.kernel.khat_progression(step * (theta - g.freqs()), -step * g.dxi)
-        return idft_values(tile_packet_hat(g, self.tile) * kv, g.dx)
+    _require_box(grid, _KERNEL_SUPPORT)
+    if not math.isfinite(theta):
+        raise ValueError(f"x_slice needs a finite theta, got {theta}")
+    step = math.ldexp(1.0, tile.scale)
+    kv = khat_progression(step * (theta - grid.freqs()), -step * grid.dxi)
+    return idft_values(tile_packet_hat(grid, tile) * kv, grid.dx)
 
 
-def model_function(w: Window, ker: Kernel, s: Tile) -> ModelFunction:
-    """Model function of a tile; see :class:`ModelFunction`.  The window plays no part in it and is only
-    checked to share the kernel's grid: the signature stays because ``perfbench/workloads.py`` calls it."""
-    if w.grid != ker.grid:
+# ---------------------------------------------------------------------------
+# The names ``perfbench/workloads.py`` calls, kept with their signatures only for it.  ROADMAP item 3
+# moves the benchmark onto the functions above and deletes this block.
+
+
+def build_window(grid: Grid) -> Grid:
+    """``grid``, refused unless its frequency box contains the window support [0, 1]."""
+    return _require_box(grid, _WINDOW_SUPPORT)
+
+
+def build_kernel(grid: Grid) -> Grid:
+    """``grid``, refused unless its frequency box contains the kernel support [-1, 1]."""
+    return _require_box(grid, _KERNEL_SUPPORT)
+
+
+def model_function(w: Grid, ker: Grid, s: Tile) -> SimpleNamespace:
+    """An object whose ``x_slice(theta)`` is :func:`x_slice` ``(ker, s, theta)``; ``w`` must equal ``ker``."""
+    if w != ker:
         raise ValueError("window and kernel must share a grid")
-    return ModelFunction(s, ker)
+    return SimpleNamespace(x_slice=functools.partial(x_slice, ker, s))

@@ -27,13 +27,7 @@ from timefreq.ergodic import AverageSeries
 from timefreq.multipliers import growth_scan
 from timefreq.norms import interval_weight, tile_size, variational_norm
 from timefreq.trees import select_forests, tree_decompose
-from timefreq.wavepackets import (
-    build_kernel,
-    build_window,
-    gabor_expand,
-    gabor_reconstruct,
-    model_function,
-)
+from timefreq.wavepackets import frame_deviation, gabor_expand, gabor_reconstruct, theta_support, x_slice
 
 
 def report(label, ok, detail):
@@ -43,21 +37,19 @@ def report(label, ok, detail):
 
 @pytest.fixture(scope="module")
 def fine_setup():
-    g = Grid(12, 64.0)
-    return g, build_window(g), build_kernel(g)
+    return Grid(12, 64.0)
 
 
 @pytest.fixture(scope="module")
 def lab_setup():
-    g = Grid(9, 8.0)
-    return g, build_window(g), build_kernel(g)
+    return Grid(9, 8.0)
 
 
 def test_criterion_1_gabor_identity(fine_setup):
     """Reconstruction error <= 1e-6 over 20 random indicators, k in -2..2."""
-    g, w, _ = fine_setup
+    g = fine_setup
     t0 = time.monotonic()
-    dev = w.frame_deviation()
+    dev = frame_deviation(g)
     rng = np.random.default_rng(2024)
     worst = 0.0
     for _ in range(20):
@@ -67,7 +59,7 @@ def test_criterion_1_gabor_identity(fine_setup):
             ivs.append((a, a + rng.uniform(0.05, 2.0)))
         f = SampledFunction.indicator(g, ivs)
         for k in (-2, -1, 0, 1, 2):
-            recon = gabor_reconstruct(w, gabor_expand(f, k), k)
+            recon = gabor_reconstruct(g, gabor_expand(f, k), k)
             worst = max(worst, lp_norm(recon - f, 2) / lp_norm(f, 2))
     elapsed = time.monotonic() - t0
     ok = worst <= 1e-6 and dev <= 1e-8 and elapsed <= 30.0
@@ -133,19 +125,18 @@ def _aligned_tree(mt):
 
 def test_criterion_3_tree_decomposition(fine_setup):
     """Mean zero <= 1e-8 relative, exact piece sums, decay-gain slope >= 3.5."""
-    g, w, ker = fine_setup
+    g = fine_setup
     tree = _aligned_tree(mt=30)
     xs = g.xs()
     osc = np.exp(-2j * np.pi * tree.top_freq * xs)
     worst_sum, worst_mean = 0.0, 0.0
     for s in tree.tiles:
-        mf = model_function(w, ker, s)
-        sup = mf.theta_support
+        sup = theta_support(s)
         for level in (1, 2, 3):
             pieces = tree_decompose(s, level, g)
             for frac in (0.3, 0.6):
                 theta = sup.a + frac * sup.length
-                phi = mf.x_slice(theta)
+                phi = x_slice(g, s, theta)
                 tail = pieces.tail_slice(phi, tree.top_freq)
                 local = pieces.local_slice(phi, tree.top_freq)
                 scale = max(1.0, float(np.max(np.abs(phi))))
@@ -158,7 +149,7 @@ def test_criterion_3_tree_decomposition(fine_setup):
         envs = []
         for level in range(1, 5):
             pieces = tree_decompose(s, level, g)
-            tail = pieces.tail_slice(model_function(w, ker, s).x_slice(tree.top_freq), tree.top_freq)
+            tail = pieces.tail_slice(x_slice(g, s, tree.top_freq), tree.top_freq)
             envs.append(np.max(np.abs(tail) * weight) * math.sqrt(s.time.length))
         slopes.append(np.polyfit(range(1, 5), np.log2(envs), 1)[0])
     ok = worst_sum <= 1e-12 and worst_mean <= 1e-8 and max(slopes) <= -3.5
@@ -169,7 +160,7 @@ def test_criterion_3_tree_decomposition(fine_setup):
 
 def test_criterion_4_forest_selection(lab_setup):
     """Size certificates hold exactly; counting ratio stable within x4."""
-    g, w, _ = lab_setup
+    g = lab_setup
     uni = TileUniverse(-1, 1, Interval(0.0, g.length), Interval(0.0, g.length))
     tiles = uni.all_tiles()
     target_level = 4
@@ -211,7 +202,7 @@ def test_criterion_5_multiplier_scaling():
 
 def test_criterion_6_level_set_pipeline(lab_setup):
     """|E*| lambda^p / |F| stable within x4 per lambda; pointwise p95 bounded."""
-    g, _, _ = lab_setup
+    g = lab_setup
     ok = True
     details = []
     p95_fitted = 0.05  # frozen calibration constant bounding every run's p95
@@ -234,7 +225,7 @@ def test_criterion_6_level_set_pipeline(lab_setup):
 
 def test_criterion_7_size_maximal_bound(lab_setup):
     """Collection size <= c * sup_tiles inf_{I_s} M 1_F with one constant."""
-    g, _, _ = lab_setup
+    g = lab_setup
     uni = TileUniverse(-1, 1, Interval(0.0, 8.0), Interval(0.0, 8.0))
     tiles = uni.all_tiles()
     rng = np.random.default_rng(7)

@@ -330,6 +330,7 @@ def test_messages_and_outputs_as_with_the_full_parser(tmp_path, monkeypatch, cap
     (["blowup", "--J-list", "8,5"], "--J-list entry >= 6, got 5"),
     (["tree-bound", "--J", "7", "--L", "32", "--trials", "1"], "needs 2^(J-1)/L >= 4, got 2; raise --J or lower --L"),
     (["tails", "--J", "8", "--L", "4", "--n-max", "9"], "no window t = 2, 4, ... with t + 1 < L/2 at L = 4; raise --L"),
+    (["frame-check", "--J", "6", "--L", "64"], "frequency box must contain [0, 1]"),
 ])
 def test_too_small_grid_diagnosed(tmp_path, capsys, argv, message):
     out = tmp_path / "x.csv"

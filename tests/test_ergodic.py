@@ -20,17 +20,17 @@ from timefreq.ergodic import (
     tail_diagnostics,
 )
 from timefreq.ergodic import _BLOCK, _pair_average, _spike, _x_index
-from timefreq.wavepackets import build_kernel
+from timefreq.wavepackets import kernel_samples, scaled_kernel
 
 from test_wavepackets import quadrature_khat
 
 
-def kernel_average_at(f, g, ker, x, z, k):
+def kernel_average_at(f, g, x, z, k):
     """Oracle: direct quadrature of the kernel correlation at a single (x, z)."""
     grid = f.grid
     fv = np.roll(f.values, -int(round(x / grid.dx)))
     gv = np.roll(g.values, -int(round(z / grid.dx)))
-    return complex(np.sum(fv * gv * ker.scaled_time(k)) * grid.dx)
+    return complex(np.sum(fv * gv * scaled_kernel(grid, k)) * grid.dx)
 
 
 def symmetric_window_max(f, g, x, t_grid):
@@ -179,35 +179,34 @@ class TestTailDiagnostics:
 
 @pytest.fixture(scope="module")
 def corr_setup():
-    g = Grid(9, 8.0)
-    return g, build_kernel(g)
+    return Grid(9, 8.0)
 
 
 class TestKernelAverage:
     def test_constant_pair_gives_kernel_mass(self, corr_setup):
-        g, ker = corr_setup
+        g = corr_setup
         ones = SampledFunction(g, np.ones(g.n, dtype=complex))
         mass = float(quadrature_khat(np.array([0.0]))[0])  # the kernel integral
         for k in (-1, 0, 2):
             for z in (0.0, 1.0, 5.5):
-                assert kernel_average_at(ones, ones, ker, 1.0, z, k) == pytest.approx(mass, abs=1e-8)
+                assert kernel_average_at(ones, ones, 1.0, z, k) == pytest.approx(mass, abs=1e-8)
         # the grid Riemann sum of K agrees with the quadrature integral
         # loosely at this coarse frequency resolution (tightly at L = 64,
         # covered in the kernel tests)
-        assert lp_norm(ker.K, 1) == pytest.approx(mass, rel=0.05)
+        assert lp_norm(kernel_samples(g), 1) == pytest.approx(mass, rel=0.05)
 
     def test_reduces_to_bilinear_quadrature(self, corr_setup):
         # matched-kernel consistency: reflecting g turns the correlation at
         # z = x into the kernel-weighted bilinear average at x
-        g, ker = corr_setup
+        g = corr_setup
         rng = np.random.default_rng(3)
         f = SampledFunction(g, rng.standard_normal(g.n))
         h = SampledFunction(g, rng.standard_normal(g.n))
         xin = 40
         x = xin * g.dx
         refl = SampledFunction(g, h.values[(2 * xin - np.arange(g.n)) % g.n])
-        lhs = kernel_average_at(f, refl, ker, x, x, 0)
-        kk = ker.scaled_time(0)
+        lhs = kernel_average_at(f, refl, x, x, 0)
+        kk = scaled_kernel(g, 0)
         offs = np.arange(g.n)
         direct = np.sum(f.values[(xin + offs) % g.n] * h.values[(xin - offs) % g.n] * kk) * g.dx
         assert abs(lhs - direct) <= 1e-8
@@ -215,12 +214,12 @@ class TestKernelAverage:
 
 class TestBilinearMax:
     def test_constants(self, corr_setup):
-        g, _ = corr_setup
+        g = corr_setup
         ones = SampledFunction(g, np.ones(g.n, dtype=complex))
         assert symmetric_window_max(ones, ones, 2.0, [0.5, 1.0, 2.0]) == pytest.approx(1.0, rel=1e-12)
 
     def test_bounded_by_maximal_function(self, corr_setup):
-        g, _ = corr_setup
+        g = corr_setup
         rng = np.random.default_rng(9)
         f = SampledFunction(g, rng.standard_normal(g.n))
         h = SampledFunction(g, rng.standard_normal(g.n))
@@ -251,7 +250,7 @@ class TestBilinearMax:
 
     def test_nan_sample_kept(self, corr_setup):
         # the NaN lies only in the second window, after a finite maximum of 1
-        g, _ = corr_setup
+        g = corr_setup
         f = SampledFunction(g, np.ones(g.n, dtype=complex))
         f.values[128 + 40] = np.nan
         assert math.isnan(symmetric_window_max(f, f, 128 * g.dx, [0.5, 1.0]))
@@ -259,13 +258,13 @@ class TestBilinearMax:
 
 class TestTails:
     def test_zero_function(self, corr_setup):
-        g, _ = corr_setup
+        g = corr_setup
         zero = SampledFunction(g, np.zeros(g.n))
         ones = SampledFunction(g, np.ones(g.n, dtype=complex))
         assert integral_tail(zero, ones, 4.0) == 0.0
 
     def test_integral_tail_windows(self, corr_setup):
-        g, _ = corr_setup
+        g = corr_setup
         f = SampledFunction.indicator(g, [(0.0, 8.0)])
         val = integral_tail(f, f, 4.0)  # at L = 8 the only window is t = 2
         assert val == pytest.approx(1.0 / (2 * 2.0), rel=1e-9)

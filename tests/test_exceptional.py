@@ -1,4 +1,3 @@
-import functools
 import math
 
 import numpy as np
@@ -22,7 +21,7 @@ from timefreq.exceptional import (
 )
 from timefreq.norms import maximal_multiplier_lower, variational_norm
 from timefreq.trees import tree_decompose
-from timefreq.wavepackets import build_kernel, build_window, model_function
+from timefreq.wavepackets import x_slice
 
 from test_wavepackets import theta_slice
 
@@ -51,8 +50,7 @@ def group_by_escape_level(trapped, eset):
 
 @pytest.fixture(scope="module")
 def setup():
-    g = Grid(9, 8.0)
-    return g, build_window(g), build_kernel(g)
+    return Grid(9, 8.0)
 
 
 class TestParamLedger:
@@ -108,18 +106,18 @@ class TestParamLedger:
 
 class TestMaximalExceptionalSet:
     def test_contains_the_set_at_lambda_one(self, setup):
-        g, _, _ = setup
+        g = setup
         f = SampledFunction.indicator(g, [(1.0, 2.5)])
         es = maximal_exceptional_set(f, 1.0, 1.05)
         assert np.all(es.mask[f.values.real > 0.5])
 
     def test_empty_input(self, setup):
-        g, _, _ = setup
+        g = setup
         es = maximal_exceptional_set(SampledFunction(g, np.zeros(g.n)), 0.5, 1.05)
         assert es.measure == 0.0
 
     def test_weak_type_measure_bound(self, setup):
-        g, _, _ = setup
+        g = setup
         rng = np.random.default_rng(3)
         for _ in range(20):
             ivs = []
@@ -164,14 +162,14 @@ class TestMaximalExceptionalSet:
 
     @pytest.mark.parametrize("bad", [0.5, 2.0, np.nan, np.inf])
     def test_refuses_non_indicator(self, setup, bad):
-        g, _, _ = setup
+        g = setup
         values = SampledFunction.indicator(g, [(1.0, 2.5)]).values
         values[7] = bad
         with pytest.raises(ValueError, match="needs an indicator"):
             maximal_exceptional_set(SampledFunction(g, values), 0.5, 1.05)
 
     def test_threshold_monotone(self, setup):
-        g, _, _ = setup
+        g = setup
         f = SampledFunction.indicator(g, [(2.0, 3.0)])
         lo = maximal_exceptional_set(f, 0.3, 1.0)
         hi = maximal_exceptional_set(f, 0.6, 1.0)
@@ -183,19 +181,19 @@ class TestSplits:
         return TileUniverse(-1, 1, Interval(0, 8), Interval(0, 4)).all_tiles()
 
     def test_empty_set_all_escape(self, setup):
-        g, _, _ = setup
+        g = setup
         tiles = self._tiles()
         esc, trap = split_tiles(tiles, GridSet.empty(g))
         assert esc == set(tiles) and not trap
 
     def test_full_box_none_escape(self, setup):
-        g, _, _ = setup
+        g = setup
         tiles = self._tiles()
         esc, trap = split_tiles(tiles, GridSet(g, np.ones(g.n, dtype=bool)))
         assert trap == set(tiles) and not esc
 
     def test_rule_matches_direct_masks(self, setup):
-        g, _, _ = setup
+        g = setup
         rng = np.random.default_rng(8)
         mask = rng.random(g.n) < 0.6
         es = GridSet(g, mask)
@@ -208,7 +206,7 @@ class TestSplits:
             assert (s in esc) == meets_complement
 
     def test_escape_levels(self, setup):
-        g, _, _ = setup
+        g = setup
         mask = np.ones(g.n, dtype=bool)
         mask[: g.n // 16] = False  # complement at the left edge
         es = GridSet(g, mask)
@@ -221,7 +219,7 @@ class TestSplits:
                 assert s in groups.get(1, set())
 
     def test_escape_preserves_convexity(self, setup):
-        g, _, _ = setup
+        g = setup
         rng = np.random.default_rng(5)
         mask = hl_maximal(SampledFunction.indicator(g, [(1.0, 3.0)])).values.real >= 0.4
         es = GridSet(g, mask)
@@ -244,17 +242,17 @@ class TestOverlapSet:
         return trees
 
     def test_single_tree_empty(self, setup):
-        g, _, _ = setup
+        g = setup
         trees = self._trees(g, np.random.default_rng(0), 1)
         assert overlap_exceptional_set(trees, 1.0, g).measure == 0.0
 
     def test_requires_beta_at_least_one(self, setup):
-        g, _, _ = setup
+        g = setup
         with pytest.raises(ValueError):
             overlap_exceptional_set([], 0.5, g)
 
     def test_counting_two_ways(self, setup):
-        g, _, _ = setup
+        g = setup
         rng = np.random.default_rng(7)
         trees = self._trees(g, rng, 12)
         es = overlap_exceptional_set(trees, 1.0, g)
@@ -270,7 +268,7 @@ class TestOverlapSet:
         assert np.array_equal(es.mask, mask)
 
     def test_chebyshev_measure_bound(self, setup):
-        g, _, _ = setup
+        g = setup
         rng = np.random.default_rng(11)
         for count in (6, 12, 24):
             trees = self._trees(g, rng, count)
@@ -279,7 +277,7 @@ class TestOverlapSet:
             assert es.measure <= 2.0 * top_sum + 1e-9
 
     def test_threshold_monotone(self, setup):
-        g, _, _ = setup
+        g = setup
         trees = self._trees(g, np.random.default_rng(3), 20)
         lo = overlap_exceptional_set(trees, 1.0, g)
         hi = overlap_exceptional_set(trees, 2.0, g)
@@ -296,68 +294,68 @@ class TestVariationSet:
         return {(0, 0): [tree]}, members
 
     def test_zero_coefficients(self, setup):
-        g, w, ker = setup
+        g = setup
         windows, members = self._window_trees(g)
         coeffs = {s: 0.0 for s in members}
-        es = variation_exceptional_set(windows, coeffs, 0.5, 3.0, 1.0, ker, l_decay=10.0)
+        es = variation_exceptional_set(windows, coeffs, 0.5, 3.0, 1.0, g, l_decay=10.0)
         assert es.measure == 0.0
 
     def test_huge_threshold(self, setup):
-        g, w, ker = setup
+        g = setup
         windows, members = self._window_trees(g)
         coeffs = {s: 0.5 * math.sqrt(s.time.length) for s in members}
-        es = variation_exceptional_set(windows, coeffs, 1e9, 3.0, 1.0, ker, l_decay=10.0)
+        es = variation_exceptional_set(windows, coeffs, 1e9, 3.0, 1.0, g, l_decay=10.0)
         assert es.measure == 0.0
 
     def test_normalization_enforced(self, setup):
-        g, w, ker = setup
+        g = setup
         windows, members = self._window_trees(g)
         coeffs = {s: 5.0 * math.sqrt(s.time.length) for s in members}
         with pytest.raises(ValueError, match="normalization"):
-            variation_exceptional_set(windows, coeffs, 0.5, 3.0, 1.0, ker, l_decay=10.0)
+            variation_exceptional_set(windows, coeffs, 0.5, 3.0, 1.0, g, l_decay=10.0)
 
     def test_mask_matches_pointwise_recomputation(self, setup):
-        g, w, ker = setup
+        g = setup
         windows, members = self._window_trees(g)
         rng = np.random.default_rng(2)
         coeffs = {s: complex(rng.uniform(0.2, 0.9)) * math.sqrt(s.time.length)
                   for s in members}
         gamma = 0.05
-        es = variation_exceptional_set(windows, coeffs, gamma, 3.0, 1.0, ker, l_decay=10.0)
+        es = variation_exceptional_set(windows, coeffs, gamma, 3.0, 1.0, g, l_decay=10.0)
         tree = windows[(0, 0)][0]
         scales = tree.scales()
         fields = np.zeros((len(scales), g.n), dtype=np.complex128)
         for i, k in enumerate(scales):
             for s in tree.tiles_at_scale(k):
                 pieces = tree_decompose(s, 0, g)
-                phi = model_function(w, ker, s).x_slice(tree.top_freq)
+                phi = x_slice(g, s, tree.top_freq)
                 fields[i] += coeffs[s] * pieces.tail_slice(phi, tree.top_freq)
         for xin in rng.integers(0, g.n, 50):
             vr = variational_norm(fields[:, xin], 3.0)
             assert (vr > gamma) == bool(es.mask[xin])
 
     def test_threshold_monotone(self, setup):
-        g, w, ker = setup
+        g = setup
         windows, members = self._window_trees(g)
         coeffs = {s: 0.5 * math.sqrt(s.time.length) for s in members}
-        lo = variation_exceptional_set(windows, coeffs, 0.02, 3.0, 1.0, ker, l_decay=10.0)
-        hi = variation_exceptional_set(windows, coeffs, 0.08, 3.0, 1.0, ker, l_decay=10.0)
+        lo = variation_exceptional_set(windows, coeffs, 0.02, 3.0, 1.0, g, l_decay=10.0)
+        hi = variation_exceptional_set(windows, coeffs, 0.08, 3.0, 1.0, g, l_decay=10.0)
         assert np.all(hi.mask <= lo.mask)
 
 
 class TestPointwiseBound:
     def test_zero_coefficients(self, setup):
-        g, w, ker = setup
-        (lhs,) = check_pointwise_bound([10], {}, 1.5, ker, search_budget=40, seed=0)
+        g = setup
+        (lhs,) = check_pointwise_bound([10], {}, 1.5, g, search_budget=40, seed=0)
         assert lhs == 0.0
 
     def test_single_tile_calibration(self, setup):
-        g, w, ker = setup
+        g = setup
         s = Tile(DyadicInterval(0, 3), DyadicInterval(0, 2))
         params = ParamLedger(1.6, 1.5, 0.01, 0.5).level(2)
         coeffs = {s: params.sigma * math.sqrt(s.time.length)}
         xin = round(s.time.center / g.dx)
-        (lhs,) = check_pointwise_bound([xin], coeffs, 1.5, ker, search_budget=25, seed=1)
+        (lhs,) = check_pointwise_bound([xin], coeffs, 1.5, g, search_budget=25, seed=1)
         rhs = params.beta ** (1.0 / 1.5 - 1.0 / 3.0 + 0.01) * (params.gamma + params.sigma)
         assert 0.0 < lhs
         assert lhs / rhs < 10.0  # calibration ratio stays moderate
@@ -365,14 +363,14 @@ class TestPointwiseBound:
     @pytest.mark.parametrize("x", [517, -507, 512])
     def test_points_off_the_grid_refused(self, setup, x):
         # at J = 9, 517 and -507 used to be read as the sample 5
-        g, w, ker = setup
+        g = setup
         coeffs = {Tile(DyadicInterval(0, 3), DyadicInterval(0, 2)): 1.0}
         with pytest.raises(ValueError, match=r"x_indices must be sample indices in \[0, 512\)"):
-            check_pointwise_bound([5, x], coeffs, 1.5, ker, search_budget=25, seed=1)
+            check_pointwise_bound([5, x], coeffs, 1.5, g, search_budget=25, seed=1)
 
     def test_points_together_match_points_alone(self, setup, monkeypatch):
         # 3 scales at J = 9 make blocks of 6 points, so 13 points run as blocks of 6, 6 and 1
-        g, w, ker = setup
+        g = setup
         rng = np.random.default_rng(4)
         tiles = [Tile(DyadicInterval(-1, 5), DyadicInterval(1, 3)), Tile(DyadicInterval(0, 2), DyadicInterval(0, 1)),
                  Tile(DyadicInterval(0, 6), DyadicInterval(0, -3)), Tile(DyadicInterval(1, 1), DyadicInterval(-1, 0))]
@@ -386,31 +384,25 @@ class TestPointwiseBound:
 
         with monkeypatch.context() as mp:
             mp.setattr(exceptional_mod, "maximal_multiplier_lower", counted)
-            lhs = check_pointwise_bound(xs, coeffs, 1.5, ker, search_budget=30, seed=3)
+            lhs = check_pointwise_bound(xs, coeffs, 1.5, g, search_budget=30, seed=3)
         assert blocks == [6, 6, 1]
-        alone = [check_pointwise_bound([x], coeffs, 1.5, ker, search_budget=30, seed=3) for x in xs]
+        alone = [check_pointwise_bound([x], coeffs, 1.5, g, search_budget=30, seed=3) for x in xs]
         assert lhs.tolist() == [one[0] for one in alone]
         assert np.all(lhs > 0.0)
 
 
-def loop_pointwise_multipliers(x_index, coeffs, w, ker):
+def loop_pointwise_multipliers(x_index, coeffs, g):
     """Oracle: per scale, the sum over its tiles of a_s times the theta-slice of the tile's model function."""
     by_scale = {}
     for s, a in coeffs.items():
         if a == 0.0:
             continue
-        vals = a * theta_slice(model_function(w, ker, s), x_index)
+        vals = a * theta_slice(g, s, x_index)
         if s.scale in by_scale:
             by_scale[s.scale] += vals
         else:
             by_scale[s.scale] = vals
     return [by_scale[k] for k in sorted(by_scale)]
-
-
-@functools.lru_cache(maxsize=None)
-def _window_kernel(j, length):
-    g = Grid(j, length)
-    return build_window(g), build_kernel(g)
 
 
 @st.composite
@@ -449,7 +441,7 @@ class TestPointwiseOracle:
               [384, 390, 400, 408, 417, 430, 441, 455, 470, 482, 490, 500, 511]))
     def test_multipliers_match_per_tile_loop(self, case):
         j, length, tiles, zeros, seed, x_indices = case
-        w, ker = _window_kernel(j, length)
+        g = Grid(j, length)
         rng = np.random.default_rng(seed)
         coeffs = {s: 0.0 if zero else complex(rng.standard_normal(), rng.standard_normal())
                   for s, zero in zip(tiles, zeros)}
@@ -461,22 +453,22 @@ class TestPointwiseOracle:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(exceptional_mod, "maximal_multiplier_lower", capture)
-            check_pointwise_bound(x_indices, coeffs, 1.5, ker, search_budget=40, seed=0)
+            check_pointwise_bound(x_indices, coeffs, 1.5, g, search_budget=40, seed=0)
         families = np.concatenate(captured)
         assert len(families) == len(x_indices)
         # a block stacks at most 192 KiB of fields, scales + 1 rows per point: 6 points of one scale at J = 10
-        block = max(1, 3 * 2**16 // ((families.shape[1] + 1) * w.grid.n * 16))
+        block = max(1, 3 * 2**16 // ((families.shape[1] + 1) * g.n * 16))
         assert [len(c) for c in captured] == [min(block, len(x_indices) - i) for i in range(0, len(x_indices), block)]
         for got, x_index in zip(families, x_indices):
-            want = loop_pointwise_multipliers(x_index, coeffs, w, ker)
-            assert got.shape == (len(want), w.grid.n)
+            want = loop_pointwise_multipliers(x_index, coeffs, g)
+            assert got.shape == (len(want), g.n)
             scale = max(np.max(np.abs(m)) for m in want)
             assert np.max(np.abs(got - np.array(want))) <= 1e-12 * scale
 
 
 class TestPipeline:
     def test_report_shape_and_stability(self, setup):
-        g, w, ker = setup
+        g = setup
         ratios = []
         for seed in range(4):
             rep = run_pipeline(g, 1.6, 1.5, 0.01, 0.5, seed=seed)
@@ -487,6 +479,6 @@ class TestPipeline:
         assert max(ratios) / min(ratios) <= 4.0
 
     def test_rejects_bad_exponents(self, setup):
-        g, w, ker = setup
+        g = setup
         with pytest.raises(ParameterError):
             run_pipeline(g, 1.2, 1.4, 0.01, 0.5, seed=0)

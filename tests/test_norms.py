@@ -23,7 +23,7 @@ from timefreq.norms import (
     tile_size,
     variational_norm,
 )
-from timefreq.wavepackets import build_window, tile_packet_hat
+from timefreq.wavepackets import tile_packet_hat
 
 
 def oracle_variation(seq, r):
@@ -476,19 +476,17 @@ class TestPerTileSizes:
 
 @pytest.fixture(scope="module")
 def size_setup():
-    g = Grid(9, 8.0)
-    w = build_window(g)
-    return g, w
+    return Grid(9, 8.0)
 
 
 class TestTileSize:
     def test_zero_function(self, size_setup):
-        g, _ = size_setup
+        g = size_setup
         tiles = [Tile(DyadicInterval(0, 2), DyadicInterval(0, 1))]
         assert tile_size(tiles, SampledFunction(g, np.zeros(g.n)), 8) == 0.0
 
     def test_monotone_under_inclusion(self, size_setup):
-        g, _ = size_setup
+        g = size_setup
         rng = np.random.default_rng(17)
         f = SampledFunction(g, rng.standard_normal(g.n))
         tiles = [Tile(DyadicInterval(0, mt), DyadicInterval(0, mf))
@@ -501,7 +499,7 @@ class TestTileSize:
         # collection size is controlled by sup over tiles of inf over I_s of M 1_F
         from timefreq import hl_maximal
 
-        g, _ = size_setup
+        g = size_setup
         rng = np.random.default_rng(7)
         tiles = [Tile(DyadicInterval(k, mt), DyadicInterval(-k, mf))
                  for k in (-1, 0, 1)
@@ -532,7 +530,7 @@ class TestTileSize:
         from timefreq.grid import dft, lp_norm_values
         from timefreq.norms import adapted_family
 
-        g, w = size_setup
+        g = size_setup
         s = Tile(DyadicInterval(0, 3), DyadicInterval(0, 2))
         f = SampledFunction(g, idft_values(tile_packet_hat(g, s), g.dx))
         got = tile_size([s], f, 8)
